@@ -88,6 +88,25 @@ pub struct AggregateRow {
     pub normalized: Option<Summary>,
 }
 
+/// Interns each cell's group label: the distinct labels in first-seen
+/// order, and each cell's index into them. Every label is formatted once
+/// and only the distinct ones are kept, so no string lives per cell.
+fn group_cells(cells: &[Cell]) -> (Vec<String>, Vec<usize>) {
+    let mut labels: Vec<String> = Vec::new();
+    let mut index: HashMap<String, usize> = HashMap::new();
+    let groups = cells
+        .iter()
+        .map(|cell| {
+            let next = labels.len();
+            *index.entry(cell.group_label()).or_insert_with_key(|label| {
+                labels.push(label.clone());
+                next
+            })
+        })
+        .collect();
+    (labels, groups)
+}
+
 /// Aggregates executed cells. `cells` and `metrics` are parallel arrays in
 /// expansion order.
 pub fn aggregate(
@@ -96,26 +115,27 @@ pub fn aggregate(
     baseline: Option<Algorithm>,
 ) -> Vec<AggregateRow> {
     assert_eq!(cells.len(), metrics.len(), "cells/metrics length mismatch");
+    let (labels, groups) = group_cells(cells);
 
     // Baseline makespan per (group, point).
-    let mut base: HashMap<(String, (u64, u64)), f64> = HashMap::new();
+    let mut base: HashMap<(usize, (u64, u64)), f64> = HashMap::new();
     if let Some(b) = baseline {
-        for (cell, m) in cells.iter().zip(metrics) {
+        for ((cell, m), &g) in cells.iter().zip(metrics).zip(&groups) {
             if cell.algorithm == b {
-                base.insert((cell.group_label(), cell.point_id()), m.makespan);
+                base.insert((g, cell.point_id()), m.makespan);
             }
         }
     }
 
     // Group rows in first-seen (deterministic) order.
-    let mut order: Vec<(String, Algorithm)> = Vec::new();
-    let mut buckets: HashMap<(String, Algorithm), Vec<usize>> = HashMap::new();
-    for (i, cell) in cells.iter().enumerate() {
-        let key = (cell.group_label(), cell.algorithm);
+    let mut order: Vec<(usize, Algorithm)> = Vec::new();
+    let mut buckets: HashMap<(usize, Algorithm), Vec<usize>> = HashMap::new();
+    for (i, (cell, &g)) in cells.iter().zip(&groups).enumerate() {
+        let key = (g, cell.algorithm);
         buckets
-            .entry(key.clone())
+            .entry(key)
             .or_insert_with(|| {
-                order.push(key.clone());
+                order.push(key);
                 Vec::new()
             })
             .push(i);
@@ -132,8 +152,7 @@ pub fn aggregate(
                 let ratios: Vec<f64> = idxs
                     .iter()
                     .filter_map(|&i| {
-                        let cell = &cells[i];
-                        base.get(&(cell.group_label(), cell.point_id()))
+                        base.get(&(key.0, cells[i].point_id()))
                             .map(|b| metrics[i].makespan / b)
                     })
                     .collect();
@@ -146,7 +165,7 @@ pub fn aggregate(
                 None
             };
             AggregateRow {
-                group: key.0,
+                group: labels[key.0].clone(),
                 algorithm: key.1.name().to_string(),
                 makespan: summarize(&pick(&|m| m.makespan)),
                 max_flow: summarize(&pick(&|m| m.max_flow)),
@@ -226,14 +245,15 @@ pub struct MetricsRow {
 /// rows are byte-identical for any executing thread count (contract #12).
 pub fn aggregate_metrics(cells: &[Cell], metrics: &[CellMetrics]) -> Vec<MetricsRow> {
     assert_eq!(cells.len(), metrics.len(), "cells/metrics length mismatch");
-    let mut order: Vec<(String, Algorithm)> = Vec::new();
-    let mut merged: HashMap<(String, Algorithm), (usize, RunMetrics)> = HashMap::new();
-    for (cell, m) in cells.iter().zip(metrics) {
+    let (labels, groups) = group_cells(cells);
+    let mut order: Vec<(usize, Algorithm)> = Vec::new();
+    let mut merged: HashMap<(usize, Algorithm), (usize, RunMetrics)> = HashMap::new();
+    for ((cell, m), &g) in cells.iter().zip(metrics).zip(&groups) {
         let Some(payload) = &m.run_metrics else {
             continue;
         };
-        let key = (cell.group_label(), cell.algorithm);
-        let entry = merged.entry(key.clone()).or_insert_with(|| {
+        let key = (g, cell.algorithm);
+        let entry = merged.entry(key).or_insert_with(|| {
             order.push(key);
             (0, RunMetrics::default())
         });
@@ -249,7 +269,7 @@ pub fn aggregate_metrics(cells: &[Cell], metrics: &[CellMetrics]) -> Vec<Metrics
             // is duration × slaves and port-time is duration × 1.
             let slave_time = run.duration * run.busy_secs.len() as f64;
             MetricsRow {
-                group: key.0,
+                group: labels[key.0].clone(),
                 algorithm: key.1.name().to_string(),
                 cells: *cells_merged,
                 tasks: run.tasks,

@@ -153,9 +153,9 @@ mod tests {
         let run = sample_run();
         let wire = CellRunMetrics::from_run(&run);
         assert_eq!(wire.to_run(), run);
-        // And through the serde value tree too.
-        let v = serde::Serialize::to_value(&wire);
-        let back: CellRunMetrics = serde::Deserialize::from_value(&v).unwrap();
+        // And through its JSON too.
+        let json = serde_json::to_string(&wire).unwrap();
+        let back: CellRunMetrics = serde_json::from_str(&json).unwrap();
         assert_eq!(back, wire);
         assert_eq!(back.to_run(), run);
     }

@@ -14,6 +14,7 @@
 //! field names below are the schema.
 
 use crate::cell::{Cell, PerturbCell, PlatformCell, ScenarioCell};
+use crate::store::Fnv1a;
 use mss_core::{Algorithm, InfoTier, PlatformClass};
 use mss_scenario::{EventSpec, GeneratorSpec, ScenarioSpec};
 use mss_workload::{ArrivalProcess, HeterogeneityAxis};
@@ -141,15 +142,6 @@ fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn parse_class(s: &str) -> Result<PlatformClass, SpecError> {
@@ -403,6 +395,14 @@ impl SweepSpec {
         if self.tasks.is_empty() {
             return Err(SpecError("no task counts".into()));
         }
+        // A zero-task cell has a zero lower bound, so its makespan ratio is
+        // NaN — which the result store writes as `null` and cannot read
+        // back, re-running and re-appending the cell on every resume.
+        if let Some(&n) = self.tasks.iter().find(|&&n| n == 0) {
+            return Err(SpecError(format!(
+                "task count {n} in `tasks`: every cell needs at least one task"
+            )));
+        }
 
         let mut cells = Vec::new();
         for platform in &recipes {
@@ -411,52 +411,52 @@ impl SweepSpec {
                     for perturb in &perturbs {
                         for scenario in &scenarios {
                             for replicate in 0..replicates {
+                                // Seeds derive from the grid *point*
+                                // (identity with zeroed seeds and fixed
+                                // algorithm/tier placeholders) hashed with
+                                // the master seed — independent of
+                                // enumeration order, and shared across
+                                // algorithms and tiers so they face
+                                // identical instances.
+                                let mut point = Cell {
+                                    platform: platform.clone(),
+                                    arrival: *arrival,
+                                    perturbation: perturb.map(|(delta, ec, ep)| PerturbCell {
+                                        delta,
+                                        comm_exponent: ec,
+                                        comp_exponent: ep,
+                                        seed: 0,
+                                    }),
+                                    scenario: scenario.clone(),
+                                    tasks,
+                                    algorithm: Algorithm::Srpt,
+                                    information: InfoTier::Clairvoyant,
+                                    replicate,
+                                    task_seed: 0,
+                                };
+                                let mut identity = Fnv1a::BASIS;
+                                serde_json::to_writer(&mut identity, &point)
+                                    .expect("serialize cell identity");
+                                let id_hash = identity.0;
+                                point.task_seed =
+                                    mix(self.seed ^ id_hash.rotate_left(17) ^ replicate);
+                                if let Some(p) = &mut point.perturbation {
+                                    p.seed = mix(self.seed
+                                        ^ id_hash.rotate_left(43)
+                                        ^ replicate.wrapping_mul(0x9e37));
+                                }
+                                if let Some(s) = &mut point.scenario {
+                                    s.spec.seed = mix(self.seed
+                                        ^ id_hash.rotate_left(29)
+                                        ^ replicate.wrapping_mul(0xa5a5));
+                                }
                                 for &information in &tiers {
                                     for &algorithm in &algorithms {
-                                        // Seeds derive from the grid *point*
-                                        // (identity with zeroed seeds and
-                                        // fixed algorithm/tier placeholders)
-                                        // hashed with the master seed —
-                                        // independent of enumeration order,
-                                        // and shared across algorithms and
-                                        // tiers so they face identical
-                                        // instances.
-                                        let mut cell = Cell {
-                                            platform: platform.clone(),
-                                            arrival: *arrival,
-                                            perturbation: perturb.map(|(delta, ec, ep)| {
-                                                PerturbCell {
-                                                    delta,
-                                                    comm_exponent: ec,
-                                                    comp_exponent: ep,
-                                                    seed: 0,
-                                                }
-                                            }),
-                                            scenario: scenario.clone(),
-                                            tasks,
-                                            algorithm: Algorithm::Srpt,
-                                            information: InfoTier::Clairvoyant,
-                                            replicate,
-                                            task_seed: 0,
-                                        };
-                                        let identity = serde_json::to_string(&cell)
-                                            .expect("serialize cell identity");
-                                        let id_hash = fnv1a(identity.as_bytes());
-                                        cell.algorithm = algorithm;
-                                        cell.information = information;
-                                        cell.task_seed =
-                                            mix(self.seed ^ id_hash.rotate_left(17) ^ replicate);
-                                        if let Some(p) = &mut cell.perturbation {
-                                            p.seed = mix(self.seed
-                                                ^ id_hash.rotate_left(43)
-                                                ^ replicate.wrapping_mul(0x9e37));
-                                        }
-                                        if let Some(s) = &mut cell.scenario {
-                                            s.spec.seed = mix(self.seed
-                                                ^ id_hash.rotate_left(29)
-                                                ^ replicate.wrapping_mul(0xa5a5));
-                                        }
-                                        cells.push(cell);
+                                        cells.push(Cell {
+                                            algorithm,
+                                            information,
+                                            ..point.clone()
+                                        });
                                     }
                                 }
                             }
@@ -674,6 +674,19 @@ mod tests {
         }]);
         let err = s.expand().unwrap_err();
         assert!(err.0.contains("without events"), "{err}");
+    }
+
+    #[test]
+    fn zero_task_count_is_rejected() {
+        // A zero-task cell's NaN makespan ratio stores as `null`, which
+        // the result store cannot load: every resume would re-run it and
+        // append another copy. Expansion refuses it up front.
+        let mut s = spec();
+        s.tasks = vec![20, 0];
+        let err = s.expand().unwrap_err();
+        assert!(err.0.contains("task count 0"), "{err}");
+        s.tasks.clear();
+        assert_eq!(s.expand().unwrap_err().0, "no task counts");
     }
 
     #[test]

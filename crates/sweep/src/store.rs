@@ -41,25 +41,78 @@ use std::sync::Mutex;
 ///     queue-depth stats).
 pub const CODE_VERSION_SALT: &str = "mss-sweep-v6";
 
-/// FNV-1a, 64-bit — stable across platforms and runs.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// FNV-1a, 64-bit — stable across platforms and runs — as an
+/// [`std::io::Write`] sink, so serialized bytes are hashed as they stream
+/// out of `serde_json::to_writer` instead of being collected first.
+#[derive(Clone, Copy)]
+pub(crate) struct Fnv1a(pub(crate) u64);
+
+impl Fnv1a {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    pub(crate) const BASIS: Fnv1a = Fnv1a(0xcbf2_9ce4_8422_2325);
+
+    #[inline]
+    const fn step(self, byte: u8) -> Fnv1a {
+        Fnv1a((self.0 ^ byte as u64).wrapping_mul(Self::PRIME))
     }
-    h
+
+    const fn fold(mut self, bytes: &[u8]) -> Fnv1a {
+        let mut i = 0;
+        while i < bytes.len() {
+            self = self.step(bytes[i]);
+            i += 1;
+        }
+        self
+    }
 }
 
-/// Content key of a cell: hash of its canonical JSON plus the salt.
-/// 128 hash bits (two seeded FNV passes) keep collisions negligible at
-/// experiment scale.
+impl std::io::Write for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        *self = self.fold(bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Both halves of a cell key, fed the canonical JSON in one pass: `lo`
+/// hashes the bytes alone, `hi` continues from the basis already folded
+/// over `"{CODE_VERSION_SALT}|"`.
+struct KeyHasher {
+    lo: Fnv1a,
+    hi: Fnv1a,
+}
+
+impl std::io::Write for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        // One loop over both states: the two multiply chains overlap.
+        for &b in bytes {
+            self.lo = self.lo.step(b);
+            self.hi = self.hi.step(b);
+        }
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Content key of a cell: hash of its canonical (compact) JSON plus the
+/// salt. 128 hash bits (`hi` = FNV-1a of `"{CODE_VERSION_SALT}|{json}"`,
+/// `lo` = FNV-1a of the JSON) keep collisions negligible at experiment
+/// scale. The JSON streams into both hashes in one pass and is never
+/// held in memory; the key is the same as hashing the whole string.
 pub fn cell_key(cell: &Cell) -> String {
-    let canon = serde_json::to_string(cell).expect("serialize cell");
-    let lo = fnv1a(canon.as_bytes());
-    let salted = format!("{CODE_VERSION_SALT}|{canon}");
-    let hi = fnv1a(salted.as_bytes());
-    format!("{hi:016x}{lo:016x}")
+    const SALTED: Fnv1a = Fnv1a::BASIS.fold(CODE_VERSION_SALT.as_bytes()).fold(b"|");
+    let mut hasher = KeyHasher {
+        lo: Fnv1a::BASIS,
+        hi: SALTED,
+    };
+    serde_json::to_writer(&mut hasher, cell).expect("serialize cell");
+    format!("{:016x}{:016x}", hasher.hi.0, hasher.lo.0)
 }
 
 /// One stored line: exactly one of `metrics` (a completed cell) and

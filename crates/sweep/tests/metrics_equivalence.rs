@@ -52,7 +52,7 @@ fn payload_bytes(spec: &SweepSpec, threads: usize) -> Vec<String> {
         .map(|r| {
             let m = r.as_ref().expect("static grid completes");
             let payload = m.run_metrics.as_ref().expect("payload collected");
-            serde_json::to_string(&serde::Serialize::to_value(payload)).unwrap()
+            serde_json::to_string(payload).unwrap()
         })
         .collect()
 }
