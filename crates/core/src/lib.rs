@@ -41,13 +41,12 @@ pub use registry::{Algorithm, AlgorithmMeta, META};
 // Re-export the simulation vocabulary so downstream crates can depend on
 // `mss-core` alone for the common case.
 pub use mss_sim::{
-    bag_of_tasks, released_at, simulate, simulate_in, simulate_objectives_in,
-    simulate_objectives_with_probe_in, simulate_streamed, simulate_streamed_objectives_in,
-    simulate_streamed_objectives_with_probe_in, simulate_streamed_with_probe_in,
-    simulate_with_events, simulate_with_events_in, simulate_with_probe_in, validate, Decision,
-    InfoTier, NoopProbe, OnlineScheduler, Platform, PlatformClass, PlatformEvent,
-    PlatformEventKind, Probe, RunCounters, RunObjectives, SchedulerEvent, SimConfig, SimError,
-    SimView, SimWorkspace, SlaveEstimate, SlaveEstimates, SlaveId, SlaveSpec, StreamStats,
-    TaskArrival, TaskId, TaskRecord, TaskSource, Time, Timeline, Trace, TraceRecorder,
-    TraceViolation,
+    bag_of_tasks, released_at, simulate, simulate_in, simulate_objectives_with_probe_in,
+    simulate_streamed, simulate_streamed_objectives_in, simulate_streamed_objectives_with_probe_in,
+    simulate_streamed_with_probe_in, simulate_with_events, simulate_with_events_in,
+    simulate_with_probe_in, validate, Decision, InfoTier, NoopProbe, OnlineScheduler, Platform,
+    PlatformClass, PlatformEvent, PlatformEventKind, Probe, RunCounters, RunObjectives,
+    SchedulerEvent, SimConfig, SimError, SimView, SimWorkspace, SlaveEstimate, SlaveEstimates,
+    SlaveId, SlaveSpec, StreamStats, TaskArrival, TaskId, TaskRecord, TaskSource, Time, Timeline,
+    Trace, TraceRecorder, TraceViolation,
 };

@@ -2,8 +2,7 @@
 //! scenario grids, on top of the `mss-sweep` orchestrator.
 //!
 //! ```text
-//! ms-lab <command> [--quick] [--seed N] [--tasks N] [--platforms N]
-//!                  [--threads N]
+//! ms-lab <command> [flags]
 //!
 //! commands:
 //!   table1             Table 1 (nine bounds, machine-verified)
@@ -15,8 +14,8 @@
 //!   ablation-arrivals  A3: arrival-regime sweep
 //!   ablation-heterogeneity  A4: heterogeneity-degree sweep
 //!   resilience         degradation of all algorithms vs failure rate
-//!                      (Poisson failures, fault-aware redispatch). Extra
-//!                      flag: [--scenario FILE] runs a scenario file (see
+//!                      (Poisson failures, fault-aware redispatch).
+//!                      [--scenario FILE] runs a scenario file (see
 //!                      examples/failure_scenario.toml) against the static
 //!                      baseline instead of the built-in rate ladder
 //!   oblivion           degradation of all algorithms vs information tier
@@ -24,19 +23,19 @@
 //!                      across the paper's platform-class ladder, each
 //!                      normalized to its own clairvoyant run
 //!   sweep <spec>       run a user-defined grid (TOML or JSON spec; see
-//!                      examples/sweep_grid.toml). Extra flags:
-//!                      [--cache-dir DIR] [--no-cache] [--baseline ALG]
-//!                      [--quiet] (suppress the live progress line)
+//!                      examples/sweep_grid.toml). [--quiet] suppresses the
+//!                      live progress line; [--split-events N] sets the
+//!                      batch-split threshold (same results for any N)
 //!   metrics <spec>     run a grid with telemetry probes and report
 //!                      flow/wait/transfer/compute quantiles, per-slave
 //!                      utilization splits and master-queue pressure per
 //!                      (scenario, algorithm); writes metrics.csv and
 //!                      metrics.json, byte-identical for any --threads.
-//!                      Extra flags: [--cache-dir DIR] [--quick] (alias
-//!                      for --no-cache: always simulate fresh)
+//!                      [--quick] is an alias for [--no-cache]: always
+//!                      simulate fresh
 //!   diff <spec>        replay one grid cell with the decision-digest
 //!                      auditor. Alone: print the run's event count and
-//!                      64-bit digest. [--dump PATH] also writes the
+//!                      64-bit digest. [--dump [PATH]] also writes the
 //!                      per-event JSONL ledger. [--against REF] compares
 //!                      to a dumped ledger file or to another ms-lab
 //!                      binary and reports the first divergent event
@@ -49,20 +48,23 @@
 //!   trace <spec>       replay one grid cell with a trace recorder and
 //!                      write a Chrome-trace-event JSON (open it at
 //!                      ui.perfetto.dev): per-slave send/compute/downtime
-//!                      tracks with failure instants. Extra flags:
-//!                      [--cell N] [--out PATH]
+//!                      tracks with failure instants
 //!   bench              time the engine and sweep hot loops and write the
 //!                      schema-stable BENCH_engine.json perf-trajectory
 //!                      point: the reference sweep at 1 thread and at max
 //!                      threads, plus a larger multi-algorithm grid.
-//!                      Extra flags: [--out PATH] (default
-//!                      ./BENCH_engine.json); [--threads N] caps the
-//!                      max-threads entries; [--compare OLD.json] prints
-//!                      per-metric deltas vs a previous point and exits 1
-//!                      on a regression beyond [--threshold PCT] (default
-//!                      20) unless [--warn-only]
-//!   all                everything above except `sweep` and `bench`
+//!                      [--out PATH] (default ./BENCH_engine.json);
+//!                      [--threads N] caps the max-threads entries;
+//!                      [--compare OLD.json] prints per-metric deltas vs a
+//!                      previous point and exits 1 on a regression beyond
+//!                      [--threshold PCT] (default 20) unless [--warn-only]
+//!   all                table1, fig1, fig2, the four ablations, resilience
+//!                      and oblivion
 //! ```
+//!
+//! Each command accepts exactly the flags `ms-lab` alone prints for it;
+//! any other argument, or a value flag without its value, is an error
+//! (exit 2).
 
 use mss_core::{Algorithm, PlatformClass};
 use mss_lab::report::{fmt3, fmt4, write_csv, write_json, AsciiTable, ExperimentScale};
@@ -71,24 +73,86 @@ use mss_sweep::{default_threads, SweepConfig};
 use mss_workload::{ArrivalProcess, Perturbation};
 use std::path::PathBuf;
 
+/// Every command with the flags it reads, exactly as `usage()` prints
+/// them. `[--x N]` takes a value, `[--x [N]]` an optional one (taken when
+/// the next argument is not a flag).
+const COMMANDS: &[(&str, &str)] = &[
+    ("table1", "[--threads N]"),
+    (
+        "fig1|fig1a|fig1b|fig1c|fig1d|fig2|ablation-buffer|ablation-arrivals|ablation-heterogeneity|oblivion",
+        "[--quick] [--seed N] [--tasks N] [--platforms N] [--threads N]",
+    ),
+    ("ablation-sljf", "[--seed N] [--threads N]"),
+    (
+        "resilience|all",
+        "[--quick] [--seed N] [--tasks N] [--platforms N] [--threads N] [--scenario FILE]",
+    ),
+    (
+        "sweep <spec>",
+        "[--threads N] [--quiet] [--split-events N] [--cache-dir DIR] [--no-cache] [--baseline ALG]",
+    ),
+    (
+        "metrics <spec>",
+        "[--threads N] [--quiet] [--quick] [--no-cache] [--cache-dir DIR]",
+    ),
+    (
+        "diff <spec>",
+        "[--cell N] [--dump [PATH]] [--against LEDGER-OR-BINARY]",
+    ),
+    ("trace <spec>", "[--cell N] [--out PATH]"),
+    ("profile", "[--quick] [--threads N]"),
+    (
+        "bench",
+        "[--quick] [--threads N] [--out PATH] [--compare OLD.json] [--threshold PCT] [--warn-only]",
+    ),
+];
+
 fn usage() -> ! {
-    eprintln!(
-        "usage: ms-lab <table1|fig1|fig1a|fig1b|fig1c|fig1d|fig2|ablation-buffer|\
-         ablation-sljf|ablation-arrivals|ablation-heterogeneity|resilience|oblivion|\
-         sweep <spec.toml>|metrics <spec.toml>|diff <spec.toml>|profile|\
-         trace <spec.toml>|bench|all>\n\
-         \x20       [--quick] [--seed N] [--tasks N] [--platforms N] [--threads N]\n\
-         \x20       sweep only: [--cache-dir DIR] [--no-cache] [--baseline ALG] [--quiet]\n\
-         \x20                   [--streamed] (bounded-memory task streaming; same results)\n\
-         \x20                   [--split-events N] (batch-split threshold; same results)\n\
-         \x20       metrics only: [--cache-dir DIR] (--quick = always simulate fresh)\n\
-         \x20       diff only: [--cell N] [--dump PATH] [--against LEDGER-OR-BINARY]\n\
-         \x20       resilience only: [--scenario FILE]\n\
-         \x20       trace only: [--cell N] [--out PATH]\n\
-         \x20       bench only: [--out PATH] [--compare OLD.json] [--threshold PCT]\n\
-         \x20                   [--warn-only] (--threads caps the max-thread entries)"
-    );
+    eprintln!("usage: ms-lab <command> [flags]");
+    for (commands, flags) in COMMANDS {
+        eprintln!("  {commands}\n      {flags}");
+    }
     std::process::exit(2);
+}
+
+/// Rejects any argument `command` does not read, and a value flag without
+/// its value, with a one-line error and exit code 2. An unknown command
+/// prints the usage.
+fn check_args(command: &str, args: &[String]) {
+    let Some((commands, flags)) = COMMANDS.iter().find(|(commands, _)| {
+        let names = commands.split(' ').next().unwrap_or_default();
+        names.split('|').any(|name| name == command)
+    }) else {
+        usage()
+    };
+    let reject = |what: String| -> ! {
+        eprintln!("ms-lab {command}: {what}");
+        std::process::exit(2);
+    };
+    // `[--dump [PATH]]` → ("dump", Some("[PATH]")); `[--quick]` → ("quick", None).
+    let flags = flags.split("[--").skip(1).map(|f| {
+        let f = f
+            .trim_end()
+            .strip_suffix(']')
+            .expect("flag groups end in `]`");
+        f.split_once(' ')
+            .map_or((f, None), |(name, v)| (name, Some(v)))
+    });
+    let is_flag = |a: &String| a.starts_with("--");
+    // A missing spec path is reported by the command itself.
+    let takes_spec = commands.ends_with("<spec>");
+    let skip = usize::from(takes_spec && args.first().is_some_and(|a| !is_flag(a)));
+    let mut rest = args[skip..].iter().peekable();
+    while let Some(arg) = rest.next() {
+        let name = arg.strip_prefix("--");
+        let Some((_, value)) = flags.clone().find(|(f, _)| Some(*f) == name) else {
+            reject(format!("unexpected argument `{arg}`"))
+        };
+        let Some(value) = value else { continue };
+        if rest.next_if(|a| !is_flag(a)).is_none() && !value.starts_with('[') {
+            reject(format!("`{arg}` needs a value"))
+        }
+    }
 }
 
 fn parse_scale(args: &[String]) -> ExperimentScale {
@@ -133,9 +197,6 @@ fn parse_runtime(args: &[String]) -> SweepConfig {
         progress: !args.iter().any(|a| a == "--quiet"),
         count_events: false,
         collect_metrics: false,
-        // Pull task streams lazily instead of materializing instances;
-        // results and cache contents are bit-identical (contract #13).
-        streamed: args.iter().any(|a| a == "--streamed"),
         // Batch-splitting threshold in estimated events; results are
         // bit-identical for any value (contract #14).
         split_events: parse_flag(args, "--split-events")
@@ -496,6 +557,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else { usage() };
     let rest = &args[1..];
+    check_args(command, rest);
     let scale = parse_scale(rest);
     let runtime = parse_runtime(rest);
 

@@ -180,10 +180,9 @@ impl Fig1Panel {
         )
     }
 
-    /// Writes `fig1<letter>.csv` and `.json`; returns the CSV path.
-    pub fn write_artifacts(&self) -> std::path::PathBuf {
-        let name = format!("fig1{}", panel_letter(self.class));
-        let rows: Vec<Vec<String>> = self
+    /// Header and stringified rows of `fig1<letter>.csv`.
+    pub fn csv_table(&self) -> (&'static [&'static str], Vec<Vec<String>>) {
+        let rows = self
             .rows
             .iter()
             .map(|r| {
@@ -198,20 +197,24 @@ impl Fig1Panel {
                 ]
             })
             .collect();
+        let header = &[
+            "algorithm",
+            "norm_makespan",
+            "norm_maxflow",
+            "norm_sumflow",
+            "abs_makespan",
+            "abs_maxflow",
+            "abs_sumflow",
+        ];
+        (header, rows)
+    }
+
+    /// Writes `fig1<letter>.csv` and `.json`; returns the CSV path.
+    pub fn write_artifacts(&self) -> std::path::PathBuf {
+        let name = format!("fig1{}", panel_letter(self.class));
         write_json(&name, self);
-        write_csv(
-            &name,
-            &[
-                "algorithm",
-                "norm_makespan",
-                "norm_maxflow",
-                "norm_sumflow",
-                "abs_makespan",
-                "abs_maxflow",
-                "abs_sumflow",
-            ],
-            &rows,
-        )
+        let (header, rows) = self.csv_table();
+        write_csv(&name, header, &rows)
     }
 
     /// The normalized triple for one algorithm.

@@ -161,9 +161,9 @@ impl Fig2Report {
         )
     }
 
-    /// Writes `fig2.csv` and `.json`; returns the CSV path.
-    pub fn write_artifacts(&self) -> std::path::PathBuf {
-        let rows: Vec<Vec<String>> = self
+    /// Header and stringified rows of `fig2.csv`.
+    pub fn csv_table(&self) -> (&'static [&'static str], Vec<Vec<String>>) {
+        let rows = self
             .rows
             .iter()
             .map(|r| {
@@ -175,17 +175,20 @@ impl Fig2Report {
                 ]
             })
             .collect();
+        let header = &[
+            "algorithm",
+            "makespan_ratio",
+            "maxflow_ratio",
+            "sumflow_ratio",
+        ];
+        (header, rows)
+    }
+
+    /// Writes `fig2.csv` and `.json`; returns the CSV path.
+    pub fn write_artifacts(&self) -> std::path::PathBuf {
         write_json("fig2", self);
-        write_csv(
-            "fig2",
-            &[
-                "algorithm",
-                "makespan_ratio",
-                "maxflow_ratio",
-                "sumflow_ratio",
-            ],
-            &rows,
-        )
+        let (header, rows) = self.csv_table();
+        write_csv("fig2", header, &rows)
     }
 
     /// Ratios for one algorithm.

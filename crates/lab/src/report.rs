@@ -101,18 +101,24 @@ pub fn artifact_dir() -> PathBuf {
     dir
 }
 
-/// Writes `name.csv` with the given header and stringified rows; returns the
-/// path. Fields are comma-joined; callers guarantee field contents are
-/// comma-free (labels and numbers only).
-pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) -> PathBuf {
-    let path = artifact_dir().join(format!("{name}.csv"));
+/// The CSV text of a header and stringified rows: fields comma-joined, one
+/// line per row, each line newline-terminated. Callers guarantee field
+/// contents are comma-free (labels and numbers only).
+pub fn csv_body(header: &[&str], rows: &[Vec<String>]) -> String {
     let mut body = header.join(",");
     body.push('\n');
     for row in rows {
         body.push_str(&row.join(","));
         body.push('\n');
     }
-    std::fs::write(&path, body).expect("write csv");
+    body
+}
+
+/// Writes [`csv_body`] to `name.csv` in the artifact directory; returns the
+/// path.
+pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) -> PathBuf {
+    let path = artifact_dir().join(format!("{name}.csv"));
+    std::fs::write(&path, csv_body(header, rows)).expect("write csv");
     path
 }
 

@@ -169,9 +169,9 @@ impl Table1Report {
         )
     }
 
-    /// Writes `table1.csv` and `.json`; returns the CSV path.
-    pub fn write_artifacts(&self) -> std::path::PathBuf {
-        let rows: Vec<Vec<String>> = self
+    /// Header and stringified rows of `table1.csv`.
+    pub fn csv_table(&self) -> (&'static [&'static str], Vec<Vec<String>>) {
+        let rows = self
             .cells
             .iter()
             .map(|c| {
@@ -186,20 +186,23 @@ impl Table1Report {
                 ]
             })
             .collect();
+        let header = &[
+            "theorem",
+            "platform_class",
+            "objective",
+            "bound",
+            "certified",
+            "min_measured_ratio",
+            "verified",
+        ];
+        (header, rows)
+    }
+
+    /// Writes `table1.csv` and `.json`; returns the CSV path.
+    pub fn write_artifacts(&self) -> std::path::PathBuf {
         write_json("table1", self);
-        write_csv(
-            "table1",
-            &[
-                "theorem",
-                "platform_class",
-                "objective",
-                "bound",
-                "certified",
-                "min_measured_ratio",
-                "verified",
-            ],
-            &rows,
-        )
+        let (header, rows) = self.csv_table();
+        write_csv("table1", header, &rows)
     }
 }
 

@@ -99,126 +99,6 @@ pub fn sum_flow_lower_bound(inst: &Instance<f64>) -> f64 {
     base + extra
 }
 
-/// Single-pass accumulator computing all three lower bounds over a task
-/// stream whose length is known up front, without materializing the
-/// release vector.
-///
-/// The batch bounds sort the releases first; the task-source contract
-/// (`mss-sim::TaskSource`) already delivers them non-decreasing, so the
-/// stream order *is* the sorted order and every fold below replays the
-/// batch arithmetic term for term — the results are bit-identical to
-/// [`makespan_lower_bound`] / [`max_flow_lower_bound`] /
-/// [`sum_flow_lower_bound`] on the materialized instance (the streamed
-/// sweep path relies on this for byte-identical artifacts).
-///
-/// The one-port term needs each release's distance from the stream end
-/// (`k = n − i` sends serialize after release `i`), which is why `n` must
-/// be declared up front.
-#[derive(Clone, Debug)]
-pub struct StreamingBounds {
-    n: usize,
-    seen: usize,
-    min_c: f64,
-    min_p: f64,
-    min_cp: f64,
-    throughput: f64,
-    first_release: f64,
-    last_release: f64,
-    one_port: f64,
-    extra: f64,
-    group: usize,
-}
-
-impl StreamingBounds {
-    /// Starts a pass over an instance of exactly `n` tasks on a platform
-    /// with communication times `c` and computation times `p`.
-    pub fn new(c: &[f64], p: &[f64], n: usize) -> Self {
-        assert!(!c.is_empty(), "Instance: at least one slave");
-        assert_eq!(c.len(), p.len(), "Instance: c/p length mismatch");
-        StreamingBounds {
-            n,
-            seen: 0,
-            min_c: c.iter().copied().fold(f64::INFINITY, f64::min),
-            min_p: p.iter().copied().fold(f64::INFINITY, f64::min),
-            min_cp: c
-                .iter()
-                .zip(p)
-                .map(|(&c, &p)| c + p)
-                .fold(f64::INFINITY, f64::min),
-            throughput: p.iter().map(|&p| 1.0 / p).sum(),
-            first_release: 0.0,
-            last_release: 0.0,
-            one_port: 0.0,
-            extra: 0.0,
-            group: 1,
-        }
-    }
-
-    /// Feeds the next release time. Must be called exactly `n` times with
-    /// non-decreasing values (the task-source contract).
-    pub fn push(&mut self, release: f64) {
-        let i = self.seen;
-        assert!(i < self.n, "StreamingBounds: more than {} releases", self.n);
-        // One-port: the k = n − i tasks from this one onwards serialize.
-        self.one_port = self
-            .one_port
-            .max(release + (self.n - i) as f64 * self.min_c + self.min_p);
-        if i == 0 {
-            self.first_release = release;
-        } else if (release - self.last_release).abs() < 1e-12 {
-            // Same simultaneous-release group as the batch pass (which
-            // scans the sorted vector — identical here, the stream is
-            // sorted).
-            self.extra += self.group as f64 * self.min_c;
-            self.group += 1;
-        } else {
-            self.group = 1;
-        }
-        self.last_release = release;
-        self.seen += 1;
-    }
-
-    fn complete(&self) {
-        assert_eq!(
-            self.seen, self.n,
-            "StreamingBounds: {} of {} releases pushed",
-            self.seen, self.n
-        );
-    }
-
-    /// Lower bound on the optimal makespan — bit-identical to
-    /// [`makespan_lower_bound`].
-    pub fn makespan(&self) -> f64 {
-        self.complete();
-        if self.n == 0 {
-            return 0.0;
-        }
-        let per_task = self.last_release + self.min_cp;
-        let work = self.first_release + self.min_c + self.n as f64 / self.throughput;
-        per_task.max(self.one_port).max(work)
-    }
-
-    /// Lower bound on the optimal max-flow — bit-identical to
-    /// [`max_flow_lower_bound`].
-    pub fn max_flow(&self) -> f64 {
-        self.complete();
-        if self.n == 0 {
-            return 0.0;
-        }
-        self.min_cp
-    }
-
-    /// Lower bound on the optimal sum-flow — bit-identical to
-    /// [`sum_flow_lower_bound`].
-    pub fn sum_flow(&self) -> f64 {
-        self.complete();
-        if self.n == 0 {
-            return 0.0;
-        }
-        self.n as f64 * self.min_cp + self.extra
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,41 +167,6 @@ mod tests {
             r: vec![0.0; 8],
         };
         assert!(makespan_lower_bound(&inst) >= 8.0);
-    }
-
-    #[test]
-    fn streaming_bounds_are_bit_identical_to_batch() {
-        for inst in instances() {
-            let mut sb = StreamingBounds::new(&inst.c, &inst.p, inst.r.len());
-            // The test instances' releases are already sorted — the
-            // task-source contract.
-            for &r in &inst.r {
-                sb.push(r);
-            }
-            assert_eq!(
-                sb.makespan().to_bits(),
-                makespan_lower_bound(&inst).to_bits()
-            );
-            assert_eq!(
-                sb.max_flow().to_bits(),
-                max_flow_lower_bound(&inst).to_bits()
-            );
-            assert_eq!(
-                sb.sum_flow().to_bits(),
-                sum_flow_lower_bound(&inst).to_bits()
-            );
-        }
-        // Empty stream.
-        let sb = StreamingBounds::new(&[1.0], &[1.0], 0);
-        assert_eq!(sb.makespan(), 0.0);
-        assert_eq!(sb.max_flow(), 0.0);
-        assert_eq!(sb.sum_flow(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "0 of 3 releases pushed")]
-    fn streaming_bounds_demand_the_declared_count() {
-        StreamingBounds::new(&[1.0], &[1.0], 3).makespan();
     }
 
     #[test]

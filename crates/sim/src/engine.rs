@@ -571,9 +571,9 @@ const COMPACT_MIN: usize = 64;
 ///
 /// In `recycle` mode it also finalizes completed records in id order —
 /// folding the three objectives with exactly the arithmetic (and fold
-/// order) of [`simulate_objectives_in`] — and compacts the window, so a
-/// run's resident slot count stays proportional to the number of
-/// *in-flight* tasks, not the instance size.
+/// order) of [`simulate_objectives_with_probe_in`] — and compacts the
+/// window, so a run's resident slot count stays proportional to the
+/// number of *in-flight* tasks, not the instance size.
 struct StreamFeed<'s> {
     source: &'s mut dyn TaskSource,
     lookahead: Option<TaskArrival>,
@@ -1500,33 +1500,12 @@ pub struct RunObjectives {
     pub sum_flow: f64,
 }
 
-/// [`simulate_with_events_in`] for callers that only need the objective
+/// [`simulate_with_probe_in`] for callers that only need the objective
 /// values: skips building the per-task [`Trace`] (the one remaining
 /// per-run output allocation), which is what a sweep over thousands of
 /// cells measures anyway. Results are bit-identical to computing the same
-/// objectives from the returned trace.
-pub fn simulate_objectives_in(
-    ws: &mut SimWorkspace,
-    platform: &Platform,
-    tasks: &[TaskArrival],
-    config: &SimConfig,
-    timeline: &Timeline,
-    scheduler: &mut dyn OnlineScheduler,
-) -> Result<RunObjectives, SimError> {
-    simulate_objectives_with_probe_in(
-        ws,
-        platform,
-        tasks,
-        config,
-        timeline,
-        scheduler,
-        &mut NoopProbe,
-    )
-}
-
-/// [`simulate_objectives_in`] with an instrumentation [`Probe`] (see
-/// [`simulate_with_probe_in`]). This is what a counting sweep runs per
-/// cell: objectives only, hooks tallied thread-locally.
+/// objectives from the returned trace. This is what a sweep runs per
+/// cell, with [`NoopProbe`] or a counting probe.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_objectives_with_probe_in<P: Probe>(
     ws: &mut SimWorkspace,
@@ -1555,7 +1534,7 @@ pub fn simulate_objectives_with_probe_in<P: Probe>(
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct StreamStats {
     /// The run's objectives — bit-identical to the materialized
-    /// [`simulate_objectives_in`] on the same instance.
+    /// [`simulate_objectives_with_probe_in`] on the same instance.
     pub objectives: RunObjectives,
     /// Tasks pulled from the source (the instance size).
     pub tasks: usize,
@@ -1657,9 +1636,10 @@ pub fn simulate_streamed_with_probe_in<P: Probe>(
 /// memory. Peak resident memory is O(slaves + outstanding tasks), so a
 /// million-task instance runs in a working set of a few hundred slots.
 ///
-/// The objectives are bit-identical to [`simulate_objectives_in`] over
-/// the materialized stream: finalization folds each record in task-id
-/// order with the same float arithmetic.
+/// The objectives are bit-identical to
+/// [`simulate_objectives_with_probe_in`] over the materialized stream:
+/// finalization folds each record in task-id order with the same float
+/// arithmetic.
 pub fn simulate_streamed_objectives_in(
     ws: &mut SimWorkspace,
     platform: &Platform,

@@ -80,8 +80,8 @@ mod trace;
 mod view;
 
 pub use engine::{
-    simulate, simulate_in, simulate_objectives_in, simulate_objectives_with_probe_in,
-    simulate_streamed, simulate_streamed_objectives_in, simulate_streamed_objectives_with_probe_in,
+    simulate, simulate_in, simulate_objectives_with_probe_in, simulate_streamed,
+    simulate_streamed_objectives_in, simulate_streamed_objectives_with_probe_in,
     simulate_streamed_with_probe_in, simulate_with_events, simulate_with_events_in,
     simulate_with_probe_in, RunObjectives, SimConfig, SimError, SimWorkspace, StreamStats,
 };

@@ -19,8 +19,9 @@
 //!   release would silently reorder history, breaking determinism).
 //! * **Seed-determinism.** Two sources constructed from the same inputs
 //!   must yield the identical sequence; [`TaskSource::reset`] rewinds so
-//!   the same source replays it. The sweep executor relies on this to
-//!   re-instantiate a source per fan-out arm instead of cloning streams.
+//!   the same source replays it. Replaying one instance under several
+//!   schedulers relies on this to reset or re-instantiate the source per
+//!   run instead of cloning streams.
 //! * **Task identity.** The engine assigns dense [`TaskId`]s in pull
 //!   order (`0, 1, 2, …`), which — because releases are non-decreasing —
 //!   is exactly the id order of the equivalent materialized run, so

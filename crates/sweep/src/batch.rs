@@ -297,79 +297,6 @@ pub fn run_batch(
     });
 }
 
-/// The streamed counterpart of [`run_batch`]: materializes the O(slaves)
-/// [`StreamedInstance`](crate::cell::StreamedInstance) once per batch,
-/// then runs every cell of the batch against it in bounded memory, each
-/// arm pulling from a *fresh* [`Cell::source`] rebuilt from its seeds —
-/// the stream is never cloned across arms. Every result is bit-identical
-/// to [`run_batch`] (and hence to [`Cell::try_run_in`]), so cache keys
-/// and store contents are shared between the two execution strategies.
-pub fn run_batch_streamed(
-    cells: &[Cell],
-    indices: &[usize],
-    batch: Range<usize>,
-    worker: &mut BatchWorker,
-    out: &mut Vec<Result<CellMetrics, CellError>>,
-) {
-    let BatchWorker {
-        ws,
-        samplers,
-        schedulers,
-        metrics,
-        count_events,
-        collect_metrics,
-        metrics_probe,
-        epoch,
-    } = worker;
-    let batch_t0 = Instant::now();
-    let head = &cells[indices[batch.start]];
-    let inst = head.materialize_streamed_with(samplers);
-    let sim_t0 = Instant::now();
-    metrics.materialize_secs += sim_t0.duration_since(batch_t0).as_secs_f64();
-    metrics.materializations += 1;
-    metrics.batches += 1;
-    let batch_cells = batch.len() as u64;
-    for k in batch {
-        let cell = &cells[indices[k]];
-        let scheduler = scheduler_for(schedulers, cell);
-        let result = if *collect_metrics {
-            metrics_probe.reset();
-            metrics_probe.preallocate(inst.platform.num_slaves());
-            let mut result = if *count_events {
-                let mut probe = (&mut metrics.counters, &mut *metrics_probe);
-                cell.try_run_streamed_probed(&inst, ws, scheduler, &mut probe)
-            } else {
-                cell.try_run_streamed_probed(&inst, ws, scheduler, &mut *metrics_probe)
-            }
-            .map(|(m, _)| m);
-            if let Ok(m) = &mut result {
-                let run = metrics_probe.finish(m.makespan);
-                metrics.hists.merge(&run.hists);
-                m.run_metrics = Some(CellRunMetrics::from_run(&run));
-            }
-            result
-        } else if *count_events {
-            cell.try_run_streamed_probed(&inst, ws, scheduler, &mut metrics.counters)
-                .map(|(m, _)| m)
-        } else {
-            cell.try_run_streamed_probed(&inst, ws, scheduler, &mut NoopProbe)
-                .map(|(m, _)| m)
-        };
-        if result.is_err() {
-            metrics.aborted += 1;
-        }
-        out.push(result);
-    }
-    let batch_t1 = Instant::now();
-    metrics.cells += batch_cells;
-    metrics.simulate_secs += batch_t1.duration_since(sim_t0).as_secs_f64();
-    metrics.spans.push(BatchSpan {
-        start: batch_t0.duration_since(*epoch).as_secs_f64(),
-        end: batch_t1.duration_since(*epoch).as_secs_f64(),
-        cells: batch_cells as usize,
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -510,45 +437,6 @@ mod tests {
     }
 
     #[test]
-    fn streamed_batch_is_bit_identical_to_materialized() {
-        // Algorithms × a perturbed variant × a Poisson-arrival variant:
-        // the streamed executor must reproduce every bit of the
-        // materialized one.
-        let mut cells: Vec<Cell> = Algorithm::ALL.iter().map(|&a| cell(1, a)).collect();
-        for c in &mut cells {
-            c.arrival = ArrivalProcess::Poisson { load: 0.8 };
-            c.perturbation = Some(crate::cell::PerturbCell {
-                delta: 0.1,
-                comm_exponent: 1.0,
-                comp_exponent: 1.0,
-                seed: 13,
-            });
-        }
-        let all: Vec<usize> = (0..cells.len()).collect();
-        let batches = group_instances(&cells, &all);
-        let (mut mat_out, mut str_out) = (Vec::new(), Vec::new());
-        let mut mat_worker = BatchWorker::new();
-        let mut str_worker = BatchWorker::new();
-        for b in batches {
-            run_batch(&cells, &all, b.clone(), &mut mat_worker, &mut mat_out);
-            run_batch_streamed(&cells, &all, b, &mut str_worker, &mut str_out);
-        }
-        for ((c, m), s) in cells.iter().zip(&mat_out).zip(&str_out) {
-            let (m, s) = (m.as_ref().unwrap(), s.as_ref().unwrap());
-            assert_eq!(
-                m.makespan.to_bits(),
-                s.makespan.to_bits(),
-                "{}",
-                c.algorithm
-            );
-            assert_eq!(m.max_flow.to_bits(), s.max_flow.to_bits());
-            assert_eq!(m.sum_flow.to_bits(), s.sum_flow.to_bits());
-            assert_eq!(m.lb_makespan.to_bits(), s.lb_makespan.to_bits());
-            assert_eq!(m.ratio_makespan.to_bits(), s.ratio_makespan.to_bits());
-        }
-    }
-
-    #[test]
     fn one_materialization_per_batch_across_algorithms_and_tiers() {
         // Regression: a batch arm must never re-materialize (or clone) the
         // instance — algorithms *and* information tiers share one
@@ -565,29 +453,19 @@ mod tests {
         let all: Vec<usize> = (0..cells.len()).collect();
         let batches = group_instances(&cells, &all);
         assert_eq!(batches, vec![0..cells.len()], "one instance, one batch");
-        for streamed in [false, true] {
-            let mut worker = BatchWorker::new();
-            worker.count_events = true;
-            let mut out = Vec::new();
-            for b in group_instances(&cells, &all) {
-                if streamed {
-                    run_batch_streamed(&cells, &all, b, &mut worker, &mut out);
-                } else {
-                    run_batch(&cells, &all, b, &mut worker, &mut out);
-                }
-            }
-            let ok = out.iter().filter(|r| r.is_ok()).count() as u64;
-            assert_eq!(
-                ok,
-                cells.len() as u64,
-                "all arms complete (streamed={streamed})"
-            );
-            assert_eq!(worker.metrics.materializations, 1, "streamed={streamed}");
-            assert_eq!(worker.metrics.batches, 1);
-            assert_eq!(worker.metrics.cells, cells.len() as u64);
-            // Every arm really drove the engine over the whole instance.
-            assert_eq!(worker.metrics.counters.computes_completed, ok * 20);
+        let mut worker = BatchWorker::new();
+        worker.count_events = true;
+        let mut out = Vec::new();
+        for b in batches {
+            run_batch(&cells, &all, b, &mut worker, &mut out);
         }
+        let ok = out.iter().filter(|r| r.is_ok()).count() as u64;
+        assert_eq!(ok, cells.len() as u64, "all arms complete");
+        assert_eq!(worker.metrics.materializations, 1);
+        assert_eq!(worker.metrics.batches, 1);
+        assert_eq!(worker.metrics.cells, cells.len() as u64);
+        // Every arm really drove the engine over the whole instance.
+        assert_eq!(worker.metrics.counters.computes_completed, ok * 20);
     }
 
     #[test]

@@ -12,18 +12,14 @@
 use crate::batch::SamplerCache;
 use crate::run_metrics::CellRunMetrics;
 use mss_core::{
-    simulate_objectives_with_probe_in, simulate_streamed_objectives_with_probe_in, Algorithm,
-    InfoTier, NoopProbe, OnlineScheduler, Platform, PlatformClass, Probe, Redispatch, SimConfig,
-    SimError, SimWorkspace, StreamStats, TaskArrival, TaskSource, Timeline,
+    simulate_objectives_with_probe_in, Algorithm, InfoTier, NoopProbe, OnlineScheduler, Platform,
+    PlatformClass, Probe, Redispatch, SimConfig, SimError, SimWorkspace, TaskArrival, Timeline,
 };
-use mss_opt::bounds::{
-    makespan_lower_bound, max_flow_lower_bound, sum_flow_lower_bound, StreamingBounds,
-};
+use mss_opt::bounds::{makespan_lower_bound, max_flow_lower_bound, sum_flow_lower_bound};
 use mss_opt::schedule::Instance;
 use mss_scenario::ScenarioSpec;
 use mss_workload::{
-    ArrivalProcess, GeneratedSource, HeterogeneityAxis, HeterogeneityFamily, Perturbation,
-    PlatformSampler,
+    ArrivalProcess, HeterogeneityAxis, HeterogeneityFamily, Perturbation, PlatformSampler,
 };
 
 /// How a cell's platform is produced.
@@ -309,26 +305,6 @@ pub struct MaterializedInstance {
     pub lb_sum_flow: f64,
 }
 
-/// The streamed counterpart of [`MaterializedInstance`]: everything
-/// shareable across one instance's cells *except* the task streams, which
-/// each fan-out arm re-instantiates from its seeds as a
-/// [`GeneratedSource`] instead of cloning ([`Cell::source`]). Memory is
-/// O(slaves) regardless of the task count; results are bit-identical to
-/// the materialized path (the engine's streaming contract plus the
-/// bit-identity of [`StreamingBounds`] and [`GeneratedSource`]).
-pub struct StreamedInstance {
-    /// The realized platform.
-    pub platform: Platform,
-    /// Compiled platform-event timeline (empty for static cells).
-    pub timeline: Timeline,
-    /// Certified lower bound on the optimal makespan (nominal sizes).
-    pub lb_makespan: f64,
-    /// Certified lower bound on the optimal max-flow.
-    pub lb_max_flow: f64,
-    /// Certified lower bound on the optimal sum-flow.
-    pub lb_sum_flow: f64,
-}
-
 /// Measured objectives of one cell, with certified lower bounds.
 #[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct CellMetrics {
@@ -430,103 +406,6 @@ impl Cell {
         }
     }
 
-    /// The lazily-generated task stream of this cell (arrivals plus the
-    /// optional size perturbation), re-instantiated from its seeds — the
-    /// streamed executor calls this once per fan-out arm instead of
-    /// cloning a stream across arms. Bit-identical to the materialized
-    /// `nominal`/`perturbed` stream of [`Cell::materialize`].
-    pub fn source(&self, platform: &Platform) -> GeneratedSource {
-        let mut s = GeneratedSource::new(self.arrival, self.tasks, platform, self.task_seed);
-        if let Some(p) = &self.perturbation {
-            s = s.with_perturbation(p.to_perturbation(), p.seed);
-        }
-        s
-    }
-
-    /// Materializes the shareable (O(slaves)) part of this cell's instance
-    /// for streamed execution: the platform, the compiled timeline, and
-    /// the three certified lower bounds — the latter computed by a single
-    /// [`StreamingBounds`] pass over the nominal release stream, bit-
-    /// identical to the batch bounds of [`Cell::materialize`].
-    pub fn materialize_streamed(&self) -> StreamedInstance {
-        self.materialize_streamed_parts(self.platform.realize())
-    }
-
-    /// [`Cell::materialize_streamed`] resuming platform-sampler streams
-    /// from a per-worker [`SamplerCache`]; bit-identical to
-    /// [`Cell::materialize_streamed`].
-    pub fn materialize_streamed_with(&self, cache: &mut SamplerCache) -> StreamedInstance {
-        self.materialize_streamed_parts(self.platform.realize_with(cache))
-    }
-
-    fn materialize_streamed_parts(&self, platform: Platform) -> StreamedInstance {
-        let timeline = match &self.scenario {
-            Some(s) => s
-                .spec
-                .compile(platform.num_slaves())
-                .unwrap_or_else(|e| panic!("scenario failed to compile: {e}")),
-            None => Timeline::EMPTY,
-        };
-        let c: Vec<f64> = platform.iter().map(|(_, s)| s.c).collect();
-        let p: Vec<f64> = platform.iter().map(|(_, s)| s.p).collect();
-        let mut bounds = StreamingBounds::new(&c, &p, self.tasks);
-        // Bounds see the *nominal* releases (perturbation preserves
-        // releases, and the batch path also bounds the nominal instance).
-        let mut nominal = GeneratedSource::new(self.arrival, self.tasks, &platform, self.task_seed);
-        while let Some(t) = nominal.next_task() {
-            bounds.push(t.release.as_f64());
-        }
-        StreamedInstance {
-            lb_makespan: bounds.makespan(),
-            lb_max_flow: bounds.max_flow(),
-            lb_sum_flow: bounds.sum_flow(),
-            platform,
-            timeline,
-        }
-    }
-
-    /// Runs this cell in bounded memory against a shared
-    /// [`StreamedInstance`], pulling tasks from a fresh
-    /// [`Cell::source`]. The [`CellMetrics`] are bit-identical to
-    /// [`Cell::try_run_materialized`]; the accompanying [`StreamStats`]
-    /// carry the task-slot high-water marks the bounded-memory contract
-    /// caps.
-    pub fn try_run_streamed_probed<P: Probe>(
-        &self,
-        inst: &StreamedInstance,
-        ws: &mut SimWorkspace,
-        scheduler: &mut dyn OnlineScheduler,
-        probe: &mut P,
-    ) -> Result<(CellMetrics, StreamStats), CellError> {
-        let cfg = self.sim_config_for(&inst.timeline);
-        let mut source = self.source(&inst.platform);
-        let run = simulate_streamed_objectives_with_probe_in(
-            ws,
-            &inst.platform,
-            &mut source,
-            &cfg,
-            &inst.timeline,
-            scheduler,
-            probe,
-        )
-        .map_err(|e| self.abort_error(&e))?;
-
-        let lb = inst.lb_makespan;
-        let metrics = CellMetrics {
-            makespan: run.objectives.makespan,
-            max_flow: run.objectives.max_flow,
-            sum_flow: run.objectives.sum_flow,
-            lb_makespan: lb,
-            ratio_makespan: if lb > 0.0 {
-                run.objectives.makespan / lb
-            } else {
-                f64::NAN
-            },
-            run_metrics: None,
-        };
-        Ok((metrics, run))
-    }
-
     /// Runs this cell against a shared materialization. `mat` must come
     /// from [`Cell::materialize`]/[`Cell::materialize_with`] of a cell for
     /// which [`Cell::same_instance`] holds (the caller's grouping
@@ -552,13 +431,6 @@ impl Cell {
     /// The exact engine configuration this cell simulates under (also used
     /// by `ms-lab trace` to replay a single cell with probes attached).
     pub fn sim_config(&self, mat: &MaterializedInstance) -> SimConfig {
-        self.sim_config_for(&mat.timeline)
-    }
-
-    /// [`Cell::sim_config`] from the compiled timeline alone — the
-    /// streamed path has no [`MaterializedInstance`]; both paths produce
-    /// the identical configuration.
-    pub fn sim_config_for(&self, timeline: &Timeline) -> SimConfig {
         SimConfig {
             horizon_hint: Some(self.tasks),
             info: self.information,
@@ -573,7 +445,7 @@ impl Cell {
             // observable outputs are unchanged.
             max_steps: 50_000
                 + 5_000 * self.tasks
-                + timeline.events().len() * (10 + 2 * self.tasks),
+                + mat.timeline.events().len() * (10 + 2 * self.tasks),
         }
     }
 

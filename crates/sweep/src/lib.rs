@@ -104,12 +104,12 @@ pub use agg::{
     aggregate, aggregate_metrics, summarize, AggregateRow, HistSummary, MetricsRow, Summary,
 };
 pub use batch::{
-    batch_cost, estimated_cell_events, group_instances, run_batch, run_batch_streamed,
-    split_batches, BatchWorker, SamplerCache, DEFAULT_SPLIT_EVENTS,
+    batch_cost, estimated_cell_events, group_instances, run_batch, split_batches, BatchWorker,
+    SamplerCache, DEFAULT_SPLIT_EVENTS,
 };
 pub use cell::{
     AbortKind, Cell, CellError, CellMetrics, MaterializedInstance, PerturbCell, PlatformCell,
-    ScenarioCell, StreamedInstance,
+    ScenarioCell,
 };
 pub use exec::{
     default_threads, parallel_map, parallel_map_collect, parallel_map_costed, parallel_map_with,
@@ -142,16 +142,6 @@ pub struct SweepConfig {
     /// [`SweepMetrics::hists`]. Cached records without a payload are
     /// re-run. Scalar results stay bit-identical either way.
     pub collect_metrics: bool,
-    /// Execute batches through the bounded-memory streaming path
-    /// ([`run_batch_streamed`]): tasks are pulled lazily from seeded
-    /// [`mss_workload::GeneratedSource`]s instead of materializing the
-    /// instance's task vectors, and each batch arm re-instantiates its
-    /// source from the cell's seeds (the stream is never cloned).
-    /// **Streaming is an execution strategy, not part of cell identity**
-    /// (contract #13): results, cache keys and store contents are
-    /// bit-identical to the materialized path, so the two modes share one
-    /// result store.
-    pub streamed: bool,
     /// Batch-splitting threshold in estimated events (the cost model of
     /// [`estimated_cell_events`]): a same-instance batch costing more is
     /// chopped into sub-units of at most this many events, so one giant
@@ -169,7 +159,6 @@ impl Default for SweepConfig {
             progress: false,
             count_events: false,
             collect_metrics: false,
-            streamed: false,
             split_events: DEFAULT_SPLIT_EVENTS,
         }
     }
@@ -299,11 +288,7 @@ pub fn try_run_cells(cells: &[Cell], config: &SweepConfig) -> CheckedOutcome {
         },
         |(w, writer), _, b| {
             let mut out = Vec::with_capacity(b.len());
-            if config.streamed {
-                batch::run_batch_streamed(cells, &missing, b.clone(), w, &mut out);
-            } else {
-                batch::run_batch(cells, &missing, b.clone(), w, &mut out);
-            }
+            batch::run_batch(cells, &missing, b.clone(), w, &mut out);
             if let (Some(writer), Some(keys)) = (writer.as_mut(), keys.as_ref()) {
                 let t0 = std::time::Instant::now();
                 for (k, r) in b.clone().zip(&out) {

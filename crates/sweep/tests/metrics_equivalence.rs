@@ -37,7 +37,6 @@ fn config(threads: usize) -> SweepConfig {
         progress: false,
         count_events: false,
         collect_metrics: true,
-        streamed: false,
         split_events: mss_sweep::DEFAULT_SPLIT_EVENTS,
     }
 }

@@ -1,62 +1,26 @@
-//! Property: **streaming is observationally pure** (contract #13).
+//! Property: **the engine's stream feed is observationally pure**
+//! (contract #13, engine half).
 //!
 //! For arbitrary sweep specs — platforms × arrivals × perturbations ×
 //! scenarios × information tiers, all seven heuristics plain and
-//! `Redispatch`-wrapped — pulling tasks lazily from a seeded
-//! [`GeneratedSource`](mss_workload::GeneratedSource) must be
-//! indistinguishable from materializing the instance first, at every
-//! level the harness can observe:
+//! `Redispatch`-wrapped — pulling each cell's tasks lazily from a seeded
+//! [`GeneratedSource`] must be indistinguishable from handing the engine
+//! the cell's materialized task slice:
 //!
-//! * **sweep results** — `try_run_cells` with `streamed: true` returns,
-//!   at 1, 2 and max threads, exactly the materialized-path results bit
-//!   for bit, *including* the [`CellRunMetrics`](mss_sweep::CellRunMetrics)
-//!   telemetry payloads (histograms, per-slave busy seconds, queue stats);
 //! * **traces** — the engine's full per-task [`Trace`](mss_core::Trace)
 //!   agrees record for record (and error-for-error on aborting cells);
-//! * **digests** — a [`DigestProbe`](mss_obs::DigestProbe) hashing the
-//!   entire engine event stream sees the same sequence;
-//! * **bounds** — the single-pass `StreamingBounds` certificate equals
-//!   the batch bounds on the materialized release vector.
+//! * **digests** — a [`DigestProbe`] hashing the entire engine event
+//!   stream sees the same sequence.
+//!
+//! Thread-count and batch-split invariance of the sweep is proven once,
+//! by `batch_equivalence.rs`.
 
 use mss_core::{simulate_streamed_with_probe_in, simulate_with_probe_in, SimWorkspace};
 use mss_obs::DigestProbe;
 use mss_scenario::{EventSpec, GeneratorSpec};
-use mss_sweep::{try_run_cells, Cell, ScenarioAxis, SweepConfig, SweepSpec};
+use mss_sweep::{Cell, ScenarioAxis, SweepSpec};
+use mss_workload::{GeneratedSource, Perturbation};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
-use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Unique store directories across the concurrently running tests of this
-/// binary.
-static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
-
-fn fresh_store_dir() -> std::path::PathBuf {
-    std::env::temp_dir().join(format!(
-        "mss-stream-eq-{}-{}",
-        std::process::id(),
-        DIR_SEQ.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
-/// All store records by shard file, each shard's lines sorted: the
-/// thread-count-invariant view of the store's bytes (contract #14 — record
-/// lines are fixed, intra-shard order is scheduling-dependent).
-fn sorted_shard_lines(dir: &Path) -> BTreeMap<String, Vec<String>> {
-    let mut shards = BTreeMap::new();
-    for entry in std::fs::read_dir(dir).expect("store dir exists") {
-        let entry = entry.expect("read store dir entry");
-        let name = entry.file_name().into_string().expect("utf-8 shard name");
-        if !name.ends_with(".jsonl") {
-            continue;
-        }
-        let body = std::fs::read_to_string(entry.path()).expect("read shard");
-        let mut lines: Vec<String> = body.lines().map(str::to_string).collect();
-        lines.sort_unstable();
-        shards.insert(name, lines);
-    }
-    shards
-}
 
 fn algorithms(picks: &[usize]) -> Vec<String> {
     const NAMES: [&str; 7] = ["SRPT", "LS", "RR", "RRC", "RRP", "SLJF", "SLJFWC"];
@@ -164,7 +128,7 @@ fn arb_static_spec() -> impl Strategy<Value = SweepSpec> {
 /// Scenario axes: the static model, a fault-aware (`Redispatch`) dynamic
 /// scenario, and — when `with_plain` — a fault-*oblivious* one with a
 /// permanently failing slave whose cells legitimately abort, so the
-/// streamed path must reproduce the abort byte for byte too.
+/// stream feed must reproduce the abort byte for byte too.
 fn scenario_axes(with_plain: bool) -> Vec<ScenarioAxis> {
     let mut axes = vec![
         ScenarioAxis {
@@ -247,60 +211,58 @@ fn arb_scenario_spec() -> impl Strategy<Value = SweepSpec> {
         )
 }
 
-fn config(threads: usize, streamed: bool) -> SweepConfig {
-    SweepConfig {
-        threads,
-        cache_dir: None,
-        progress: false,
-        count_events: false,
-        collect_metrics: true,
-        streamed,
-        split_events: mss_sweep::DEFAULT_SPLIT_EVENTS,
+/// The cell's task stream (arrivals plus its optional size perturbation),
+/// generated lazily from the same seeds [`Cell::materialize`] uses.
+fn source(cell: &Cell, platform: &mss_core::Platform) -> GeneratedSource {
+    let s = GeneratedSource::new(cell.arrival, cell.tasks, platform, cell.task_seed);
+    match &cell.perturbation {
+        Some(p) => s.with_perturbation(
+            Perturbation {
+                delta: p.delta,
+                comm_exponent: p.comm_exponent,
+                comp_exponent: p.comp_exponent,
+            },
+            p.seed,
+        ),
+        None => s,
     }
 }
 
-/// Per-cell trace- and digest-level comparison: the materialized engine
-/// run against the streamed one, probe hashes included.
-fn check_traces_and_digests(cells: &[Cell]) {
+/// Per-cell trace- and digest-level comparison: the slice-fed engine run
+/// against the stream-fed one, probe hashes included.
+fn check_spec(spec: &SweepSpec) {
+    let cells = spec.expand().expect("generated spec expands");
     let mut ws = SimWorkspace::new();
-    for cell in cells {
+    for cell in &cells {
         let mat = cell.materialize();
-        let inst = cell.materialize_streamed();
-        // The O(slaves) streamed materialization certifies the identical
-        // lower bounds without ever holding the release vector.
-        assert_eq!(mat.lb_makespan.to_bits(), inst.lb_makespan.to_bits());
-        assert_eq!(mat.lb_max_flow.to_bits(), inst.lb_max_flow.to_bits());
-        assert_eq!(mat.lb_sum_flow.to_bits(), inst.lb_sum_flow.to_bits());
-
         let cfg = cell.sim_config(&mat);
         let tasks = mat.perturbed.as_deref().unwrap_or(&mat.nominal);
-        let mut digest_mat = DigestProbe::new();
+        let mut digest_slice = DigestProbe::new();
         let mut sched = cell.build_scheduler();
-        let trace_mat = simulate_with_probe_in(
+        let trace_slice = simulate_with_probe_in(
             &mut ws,
             &mat.platform,
             tasks,
             &cfg,
             &mat.timeline,
             sched.as_mut(),
-            &mut digest_mat,
+            &mut digest_slice,
         );
 
-        let mut digest_str = DigestProbe::new();
+        let mut digest_stream = DigestProbe::new();
         let mut sched = cell.build_scheduler();
-        let mut source = cell.source(&inst.platform);
-        let trace_str = simulate_streamed_with_probe_in(
+        let trace_stream = simulate_streamed_with_probe_in(
             &mut ws,
-            &inst.platform,
-            &mut source,
+            &mat.platform,
+            &mut source(cell, &mat.platform),
             &cfg,
-            &inst.timeline,
+            &mat.timeline,
             sched.as_mut(),
-            &mut digest_str,
+            &mut digest_stream,
         );
 
         let label = format!("{} on {:?}", cell.algorithm, cell.platform);
-        match (trace_mat, trace_str) {
+        match (trace_slice, trace_stream) {
             (Ok(a), Ok(b)) => assert_eq!(a, b, "{label}: trace diverged"),
             (Err(a), Err(b)) => {
                 assert_eq!(a.to_string(), b.to_string(), "{label}: abort diverged")
@@ -308,79 +270,26 @@ fn check_traces_and_digests(cells: &[Cell]) {
             (a, b) => panic!("{label}: outcome kind diverged: {a:?} vs {b:?}"),
         }
         // The digest hashes every probe hook in order — equal digests mean
-        // the streamed engine emitted the identical event stream.
-        assert_eq!(digest_mat.digest(), digest_str.digest(), "{label}: digest");
-        assert_eq!(digest_mat.events(), digest_str.events(), "{label}: events");
-    }
-}
-
-fn check_spec(spec: &SweepSpec) {
-    let cells = spec.expand().expect("generated spec expands");
-    // Oracle: the materialized executor with telemetry payloads attached.
-    let oracle = try_run_cells(&cells, &config(1, false));
-
-    for threads in [1, 2, mss_sweep::default_threads(64)] {
-        let streamed = try_run_cells(&cells, &config(threads, true));
-        assert_eq!(streamed.executed, cells.len());
-        for (i, (s, m)) in streamed.results.iter().zip(&oracle.results).enumerate() {
-            // `==` on the f64 metrics is exact, and `CellMetrics` includes
-            // the full `CellRunMetrics` telemetry payload.
-            assert_eq!(
-                s, m,
-                "slot {i} ({} on {:?}) diverged at {threads} threads",
-                cells[i].algorithm, cells[i].platform
-            );
-        }
-    }
-
-    // Forced splitting with a live store, streamed against materialized:
-    // a 1-event threshold makes every batch split into single-cell
-    // sub-units, so the streamed path is exercised under maximal stealing
-    // too — and the store's record bytes (per-shard sorted line multisets)
-    // must match the materialized path's bytes at every thread count.
-    let mut store_baseline: Option<BTreeMap<String, Vec<String>>> = None;
-    for (threads, streamed) in [
-        (1, false),
-        (1, true),
-        (2, true),
-        (mss_sweep::default_threads(64), true),
-    ] {
-        let dir = fresh_store_dir();
-        let outcome = try_run_cells(
-            &cells,
-            &SweepConfig {
-                cache_dir: Some(dir.clone()),
-                split_events: 1,
-                ..config(threads, streamed)
-            },
+        // the stream-fed engine emitted the identical event stream.
+        assert_eq!(
+            digest_slice.digest(),
+            digest_stream.digest(),
+            "{label}: digest"
         );
-        assert_eq!(outcome.executed, cells.len(), "fresh store: all execute");
-        for (i, (s, m)) in outcome.results.iter().zip(&oracle.results).enumerate() {
-            assert_eq!(
-                s, m,
-                "slot {i} diverged (forced split, streamed={streamed}, {threads} threads)"
-            );
-        }
-        let lines = sorted_shard_lines(&dir);
-        let _ = std::fs::remove_dir_all(&dir);
-        match &store_baseline {
-            None => store_baseline = Some(lines),
-            Some(base) => assert_eq!(
-                &lines, base,
-                "store bytes diverged (forced split, streamed={streamed}, {threads} threads)"
-            ),
-        }
+        assert_eq!(
+            digest_slice.events(),
+            digest_stream.events(),
+            "{label}: events"
+        );
     }
-
-    check_traces_and_digests(&cells);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Arbitrary static grids (perturbations × information tiers × all
-    /// seven heuristics): streamed == materialized at 1, 2, max threads,
-    /// down to traces, digests and telemetry payloads.
+    /// seven heuristics): the stream feed reproduces the slice feed's
+    /// traces and digests.
     #[test]
     fn streamed_equals_materialized(spec in arb_static_spec()) {
         check_spec(&spec);
@@ -391,8 +300,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Grids with dynamic-platform scenarios — `Redispatch`-wrapped cells
-    /// and fault-oblivious cells that abort on the step budget: the
-    /// streamed path reproduces completions and aborts alike.
+    /// and fault-oblivious cells that abort on the step budget: the stream
+    /// feed reproduces completions and aborts alike.
     #[test]
     fn streamed_equals_materialized_under_scenarios(spec in arb_scenario_spec()) {
         check_spec(&spec);

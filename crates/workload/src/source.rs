@@ -18,8 +18,9 @@
 //!   recovery (like the sweep result store).
 //!
 //! All three are seed-deterministic and resumable: [`TaskSource::reset`]
-//! rewinds to an identical replay, so the sweep executor re-instantiates
-//! or resets a source per fan-out arm instead of cloning a stream.
+//! rewinds to an identical replay, so replaying one instance under several
+//! schedulers re-instantiates or resets the source per run instead of
+//! cloning a stream.
 
 use crate::arrivals::ArrivalProcess;
 use crate::perturbation::Perturbation;
