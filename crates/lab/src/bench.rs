@@ -48,7 +48,12 @@ use mss_core::{
 use mss_sweep::{run_cells, spec_from_toml, SweepConfig};
 use mss_workload::{ArrivalProcess, GeneratedSource, TaskSource};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
+
+/// Numbers each [`scaling_bench`] call's store directory, so concurrent
+/// calls in one process (parallel test threads) never share a store.
+static SCALING_STORE: AtomicUsize = AtomicUsize::new(0);
 
 /// Schema identifier written into the JSON (bump on layout changes).
 /// v2: sweep timings split into 1-thread / max-threads / large-grid.
@@ -493,8 +498,9 @@ fn scaling_bench(spec: &mss_sweep::SweepSpec, iters: usize, threads: usize) -> S
     let cells = spec.expand().expect("bench grid expands");
     let n = cells.len();
     let base = std::env::temp_dir().join(format!(
-        "mss-bench-scaling-{}-t{}",
+        "mss-bench-scaling-{}-{}-t{}",
         std::process::id(),
+        SCALING_STORE.fetch_add(1, Ordering::Relaxed),
         threads
     ));
     let mut iteration = 0usize;

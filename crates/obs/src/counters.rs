@@ -45,6 +45,9 @@ pub struct RunCounters {
     pub callbacks_elided: u64,
     /// Cached slave views recomputed from scratch.
     pub view_recomputes: u64,
+    /// Recomputed views entered in the engine's expiry heap because their
+    /// anchor event is billed late (perturbed sizes or drift only).
+    pub view_expiry_arms: u64,
     /// Learned-estimate observations absorbed (sub-clairvoyant tiers only).
     pub estimator_updates: u64,
     /// Slave failures applied.
@@ -98,6 +101,7 @@ impl RunCounters {
         self.callbacks += other.callbacks;
         self.callbacks_elided += other.callbacks_elided;
         self.view_recomputes += other.view_recomputes;
+        self.view_expiry_arms += other.view_expiry_arms;
         self.estimator_updates += other.estimator_updates;
         self.failures += other.failures;
         self.recoveries += other.recoveries;
@@ -131,6 +135,9 @@ impl Probe for RunCounters {
     }
     fn view_recompute(&mut self, _now: f64, _slave: usize) {
         self.view_recomputes += 1;
+    }
+    fn view_expiry_armed(&mut self, _now: f64, _slave: usize) {
+        self.view_expiry_arms += 1;
     }
     fn estimator_update(&mut self, _now: f64, _slave: usize) {
         self.estimator_updates += 1;
@@ -183,6 +190,7 @@ mod tests {
         let mut b = RunCounters::new();
         b.callback_elided(0.0);
         b.view_recompute(0.0, 2);
+        b.view_expiry_armed(0.0, 2);
 
         let mut ab = a.clone();
         ab.merge(&b);
@@ -192,6 +200,7 @@ mod tests {
         assert_eq!(ab.callbacks, 1);
         assert_eq!(ab.callbacks_elided, 1);
         assert_eq!(ab.view_recomputes, 1);
+        assert_eq!(ab.view_expiry_arms, 1);
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //! subsequent running digest.
 //!
 //! **Build invariance:** the probe deliberately ignores
-//! [`view_recompute`](crate::Probe::view_recompute) (debug builds
+//! [`view_recompute`](crate::Probe::view_recompute) and
+//! [`view_expiry_armed`](crate::Probe::view_expiry_armed) (debug builds
 //! recompute views more often than release builds, documented on the
-//! hook) and the engine never reports its `debug_assertions` elision
+//! hooks) and the engine never reports its `debug_assertions` elision
 //! oracle through the probe seam — so digests are identical across
 //! debug/release builds and across probe compositions.
 
@@ -172,7 +173,8 @@ impl Probe for DigestProbe {
     fn callback_elided(&mut self, now: f64) {
         self.fold(8, "callback_elided", now, 0, 0);
     }
-    // view_recompute deliberately not folded: debug builds recompute more.
+    // view_recompute and view_expiry_armed deliberately not folded: debug
+    // builds recompute (and so may arm) more.
     fn estimator_update(&mut self, now: f64, slave: usize) {
         self.fold(9, "estimator_update", now, slave as u64, 0);
     }
@@ -276,6 +278,7 @@ mod tests {
         a.callback(1.0);
         b.callback(1.0);
         b.view_recompute(1.0, 0);
+        b.view_expiry_armed(1.0, 0);
         assert_eq!(a.digest(), b.digest());
     }
 }

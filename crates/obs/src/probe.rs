@@ -65,6 +65,14 @@ pub trait Probe {
     /// `debug_assertions` elision oracle refreshes views on callbacks that
     /// release builds skip.
     fn view_recompute(&mut self, now: f64, slave: usize) {}
+    /// The view of `slave` just recomputed can go stale on the clock alone:
+    /// the event its estimate is anchored on (a computation's end, or an
+    /// in-flight send's arrival) is billed later than its nominal time
+    /// (perturbed sizes or drift), so the engine armed the view's expiry.
+    /// Never fires on nominal-size, drift-free runs. Like
+    /// [`view_recompute`](Probe::view_recompute), debug builds may report
+    /// more of these than release builds.
+    fn view_expiry_armed(&mut self, now: f64, slave: usize) {}
     /// A learned rate estimate of `slave` absorbed an observation
     /// (sub-clairvoyant information tiers only).
     fn estimator_update(&mut self, now: f64, slave: usize) {}
@@ -138,6 +146,10 @@ impl<A: Probe, B: Probe> Probe for (A, B) {
         self.0.view_recompute(now, slave);
         self.1.view_recompute(now, slave);
     }
+    fn view_expiry_armed(&mut self, now: f64, slave: usize) {
+        self.0.view_expiry_armed(now, slave);
+        self.1.view_expiry_armed(now, slave);
+    }
     fn estimator_update(&mut self, now: f64, slave: usize) {
         self.0.estimator_update(now, slave);
         self.1.estimator_update(now, slave);
@@ -191,6 +203,9 @@ impl<P: Probe> Probe for &mut P {
     fn view_recompute(&mut self, now: f64, slave: usize) {
         (**self).view_recompute(now, slave);
     }
+    fn view_expiry_armed(&mut self, now: f64, slave: usize) {
+        (**self).view_expiry_armed(now, slave);
+    }
     fn estimator_update(&mut self, now: f64, slave: usize) {
         (**self).estimator_update(now, slave);
     }
@@ -237,6 +252,7 @@ mod tests {
         p.callback(2.0);
         p.callback_elided(2.0);
         p.view_recompute(2.0, 0);
+        p.view_expiry_armed(2.0, 0);
         p.estimator_update(2.0, 0);
         p.slave_failed(3.0, 0);
         p.slave_recovered(4.0, 0);

@@ -30,17 +30,24 @@
 //!
 //! * **incrementally maintained slave views** — the [`SlaveView`] handed to
 //!   the scheduler is cached per slave and recomputed only when stale — an
-//!   event touched that slave (tracked in an explicit dirty stack, with the
-//!   `NEG_INFINITY` `view_valid_until` sentinel deduplicating pushes) or
-//!   the clock passed the instant up to which the cached nominal estimate
-//!   is provably exact (a lazy-deletion min-heap over `view_valid_until`
-//!   anchors). Idle slaves — whose fold is `now` itself — are answered
+//!   event touched that slave, or the clock passed the instant up to which
+//!   the cached nominal estimate is provably exact. One touch log serves
+//!   both the views and the decision kernels: every touch is one entry in
+//!   the workspace's [`TouchJournal`] ring (the `NEG_INFINITY`
+//!   `view_valid_until` sentinel deduplicates them), and a refresh walks
+//!   the entries since the previous refresh. Clock expiry is tracked in a
+//!   lazy-deletion min-heap that is armed only where a view *can* expire:
+//!   a computation billed past its nominal end, or a send arriving after
+//!   its nominal arrival (perturbed sizes or drift). On nominal-size,
+//!   drift-free runs every anchor's own event fires on time and the heap
+//!   stays empty. Idle slaves — whose fold is `now` itself — are answered
 //!   lazily by the view and never recomputed at all, so a refresh touches
-//!   only the slaves that actually changed: O(dirty · log m) per callback,
-//!   not O(m). The recomputation replays the *same sequential float
-//!   arithmetic* as a from-scratch evaluation, so cached and fresh views
-//!   are bit-identical — a `debug_assertions` oracle re-derives every view
-//!   from scratch after each refresh and asserts bitwise equality;
+//!   only the slaves that actually changed: O(touched · log m) per
+//!   callback, not O(m). The recomputation replays the *same sequential
+//!   float arithmetic* as a from-scratch evaluation, so cached and fresh
+//!   views are bit-identical — a `debug_assertions` oracle re-derives
+//!   every view from scratch after each refresh and asserts bitwise
+//!   equality;
 //! * **an indexed task-phase map** — pending-membership checks in
 //!   [`Decision::Send`] validation are O(1) array lookups instead of a scan
 //!   of the pending queue, and the pending queue itself is a ring buffer
@@ -220,6 +227,10 @@ struct SlaveRt {
     compute_seq: u64,
     /// Predicted end of the current computation (nominal size).
     cur_pred_end: f64,
+    /// Billed end of the current computation: when its `ComputeComplete`
+    /// fires. Later than `cur_pred_end` only under perturbed sizes or
+    /// speed drift.
+    cur_end: f64,
     /// `true` while the slave is failed (scenario timelines only).
     down: bool,
     completed: usize,
@@ -233,6 +244,7 @@ impl SlaveRt {
         self.computing = None;
         self.compute_seq = 0;
         self.cur_pred_end = 0.0;
+        self.cur_end = 0.0;
         self.down = false;
         self.completed = 0;
     }
@@ -272,8 +284,11 @@ enum TaskPhase {
 ///
 /// A workspace owns every growable structure the event loop touches: the
 /// event heap, per-slave runtime queues, the pending ring buffer, the task
-/// phase/record arrays, and the incrementally maintained [`SlaveViews`]
-/// column cache. [`simulate_in`] sizes them once per run and the loop then runs
+/// phase/record arrays, the incrementally maintained [`SlaveViews`]
+/// column cache, and the [`TouchJournal`] ring that is both the views'
+/// dirty list and the decision kernels' change log (plus the expiry heap,
+/// armed only for views that can outlive their nominal anchor).
+/// [`simulate_in`] sizes them once per run and the loop then runs
 /// allocation-free in steady state; reusing one workspace across runs (as
 /// the `mss-sweep` executor does per worker thread) also skips the sizing.
 ///
@@ -330,26 +345,26 @@ pub struct SimWorkspace {
     /// Instant up to which `views.ready_estimate[j]` is exact without
     /// recomputation (see [`Engine::recompute_view`]); `NEG_INFINITY` is
     /// the "dirty" sentinel (an event touched the slave since its view was
-    /// cached, and the slave's index sits in `view_dirty`), `INFINITY`
-    /// marks an idle slave (its view is answered lazily and never
-    /// expires).
+    /// cached, and its touch sits in `journal` past the engine's
+    /// `refreshed` cursor),
+    /// `INFINITY` marks an idle slave (its view is answered lazily and
+    /// never expires).
     view_valid_until: Vec<f64>,
-    /// Indices of slaves whose `view_valid_until` is the dirty sentinel,
-    /// drained by `refresh_views` — so a refresh walks the touched
-    /// slaves, not all `m`. The sentinel doubles as the de-duplication
-    /// guard: a slave is pushed only on its `valid → dirty` transition.
-    view_dirty: Vec<u32>,
-    /// Lazy-deletion min-heap of `(view_valid_until bits, slave)` for
-    /// busy slaves, so the refresh finds clock-expired views (possible
-    /// only under perturbed sizes or drift, where a computation outlives
-    /// its nominal prediction) without scanning. Entries are validated
-    /// against `view_valid_until` on pop; stale ones are discarded.
-    /// `f64::to_bits` is order-preserving on the non-negative times
-    /// stored here.
+    /// Lazy-deletion min-heap of `(view_valid_until bits, slave)`, so the
+    /// refresh finds clock-expired views without scanning. Only views
+    /// that can expire are entered: a computation billed past its nominal
+    /// end, or a send arriving after its nominal arrival. Entries are
+    /// validated against `view_valid_until` on pop; stale ones are
+    /// discarded. `f64::to_bits` is order-preserving on the non-negative
+    /// times stored here.
     view_expiry: BinaryHeap<Reverse<(u64, u32)>>,
-    /// Ring journal of event-touched slaves for the scheduler-side
-    /// decision kernels (see [`crate::kernel`]), exposed through
-    /// [`SimView::touch_journal`].
+    /// The one touch log: every `valid → dirty` transition of a slave's
+    /// view appends its index. `refresh_views` recomputes the entries
+    /// appended since its previous call; the scheduler-side decision
+    /// kernels (see [`crate::kernel`]) replay the same entries through
+    /// [`SimView::touch_journal`]. The dirty sentinel deduplicates, so at
+    /// most `m` entries build up between refreshes — well within the
+    /// ring's capacity.
     journal: TouchJournal,
     /// Per-slave learned rate estimates (the observable raw material of
     /// the sub-clairvoyant information tiers). Maintained only when the
@@ -468,11 +483,14 @@ impl SimWorkspace {
         self.views.reset(m);
         self.view_valid_until.clear();
         self.view_valid_until.resize(m, f64::NEG_INFINITY);
-        self.view_dirty.clear();
-        self.view_dirty.extend(0..m as u32);
         self.view_expiry.clear();
         self.view_expiry.reserve(m + 8);
+        // Every view starts dirty, so the log opens with one touch per
+        // slave; the first refresh recomputes them all.
         self.journal.reset(m);
+        for j in 0..m as u32 {
+            self.journal.touch(j);
+        }
         self.estimates.reset(m);
         self.notifications.clear();
         self.lost.clear();
@@ -746,6 +764,8 @@ struct Engine<'a, P: Probe, F: Feed> {
     estimate_version: u64,
     /// Next entry of `ws.timeline_order` to stream.
     timeline_cursor: usize,
+    /// Journal epoch up to which `refresh_views` has recomputed views.
+    refreshed: u64,
 }
 
 impl<'a, P: Probe, F: Feed> Engine<'a, P, F> {
@@ -776,6 +796,7 @@ impl<'a, P: Probe, F: Feed> Engine<'a, P, F> {
             learning: config.info != InfoTier::Clairvoyant,
             estimate_version: 0,
             timeline_cursor: 0,
+            refreshed: 0,
         }
     }
 
@@ -873,6 +894,11 @@ impl<'a, P: Probe, F: Feed> Engine<'a, P, F> {
     /// the in-flight head), the folded value is independent of `now` and the
     /// cache stays valid without recomputation; an idle slave's estimate is
     /// `now` itself and is only valid at the instant it was computed.
+    ///
+    /// The anchor's own event — the computation's completion, or the head's
+    /// arrival — touches the slave when it fires. So the clock can pass the
+    /// anchor untouched only when that event is billed *later* than the
+    /// anchor, and only then is the view entered in the expiry heap.
     fn recompute_view(&mut self, j: usize) {
         let now = self.clock.as_f64();
         self.probe.view_recompute(now, j);
@@ -895,16 +921,26 @@ impl<'a, P: Probe, F: Feed> Engine<'a, P, F> {
             // callback.
             self.ws.view_valid_until[j] = f64::INFINITY;
         } else {
-            let anchor = if rt.computing.is_some() {
-                rt.cur_pred_end
+            let (anchor, late) = if rt.computing.is_some() {
+                (rt.cur_pred_end, rt.cur_end > rt.cur_pred_end)
             } else {
-                rt.outstanding.front().expect("non-empty queue").avail
+                // Not computing yet still busy: the head is the send now
+                // occupying the port, arriving at `link_busy_until`.
+                let head = rt.outstanding.front().expect("non-empty queue");
+                debug_assert!(
+                    matches!(self.in_flight, Some((t, s, _)) if t == head.id && s.0 == j),
+                    "slave {j}: a busy, non-computing slave's head is in flight"
+                );
+                (head.avail, self.link_busy_until.as_f64() > head.avail)
             };
             let valid_until = anchor.max(now);
             self.ws.view_valid_until[j] = valid_until;
-            self.ws
-                .view_expiry
-                .push(Reverse((valid_until.to_bits(), j as u32)));
+            if late {
+                self.probe.view_expiry_armed(now, j);
+                self.ws
+                    .view_expiry
+                    .push(Reverse((valid_until.to_bits(), j as u32)));
+            }
         }
         self.ws.views.outstanding[j] = rt.outstanding.len();
         self.ws.views.ready_estimate[j] = t;
@@ -912,17 +948,16 @@ impl<'a, P: Probe, F: Feed> Engine<'a, P, F> {
         self.ws.views.available[j] = !rt.down;
     }
 
-    /// Marks slave `j`'s cached view stale after an event touched it, and
-    /// journals the touch for the scheduler-side decision kernels. The
-    /// sentinel check makes re-marking within one refresh cycle free (and
-    /// keeps the journal deduplicated per cycle, which is sound because
-    /// kernels only sync at scheduler callbacks, which only run on fully
-    /// refreshed views).
+    /// Marks slave `j`'s cached view stale after an event touched it: one
+    /// journal entry, read by the next refresh and by the scheduler-side
+    /// decision kernels. The sentinel check makes re-marking within one
+    /// refresh cycle free (and keeps the journal deduplicated per cycle,
+    /// which is sound because kernels only sync at scheduler callbacks,
+    /// which only run on fully refreshed views).
     #[inline]
     fn mark_view_dirty(&mut self, j: usize) {
         if self.ws.view_valid_until[j] != f64::NEG_INFINITY {
             self.ws.view_valid_until[j] = f64::NEG_INFINITY;
-            self.ws.view_dirty.push(j as u32);
             self.ws.journal.touch(j as u32);
         }
     }
@@ -934,16 +969,21 @@ impl<'a, P: Probe, F: Feed> Engine<'a, P, F> {
         if !self.ws.pending.as_slices().1.is_empty() {
             self.ws.pending.make_contiguous();
         }
-        // Event-touched slaves, from the dirty stack.
-        while let Some(j) = self.ws.view_dirty.pop() {
+        // Event-touched slaves: the journal entries since the last refresh.
+        // Recomputing appends nothing, so the bound is fixed up front.
+        let touched = self.ws.journal.epoch();
+        debug_assert!(touched - self.refreshed <= self.ws.journal.capacity() as u64);
+        for e in self.refreshed..touched {
+            let j = self.ws.journal.entry(e);
             self.recompute_view(j as usize);
         }
+        self.refreshed = touched;
         // Busy slaves whose cached estimate the clock has passed (only
-        // possible when a computation outlives its nominal prediction —
-        // perturbed sizes or drift). Heap entries are validated against
-        // the live `view_valid_until`; a recompute at the current instant
-        // re-anchors at `now`, whose entry no longer satisfies the strict
-        // `<`, so this loop terminates.
+        // possible when a computation or send outlives its nominal
+        // prediction — perturbed sizes or drift). Heap entries are
+        // validated against the live `view_valid_until`; a recompute at the
+        // current instant re-anchors at `now`, whose entry no longer
+        // satisfies the strict `<`, so this loop terminates.
         let now_bits = self.clock.as_f64().to_bits();
         while let Some(&Reverse((bits, j))) = self.ws.view_expiry.peek() {
             if bits >= now_bits {
@@ -1207,7 +1247,8 @@ impl<'a, P: Probe, F: Feed> Engine<'a, P, F> {
         let actual = self.platform.p(j) * billed_p;
         self.ws.records[slot].compute_start = now;
         self.ws.records[slot].billed_p = billed_p;
-        let seq = self.push(Time::new(now + actual), Event::ComputeComplete(t, j));
+        let end = Time::new(now + actual);
+        let seq = self.push(end, Event::ComputeComplete(t, j));
         self.mark_view_dirty(j.0);
         if self.learning {
             // Observable: with FIFO computes, a computation starts exactly
@@ -1218,8 +1259,9 @@ impl<'a, P: Probe, F: Feed> Engine<'a, P, F> {
         rt.computing = Some(t);
         rt.compute_seq = seq;
         rt.cur_pred_end = now + self.platform.p(j); // nominal estimate
-                                                    // The head of `outstanding` must be the task that starts computing:
-                                                    // sends are FIFO per slave and computes are FIFO, so this holds.
+        rt.cur_end = end.as_f64();
+        // The head of `outstanding` must be the task that starts computing:
+        // sends are FIFO per slave and computes are FIFO, so this holds.
         debug_assert_eq!(rt.outstanding.front().map(|o| o.id), Some(t));
     }
 

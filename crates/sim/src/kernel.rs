@@ -12,11 +12,14 @@
 //! * [`chunked_argmin`] — the same winner computed in 8 independent lanes
 //!   and combined by an exact lexicographic `(key, index)` reduction. No
 //!   arithmetic is performed on keys, only comparisons, so the winner is
-//!   *exactly* the sequential scan's winner;
+//!   *exactly* the sequential scan's winner. Below one lane width it *is*
+//!   the sequential scan (at the paper's m = 5 the lanes would only add a
+//!   tail loop and a reduction);
 //! * [`ArgminTree`] — a tournament tree (segment tree of min, ties broken
 //!   by lowest slave index) over materialized keys: O(log m) per updated
 //!   leaf, O(1) queries from the root;
-//! * [`TouchJournal`] — the engine-side ring of event-touched slaves that
+//! * [`TouchJournal`] — the engine's one touch log: the ring of
+//!   event-touched slaves that drives the engine's own view refresh and
 //!   tells a kernel *which* leaves can have changed since it last synced;
 //! * [`IncrementalArgmin`] — the scheduler-facing kernel combining all of
 //!   the above: it replays the journal suffix into the tree (or rebuilds
@@ -87,8 +90,13 @@ pub fn scan_argmin<F: FnMut(usize) -> f64>(m: usize, mut key: F) -> usize {
 /// reduction. Same winner as [`scan_argmin`], bit for bit (comparisons
 /// only, no arithmetic on keys); the dense stripes keep the hot loop free
 /// of the single serial `best` dependency the sequential scan carries.
+/// With fewer slaves than lanes there is no stripe to run, so it answers
+/// by [`scan_argmin`] directly.
 pub fn chunked_argmin<F: FnMut(usize) -> f64>(m: usize, mut key: F) -> usize {
     const LANES: usize = 8;
+    if m < LANES {
+        return scan_argmin(m, key);
+    }
     let mut lane_key = [f64::INFINITY; LANES];
     let mut lane_idx = [usize::MAX; LANES];
     let mut base = 0usize;
@@ -130,17 +138,21 @@ pub fn chunked_argmin<F: FnMut(usize) -> f64>(m: usize, mut key: F) -> usize {
     }
 }
 
-/// Ring journal of event-touched slaves, maintained by the engine inside
-/// its workspace and exposed to schedulers through
+/// Ring journal of event-touched slaves: the engine's one touch log,
+/// maintained inside its workspace and exposed to schedulers through
 /// [`SimView::touch_journal`](crate::SimView::touch_journal).
 ///
 /// Every engine event that can change a slave's observable state (sends,
 /// completions, failures, recoveries, estimate updates) appends the slave
 /// index — deduplicated per refresh cycle, so a batch touches each slave
-/// at most once. `epoch` counts appends over the whole run; the ring
-/// holds the most recent `capacity` entries, so a kernel whose lag
-/// exceeds the capacity simply rebuilds (correct either way — the journal
-/// is a performance hint, never a source of truth).
+/// at most once. A run opens with one entry per slave (every cached view
+/// starts stale). The engine's view refresh recomputes exactly the
+/// entries appended since its previous refresh, and decision kernels
+/// replay the entries since their own last sync. `epoch` counts appends
+/// over the whole run; the ring holds the most recent `capacity` entries,
+/// so a kernel whose lag exceeds the capacity simply rebuilds (correct
+/// either way — for a kernel the journal is a performance hint, never a
+/// source of truth).
 #[derive(Debug, Default)]
 pub struct TouchJournal {
     run: u64,
@@ -405,6 +417,28 @@ mod tests {
 
     #[test]
     fn chunked_matches_scan_on_awkward_shapes() {
+        // Every m across the scan fallback and the first lane boundaries,
+        // with ties and both infinities: key of slave j among m.
+        const INF: f64 = f64::INFINITY;
+        let shapes: [fn(usize, usize) -> f64; 7] = [
+            |_, _| 4.0,
+            |_, _| INF,
+            |_, _| -INF,
+            |_, j| ((j * 7) % 3) as f64,
+            |m, j| if j + 1 == m { -INF } else { INF },
+            |_, j| [INF, -INF, 1.0, -INF][j % 4],
+            |m, j| if j % 5 == 2 { -1.0 } else { (m - j) as f64 },
+        ];
+        for m in 1..=17usize {
+            for (s, key) in shapes.iter().enumerate() {
+                let keys: Vec<f64> = (0..m).map(|j| key(m, j)).collect();
+                assert_eq!(
+                    chunked_argmin(m, |j| keys[j]),
+                    scan_argmin(m, |j| keys[j]),
+                    "m = {m}, shape {s}: keys {keys:?}"
+                );
+            }
+        }
         // Duplicate minima, infinities, lane boundaries, tiny m.
         let cases: Vec<Vec<f64>> = vec![
             vec![],

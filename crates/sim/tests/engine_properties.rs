@@ -152,14 +152,17 @@ proptest! {
         tasks in arb_tasks(),
         tape in proptest::collection::vec(0u32..1000, 8..64),
         faults in proptest::collection::vec(
-            (0usize..8, 0.0f64..25.0, 0.1f64..10.0, 0.25f64..3.0), 0..5),
+            (0usize..8, 0.0f64..25.0, 0.1f64..10.0, 0.25f64..3.0, 0.25f64..3.0), 0..5),
     ) {
-        // Crash/recover pairs plus drift on pseudo-random slaves (indices
-        // past the platform are deliberately kept: the engine must ignore
-        // them). Tape schedulers may gamble on down slaves forever, so a
-        // tight step budget turns livelocks into a (deterministic) error.
+        // Crash/recover pairs plus speed and link drift on pseudo-random
+        // slaves (indices past the platform are deliberately kept: the
+        // engine must ignore them). Link factors above 1 make in-flight
+        // heads arrive after their predicted `avail`, so the oracle also
+        // sees views that expire on a late send. Tape schedulers may
+        // gamble on down slaves forever, so a tight step budget turns
+        // livelocks into a (deterministic) error.
         let mut events = Vec::new();
-        for &(j, at, up_after, factor) in &faults {
+        for &(j, at, up_after, factor, link) in &faults {
             events.push(PlatformEvent {
                 time: Time::new(at),
                 slave: SlaveId(j),
@@ -174,6 +177,11 @@ proptest! {
                 time: Time::new(at / 2.0),
                 slave: SlaveId(j),
                 kind: PlatformEventKind::SetSpeedFactor(factor),
+            });
+            events.push(PlatformEvent {
+                time: Time::new(at / 3.0),
+                slave: SlaveId(j),
+                kind: PlatformEventKind::SetLinkFactor(link),
             });
         }
         let timeline = Timeline::new(events);

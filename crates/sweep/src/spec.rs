@@ -185,8 +185,14 @@ impl SweepSpec {
     fn platform_recipes(&self) -> Result<Vec<PlatformCell>, SpecError> {
         let mut recipes = Vec::new();
         for axis in &self.platforms {
+            let kind = axis.kind.to_ascii_lowercase();
             let slaves = axis.slaves.unwrap_or(5);
-            match axis.kind.to_ascii_lowercase().as_str() {
+            if slaves == 0 && (kind == "class" || kind == "heterogeneity") {
+                return Err(SpecError(format!(
+                    "platform kind `{kind}` needs `slaves` >= 1, got 0"
+                )));
+            }
+            match kind.as_str() {
                 "class" => {
                     let class = parse_class(axis.class.as_deref().ok_or_else(|| {
                         SpecError("platform kind `class` requires `class = ...`".into())
@@ -237,6 +243,17 @@ impl SweepSpec {
                         return Err(SpecError(
                             "explicit platform needs non-empty c and p of equal length".into(),
                         ));
+                    }
+                    for (name, values) in [("c", &c), ("p", &p)] {
+                        if let Some((j, v)) = values
+                            .iter()
+                            .enumerate()
+                            .find(|(_, v)| !(v.is_finite() && **v > 0.0))
+                        {
+                            return Err(SpecError(format!(
+                                "explicit platform `{name}[{j}]` = {v} is not a positive finite time"
+                            )));
+                        }
                     }
                     recipes.push(PlatformCell::Explicit { c, p });
                 }
@@ -687,6 +704,60 @@ mod tests {
         assert!(err.0.contains("task count 0"), "{err}");
         s.tasks.clear();
         assert_eq!(s.expand().unwrap_err().0, "no task counts");
+    }
+
+    #[test]
+    fn zero_slave_platform_is_rejected() {
+        // `Platform::new` asserts at least one slave; the spec must say so
+        // first, as a named error instead of a panic inside a worker.
+        for kind in ["class", "heterogeneity"] {
+            let mut s = spec();
+            s.platforms = vec![PlatformAxis {
+                kind: kind.into(),
+                class: Some("het".into()),
+                count: Some(1),
+                slaves: Some(0),
+                axis: Some("both".into()),
+                levels: Some(vec![0.5]),
+                families: Some(1),
+                c: None,
+                p: None,
+            }];
+            let err = s.expand().unwrap_err();
+            assert!(err.0.contains("`slaves` >= 1"), "{kind}: {err}");
+        }
+    }
+
+    #[test]
+    fn non_positive_or_non_finite_explicit_times_are_rejected() {
+        for (field, v) in [0.0, -1.0, f64::INFINITY, f64::NAN]
+            .into_iter()
+            .flat_map(|v| [("c", v), ("p", v)])
+        {
+            let (mut c, mut p) = (vec![0.5, 1.0], vec![2.0, 3.0]);
+            if field == "c" {
+                c[1] = v;
+            } else {
+                p[1] = v;
+            }
+            let mut s = spec();
+            s.platforms = vec![PlatformAxis {
+                kind: "explicit".into(),
+                class: None,
+                count: None,
+                slaves: None,
+                axis: None,
+                levels: None,
+                families: None,
+                c: Some(c),
+                p: Some(p),
+            }];
+            let err = s.expand().unwrap_err();
+            assert!(
+                err.0.contains(&format!("`{field}[1]`")),
+                "{field} = {v}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //! every experiment in this repository is re-runnable bit-for-bit, and
 //! every trace can be inspected (Gantt, statistics) and serialized.
 
-use master_slave_sched::core::{simulate, Algorithm, SimConfig};
+use master_slave_sched::core::{
+    simulate, simulate_with_probe_in, Algorithm, Platform, RunCounters, SimConfig, SimWorkspace,
+    TaskArrival, Timeline,
+};
 use master_slave_sched::sim::{render_gantt, trace_stats, TIME_EPS};
 use master_slave_sched::workload::{
     ArrivalProcess, HeterogeneityAxis, HeterogeneityFamily, Perturbation, PlatformSampler,
@@ -127,4 +130,67 @@ fn horizon_hint_does_not_change_bag_runs_for_planned_schedulers() {
     )
     .unwrap();
     assert_eq!(with_hint, without_hint);
+}
+
+/// Engine counters of one probed run of `alg`.
+fn counted_run(
+    ws: &mut SimWorkspace,
+    platform: &Platform,
+    tasks: &[TaskArrival],
+    alg: Algorithm,
+) -> RunCounters {
+    let mut counters = RunCounters::new();
+    simulate_with_probe_in(
+        ws,
+        platform,
+        tasks,
+        &SimConfig::with_horizon(tasks.len()),
+        &Timeline::EMPTY,
+        &mut alg.build(),
+        &mut counters,
+    )
+    .unwrap();
+    counters
+}
+
+/// The engine enters a cached view in its expiry heap only when the clock
+/// can pass the view's anchor before an event touches the slave: a
+/// computation or send billed later than its nominal time. The paper's
+/// exact cells (nominal sizes, static 5-slave platforms, Fig. 1's bag and
+/// Fig. 2's stream) never arm it, whatever the heuristic; a ±10 %
+/// matrix-perturbed cell does.
+#[test]
+fn view_expiry_is_armed_only_where_a_view_can_expire() {
+    let sampler = PlatformSampler::default();
+    let mut ws = SimWorkspace::new();
+    let classes = [
+        PlatformClass::Homogeneous,
+        PlatformClass::CommHomogeneous,
+        PlatformClass::CompHomogeneous,
+        PlatformClass::Heterogeneous,
+    ];
+    for class in classes {
+        let platform = &sampler.sample_many(class, 1, 42)[0];
+        assert_eq!(platform.num_slaves(), 5);
+        for arrivals in [
+            ArrivalProcess::AllAtZero,
+            ArrivalProcess::UniformStream { load: 0.9 },
+        ] {
+            let tasks = arrivals.generate(200, platform, 7);
+            let perturbed = Perturbation::matrix(0.1).apply(&tasks, 11);
+            for alg in Algorithm::ALL {
+                let exact = counted_run(&mut ws, platform, &tasks, alg);
+                assert!(exact.view_recomputes > 0);
+                assert_eq!(
+                    exact.view_expiry_arms, 0,
+                    "{alg:?} on a nominal {class:?} {arrivals:?} cell"
+                );
+                let late = counted_run(&mut ws, platform, &perturbed, alg);
+                assert!(
+                    late.view_expiry_arms > 0,
+                    "{alg:?} on a perturbed {class:?} {arrivals:?} cell"
+                );
+            }
+        }
+    }
 }
