@@ -13,6 +13,13 @@
 //! * the [`Redispatch`] fault-aware wrapper that makes any of them live on
 //!   dynamic platforms (slave failures/recoveries, see `mss-scenario`).
 //!
+//! It re-exports the engine's vocabulary, so downstream crates can depend
+//! on `mss-core` alone: one [`Simulation`] builder runs every simulation
+//! (platform and config in; optional timeline, workspace and probe; a
+//! [`TaskSource`] — a slice through [`SliceSource`] — pulled by
+//! `.trace()` or `.objectives()`), and [`simulate`] is its one-line trace
+//! run over a slice.
+//!
 //! ```
 //! use mss_core::{Algorithm, Objective};
 //! use mss_sim::{bag_of_tasks, simulate, Platform, SimConfig};
@@ -41,12 +48,10 @@ pub use registry::{Algorithm, AlgorithmMeta, META};
 // Re-export the simulation vocabulary so downstream crates can depend on
 // `mss-core` alone for the common case.
 pub use mss_sim::{
-    bag_of_tasks, released_at, simulate, simulate_in, simulate_objectives_with_probe_in,
-    simulate_streamed, simulate_streamed_objectives_in, simulate_streamed_objectives_with_probe_in,
-    simulate_streamed_with_probe_in, simulate_with_events, simulate_with_events_in,
-    simulate_with_probe_in, validate, Decision, InfoTier, NoopProbe, OnlineScheduler, Platform,
-    PlatformClass, PlatformEvent, PlatformEventKind, Probe, RunCounters, RunObjectives,
-    SchedulerEvent, SimConfig, SimError, SimView, SimWorkspace, SlaveEstimate, SlaveEstimates,
-    SlaveId, SlaveSpec, StreamStats, TaskArrival, TaskId, TaskRecord, TaskSource, Time, Timeline,
-    Trace, TraceRecorder, TraceViolation,
+    bag_of_tasks, released_at, simulate, simulate_streamed_objectives_in,
+    simulate_streamed_objectives_with_probe_in, validate, Decision, InfoTier, NoopProbe,
+    OnlineScheduler, Platform, PlatformClass, PlatformEvent, PlatformEventKind, Probe, RunCounters,
+    RunObjectives, SchedulerEvent, SimConfig, SimError, SimView, SimWorkspace, Simulation,
+    SlaveEstimate, SlaveEstimates, SlaveId, SlaveSpec, SliceSource, StreamStats, TaskArrival,
+    TaskId, TaskRecord, TaskSource, Time, Timeline, Trace, TraceRecorder, TraceViolation,
 };

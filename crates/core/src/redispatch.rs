@@ -115,8 +115,8 @@ mod tests {
     use super::*;
     use crate::Algorithm;
     use mss_sim::{
-        bag_of_tasks, simulate, simulate_with_events, validate, Platform, PlatformEvent,
-        PlatformEventKind, SimConfig, Time, Timeline,
+        bag_of_tasks, simulate, validate, Platform, PlatformEvent, PlatformEventKind, SimConfig,
+        Simulation, SliceSource, Time, Timeline,
     };
 
     fn platform() -> Platform {
@@ -159,7 +159,9 @@ mod tests {
         let cfg = SimConfig::with_horizon(tasks.len());
         let tl = crash_recover(0, 4.0, 30.0);
         for a in Algorithm::ALL {
-            let trace = simulate_with_events(&pf, &tasks, &cfg, &tl, &mut Redispatch::wrap(a))
+            let trace = Simulation::new(&pf, &cfg)
+                .timeline(&tl)
+                .trace(SliceSource::new(&tasks), &mut Redispatch::wrap(a))
                 .unwrap_or_else(|e| panic!("{a}+RD failed: {e}"));
             assert_eq!(trace.len(), tasks.len());
             let violations = validate(&trace, &pf);
@@ -173,14 +175,13 @@ mod tests {
         // fast slave forever; wrapped, the send goes to the slow one.
         let pf = Platform::from_vectors(&[1.0, 1.0], &[3.0, 7.0]);
         let tl = crash_recover(0, 0.5, 1000.0); // effectively never returns
-        let trace = simulate_with_events(
-            &pf,
-            &bag_of_tasks(3),
-            &SimConfig::default(),
-            &tl,
-            &mut Redispatch::wrap(Algorithm::Srpt),
-        )
-        .unwrap();
+        let trace = Simulation::new(&pf, &SimConfig::default())
+            .timeline(&tl)
+            .trace(
+                SliceSource::new(&bag_of_tasks(3)),
+                &mut Redispatch::wrap(Algorithm::Srpt),
+            )
+            .unwrap();
         for r in trace.records() {
             assert_eq!(r.slave, SlaveId(1), "all work lands on the survivor");
         }
@@ -201,14 +202,13 @@ mod tests {
             max_steps: 20_000,
             ..SimConfig::default()
         };
-        let err = simulate_with_events(
-            &pf,
-            &bag_of_tasks(3),
-            &cfg,
-            &tl,
-            &mut Algorithm::Srpt.build(),
-        )
-        .unwrap_err();
+        let err = Simulation::new(&pf, &cfg)
+            .timeline(&tl)
+            .trace(
+                SliceSource::new(&bag_of_tasks(3)),
+                &mut Algorithm::Srpt.build(),
+            )
+            .unwrap_err();
         assert!(matches!(
             err,
             mss_sim::SimError::BudgetExhausted { .. } | mss_sim::SimError::Stalled { .. }
@@ -235,14 +235,13 @@ mod tests {
             })
             .collect(),
         );
-        let trace = simulate_with_events(
-            &pf,
-            &bag_of_tasks(4),
-            &SimConfig::default(),
-            &tl,
-            &mut Redispatch::wrap(Algorithm::ListScheduling),
-        )
-        .unwrap();
+        let trace = Simulation::new(&pf, &SimConfig::default())
+            .timeline(&tl)
+            .trace(
+                SliceSource::new(&bag_of_tasks(4)),
+                &mut Redispatch::wrap(Algorithm::ListScheduling),
+            )
+            .unwrap();
         assert_eq!(trace.len(), 4);
         assert!(validate(&trace, &pf).is_empty());
         // Nothing was received during the blackout.

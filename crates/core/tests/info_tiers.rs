@@ -17,9 +17,9 @@
 
 use mss_core::{Algorithm, Redispatch};
 use mss_sim::{
-    bag_of_tasks, simulate, simulate_with_events, Decision, InfoTier, OnlineScheduler, Platform,
-    PlatformEvent, PlatformEventKind, SchedulerEvent, SimConfig, SimView, SlaveId, TaskArrival,
-    Time, Timeline,
+    bag_of_tasks, simulate, Decision, InfoTier, OnlineScheduler, Platform, PlatformEvent,
+    PlatformEventKind, SchedulerEvent, SimConfig, SimView, Simulation, SlaveId, SliceSource,
+    TaskArrival, Time, Timeline,
 };
 use proptest::prelude::*;
 
@@ -82,7 +82,10 @@ fn arb_platform() -> impl Strategy<Value = Platform> {
 }
 
 fn arb_tasks() -> impl Strategy<Value = Vec<TaskArrival>> {
-    proptest::collection::vec((0.0f64..20.0, 0.9f64..1.1, 0.9f64..1.1), 1..25).prop_map(|ts| {
+    proptest::collection::vec((0.0f64..20.0, 0.9f64..1.1, 0.9f64..1.1), 1..25).prop_map(|mut ts| {
+        // The engine takes a release-ordered stream: the drawn tasks, in
+        // release order.
+        ts.sort_by(|a, b| a.0.total_cmp(&b.0));
         ts.into_iter()
             .map(|(r, sc, sp)| TaskArrival {
                 release: Time::new(r),
@@ -140,18 +143,20 @@ proptest! {
         // runs must then report identically.
         let cfg = SimConfig { max_steps: 100_000, ..SimConfig::default() };
         for a in Algorithm::ALL {
-            let plain = simulate_with_events(
-                &platform, &tasks, &cfg, &timeline, &mut a.build());
-            let oracled = simulate_with_events(
-                &platform, &tasks, &cfg, &timeline,
-                &mut LegacyOracle { inner: a.build() });
+            let plain = Simulation::new(&platform, &cfg)
+                .timeline(&timeline)
+                .trace(SliceSource::new(&tasks), &mut a.build());
+            let oracled = Simulation::new(&platform, &cfg)
+                .timeline(&timeline)
+                .trace(SliceSource::new(&tasks), &mut LegacyOracle { inner: a.build() });
             prop_assert_eq!(&plain, &oracled, "{} diverged under the oracle", a);
 
-            let wrapped = simulate_with_events(
-                &platform, &tasks, &cfg, &timeline, &mut Redispatch::wrap(a));
-            let wrapped_oracled = simulate_with_events(
-                &platform, &tasks, &cfg, &timeline,
-                &mut LegacyOracle { inner: Redispatch::wrap(a) });
+            let wrapped = Simulation::new(&platform, &cfg)
+                .timeline(&timeline)
+                .trace(SliceSource::new(&tasks), &mut Redispatch::wrap(a));
+            let wrapped_oracled = Simulation::new(&platform, &cfg)
+                .timeline(&timeline)
+                .trace(SliceSource::new(&tasks), &mut LegacyOracle { inner: Redispatch::wrap(a) });
             prop_assert_eq!(&wrapped, &wrapped_oracled, "{}+RD diverged", a);
         }
     }

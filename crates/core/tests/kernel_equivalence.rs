@@ -9,8 +9,8 @@
 //! small-`m` scan fallback.
 
 use mss_core::{
-    simulate_with_events, Platform, PlatformEvent, PlatformEventKind, Redispatch, RoundRobin,
-    SimConfig, Srpt, TaskArrival, Time, Timeline, Trace,
+    Platform, PlatformEvent, PlatformEventKind, Redispatch, RoundRobin, SimConfig, Simulation,
+    SliceSource, Srpt, TaskArrival, Time, Timeline, Trace,
 };
 use mss_sim::{chunked_argmin, scan_argmin, InfoTier, OnlineScheduler, SlaveId};
 use proptest::prelude::*;
@@ -25,7 +25,10 @@ fn arb_platform() -> impl Strategy<Value = Platform> {
 }
 
 fn arb_tasks() -> impl Strategy<Value = Vec<TaskArrival>> {
-    proptest::collection::vec((0.0f64..25.0, 0.9f64..1.1, 0.9f64..1.1), 1..30).prop_map(|ts| {
+    proptest::collection::vec((0.0f64..25.0, 0.9f64..1.1, 0.9f64..1.1), 1..30).prop_map(|mut ts| {
+        // The engine takes a release-ordered stream: the drawn tasks, in
+        // release order.
+        ts.sort_by(|a, b| a.0.total_cmp(&b.0));
         ts.into_iter()
             .map(|(r, sc, sp)| TaskArrival {
                 release: Time::new(r),
@@ -128,7 +131,9 @@ fn run(
         info: tier,
         ..SimConfig::default()
     };
-    simulate_with_events(platform, tasks, &cfg, timeline, sched)
+    Simulation::new(platform, &cfg)
+        .timeline(timeline)
+        .trace(SliceSource::new(tasks), sched)
 }
 
 proptest! {

@@ -9,7 +9,7 @@
 //!
 //! Metrics (schema v5):
 //!
-//! * **events/sec** — discrete events through [`mss_core::simulate_in`] on
+//! * **events/sec** — discrete events through [`mss_core::Simulation`] on
 //!   the reference workload (5-slave heterogeneous platform, bag of tasks,
 //!   List Scheduling, reused [`SimWorkspace`]). A static run processes
 //!   exactly `3·n` events (release, send-complete, compute-complete per
@@ -42,8 +42,8 @@
 //!   drifts from the committed BENCH_engine.json).
 
 use mss_core::{
-    bag_of_tasks, simulate_in, simulate_streamed_objectives_in, simulate_with_probe_in, Algorithm,
-    Platform, RunCounters, SimConfig, SimWorkspace, Timeline,
+    bag_of_tasks, simulate_streamed_objectives_in, Algorithm, Platform, RunCounters, SimConfig,
+    SimWorkspace, Simulation, SliceSource, Timeline,
 };
 use mss_sweep::{run_cells, spec_from_toml, SweepConfig};
 use mss_workload::{ArrivalProcess, GeneratedSource, TaskSource};
@@ -264,30 +264,27 @@ fn engine_bench(quick: bool) -> (EngineBench, f64) {
     let cfg = SimConfig::with_horizon(tasks_n);
     let mut ws = SimWorkspace::new();
     let (best, mean) = time_loop(iters, || {
-        let trace = simulate_in(
-            &mut ws,
-            &platform,
-            &tasks,
-            &cfg,
-            &mut Algorithm::ListScheduling.build(),
-        )
-        .expect("reference workload simulates");
+        let trace = Simulation::new(&platform, &cfg)
+            .workspace(&mut ws)
+            .trace(
+                SliceSource::new(&tasks),
+                &mut Algorithm::ListScheduling.build(),
+            )
+            .expect("reference workload simulates");
         assert_eq!(trace.len(), tasks_n);
     });
     // One probed re-run (outside the timed loop, so timings stay
     // comparable with earlier trajectory points) measures callback elision
     // on the same workload.
     let mut counters = RunCounters::new();
-    simulate_with_probe_in(
-        &mut ws,
-        &platform,
-        &tasks,
-        &cfg,
-        &Timeline::EMPTY,
-        &mut Algorithm::ListScheduling.build(),
-        &mut counters,
-    )
-    .expect("probed reference workload simulates");
+    Simulation::new(&platform, &cfg)
+        .workspace(&mut ws)
+        .probe(&mut counters)
+        .trace(
+            SliceSource::new(&tasks),
+            &mut Algorithm::ListScheduling.build(),
+        )
+        .expect("probed reference workload simulates");
     let events = 3 * tasks_n as u64;
     (
         EngineBench {

@@ -1,7 +1,9 @@
 //! The discrete-event engine.
 //!
-//! [`simulate`] runs one on-line scheduler over one task instance on one
-//! platform and returns the full [`Trace`]. The engine owns the two scarce
+//! A [`Simulation`] runs one on-line scheduler over one task stream on one
+//! platform and returns the full [`Trace`] ([`Simulation::trace`]) or the
+//! objective values alone ([`Simulation::objectives`]); [`simulate`] is its
+//! one-line form for a task slice. The engine owns the two scarce
 //! resources of the model and enforces them *by construction*:
 //!
 //! * the master's **one port** — a single link state; a send can only
@@ -9,24 +11,39 @@
 //! * each slave's **serial execution** — a slave computes the tasks it has
 //!   received one at a time, FIFO, each for `p_j · size_p` seconds.
 //!
+//! # One input: a pulled task stream
+//!
+//! In the paper's on-line model the master learns of task `i` only at its
+//! release `r_i`, so the engine's only input is a [`TaskSource`] pulled in
+//! release order, one task of lookahead ahead of the clock. A slice reaches
+//! it through [`SliceSource`]. Each pulled arrival is checked once: its
+//! release must be finite, non-negative and no earlier than the previous
+//! one, and both size multipliers finite and positive; a violation is a
+//! [`SimError::InvalidTask`] naming the task, never a panic. Tasks get
+//! dense ids in pull order and enter a window of task slots on release;
+//! [`Simulation::objectives`] retires each slot once its record is folded
+//! into the objectives, so a run's memory tracks its in-flight tasks, not
+//! the instance size, while [`Simulation::trace`] keeps every slot to
+//! build the trace.
+//!
 //! Determinism: events are processed in `(time, insertion sequence)` order
 //! and all simultaneous events are applied and delivered to the scheduler
 //! before any decision is taken, so a deterministic scheduler always sees
 //! the same history — the adversary games rely on this to replay prefixes.
 //!
-//! [`simulate_with_events`] additionally consumes a platform-event
-//! [`Timeline`] (slave failures, recoveries, link/speed drift — see
-//! [`crate::events`]): timeline events enter the same heap after the task
-//! releases, so the determinism contract extends unchanged to dynamic
-//! platforms, and an empty timeline is bit-for-bit the static engine.
+//! An optional platform-event [`Timeline`] (slave failures, recoveries,
+//! link/speed drift — see [`crate::events`]) is merged into the same event
+//! order after the task releases, so the determinism contract extends
+//! unchanged to dynamic platforms, and an empty timeline is bit-for-bit
+//! the static engine.
 //!
 //! # The zero-allocation hot path
 //!
 //! The event loop performs **no heap allocation in steady state**: every
 //! buffer it touches lives in a [`SimWorkspace`] that is sized once and
-//! reused, both across the events of one run and — through [`simulate_in`]
-//! and [`simulate_with_events_in`] — across runs (the sweep executor keeps
-//! one workspace per worker thread). Three mechanisms make this possible:
+//! reused, both across the events of one run and — through
+//! [`Simulation::workspace`] — across runs (the sweep executor keeps one
+//! workspace per worker thread). Three mechanisms make this possible:
 //!
 //! * **incrementally maintained slave views** — the [`SlaveView`] handed to
 //!   the scheduler is cached per slave and recomputed only when stale — an
@@ -48,11 +65,11 @@
 //!   views are bit-identical — a `debug_assertions` oracle re-derives
 //!   every view from scratch after each refresh and asserts bitwise
 //!   equality;
-//! * **an indexed task-phase map** — pending-membership checks in
-//!   [`Decision::Send`] validation are O(1) array lookups instead of a scan
-//!   of the pending queue, and the pending queue itself is a ring buffer
-//!   (front pops — the common case for every paper heuristic — are O(1) and
-//!   move no memory);
+//! * **an indexed task-slot window** — pending-membership checks in
+//!   [`Decision::Send`] validation are O(1) lookups of the task's slot
+//!   instead of a scan of the pending queue, and the pending queue itself
+//!   is a ring buffer (front pops — the common case for every paper
+//!   heuristic — are O(1) and move no memory);
 //! * **pre-sized, reused event heap and notification buffers** — pushes in
 //!   steady state never grow capacity.
 //!
@@ -66,7 +83,7 @@ use crate::info::{InfoTier, SlaveEstimates};
 use crate::kernel::TouchJournal;
 use crate::platform::{Platform, SlaveId};
 use crate::scheduler::{Decision, OnlineScheduler, SchedulerEvent};
-use crate::source::TaskSource;
+use crate::source::{SliceSource, TaskSource};
 use crate::task::{TaskArrival, TaskId};
 use crate::time::Time;
 use crate::trace::{TaskRecord, Trace};
@@ -147,6 +164,16 @@ pub enum SimError {
         /// The scheduler's declared minimum tier.
         required: InfoTier,
     },
+    /// A pulled arrival broke the input contract: its release is not
+    /// finite, is negative or decreases below the previous release, or a
+    /// size multiplier is not finite and positive. Raised when the task is
+    /// pulled, before it is released.
+    InvalidTask {
+        /// The offending task (its index in pull order).
+        task: TaskId,
+        /// Human-readable explanation.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -170,6 +197,7 @@ impl std::fmt::Display for SimError {
                 f,
                 "information tier `{granted}` is below the scheduler's declared minimum `{required}`"
             ),
+            SimError::InvalidTask { task, reason } => write!(f, "invalid task {task}: {reason}"),
         }
     }
 }
@@ -250,9 +278,16 @@ impl SlaveRt {
     }
 }
 
-#[derive(Clone, Copy, Debug, Default)]
+/// One task's slot in the workspace window: the arrival pulled from the
+/// source (its release sits in the parallel `releases` column), the task's
+/// lifecycle phase, and the partial record its [`TaskRecord`] is built
+/// from.
+#[derive(Clone, Copy, Debug)]
 struct PartialRecord {
-    release: f64,
+    phase: TaskPhase,
+    /// Actual size multipliers, as pulled from the source.
+    size_c: f64,
+    size_p: f64,
     send_start: f64,
     send_end: f64,
     compute_start: f64,
@@ -262,16 +297,31 @@ struct PartialRecord {
     billed_c: f64,
     billed_p: f64,
     slave: usize,
-    assigned: bool,
-    done: bool,
 }
 
-/// Lifecycle phase of a task, indexed by `TaskId` — the slot map behind O(1)
-/// pending-membership checks (no scan of the pending queue).
+impl PartialRecord {
+    /// The slot of a task released just now.
+    fn released(arr: TaskArrival) -> Self {
+        PartialRecord {
+            phase: TaskPhase::Pending,
+            size_c: arr.size_c,
+            size_p: arr.size_p,
+            send_start: 0.0,
+            send_end: 0.0,
+            compute_start: 0.0,
+            compute_end: 0.0,
+            billed_c: 0.0,
+            billed_p: 0.0,
+            slave: 0,
+        }
+    }
+}
+
+/// Lifecycle phase of a released task, kept in its slot — what makes
+/// pending-membership checks O(1) (no scan of the pending queue). A task
+/// that has not been released yet has no slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum TaskPhase {
-    /// Release event not yet processed.
-    Unreleased,
     /// Released and waiting at the master (member of the pending queue).
     Pending,
     /// Sent (or in flight) to a slave.
@@ -284,20 +334,20 @@ enum TaskPhase {
 ///
 /// A workspace owns every growable structure the event loop touches: the
 /// event heap, per-slave runtime queues, the pending ring buffer, the task
-/// phase/record arrays, the incrementally maintained [`SlaveViews`]
-/// column cache, and the [`TouchJournal`] ring that is both the views'
-/// dirty list and the decision kernels' change log (plus the expiry heap,
-/// armed only for views that can outlive their nominal anchor).
-/// [`simulate_in`] sizes them once per run and the loop then runs
-/// allocation-free in steady state; reusing one workspace across runs (as
-/// the `mss-sweep` executor does per worker thread) also skips the sizing.
+/// slot window, the incrementally maintained [`SlaveViews`] column cache,
+/// and the [`TouchJournal`] ring that is both the views' dirty list and
+/// the decision kernels' change log (plus the expiry heap, armed only for
+/// views that can outlive their nominal anchor). A run re-initializes it
+/// and the loop then runs allocation-free in steady state; reusing one
+/// workspace across runs ([`Simulation::workspace`], as the `mss-sweep`
+/// executor does per worker thread) also skips the sizing.
 ///
 /// Results are bit-identical whether a workspace is fresh or reused — every
 /// field is re-initialized per run.
 ///
 /// # Examples
 /// ```
-/// use mss_sim::{simulate_in, SimConfig, SimWorkspace, Platform, bag_of_tasks};
+/// use mss_sim::{Simulation, SimConfig, SimWorkspace, SliceSource, Platform, bag_of_tasks};
 /// use mss_sim::{Decision, OnlineScheduler, SchedulerEvent, SimView, SlaveId};
 ///
 /// struct FirstSlave;
@@ -312,12 +362,14 @@ enum TaskPhase {
 /// }
 ///
 /// let platform = Platform::from_vectors(&[1.0], &[2.0]);
+/// let config = SimConfig::default();
+/// let tasks = bag_of_tasks(5);
 /// let mut ws = SimWorkspace::new();
 /// // Buffers warmed by the first run are reused by the second.
-/// let a = simulate_in(&mut ws, &platform, &bag_of_tasks(5), &SimConfig::default(),
-///                     &mut FirstSlave).unwrap();
-/// let b = simulate_in(&mut ws, &platform, &bag_of_tasks(5), &SimConfig::default(),
-///                     &mut FirstSlave).unwrap();
+/// let a = Simulation::new(&platform, &config).workspace(&mut ws)
+///     .trace(SliceSource::new(&tasks), &mut FirstSlave).unwrap();
+/// let b = Simulation::new(&platform, &config).workspace(&mut ws)
+///     .trace(SliceSource::new(&tasks), &mut FirstSlave).unwrap();
 /// assert_eq!(a, b);
 /// ```
 #[derive(Debug, Default)]
@@ -334,10 +386,17 @@ pub struct SimWorkspace {
     /// dominant removal pattern (the oldest task) is O(1); kept contiguous
     /// so `SimView::pending_tasks` can hand out a plain slice.
     pending: VecDeque<TaskId>,
-    /// Task lifecycle phases, indexed by `TaskId` (the slot map).
-    phases: Vec<TaskPhase>,
-    releases: Vec<Time>,
+    /// The task slot window: slot `i` holds task `window_start + i`. A
+    /// task's slot is appended when it is released; bounded-memory runs
+    /// recycle the finalized prefix.
     records: Vec<PartialRecord>,
+    /// Release times, parallel to `records` (the dense column
+    /// [`SimView::release_time`] reads).
+    releases: Vec<Time>,
+    /// First task id resident in the slot window. Stays `0` in runs that
+    /// keep every slot (trace builds); advanced by slot recycling in
+    /// bounded-memory runs.
+    window_start: usize,
     /// Cached per-slave observable state, maintained incrementally —
     /// column-major ([`SlaveViews`]), so scheduler-side argmin scans read
     /// dense same-typed columns.
@@ -377,25 +436,10 @@ pub struct SimWorkspace {
     notifications: Vec<SchedulerEvent>,
     /// Scratch for tasks lost to a slave failure.
     lost: Vec<TaskId>,
-    /// Task indices in release order — stably sorted by `(release, index)`,
-    /// which equals the historical `(time, seq)` heap order of release
-    /// events. Releases are *streamed* from this array instead of living in
-    /// the heap, so the heap only ever holds the O(m) runtime events
-    /// (sends, computes, wakes) and its operations stay near-constant.
-    release_order: Vec<u32>,
     /// Timeline event indices, stably sorted by `(time, index)` (the
     /// historical order of their heap entries, which carried sequence
     /// numbers `n..n+k`).
     timeline_order: Vec<u32>,
-    /// Streamed-mode arrival window, parallel to `phases`/`releases`/
-    /// `records` (which hold slots `window_start..window_start + len` in
-    /// streamed runs). Unused — and empty — in materialized runs.
-    arrivals: Vec<TaskArrival>,
-    /// First task id resident in the slot window. Always `0` in
-    /// materialized runs and in streamed runs that retain every record
-    /// (trace builds); advanced by slot recycling in bounded-memory
-    /// streamed runs.
-    window_start: usize,
 }
 
 impl SimWorkspace {
@@ -404,53 +448,16 @@ impl SimWorkspace {
         SimWorkspace::default()
     }
 
-    /// Slot index of task `t` in the windowed task arrays. The identity in
-    /// materialized runs (`window_start` is 0 there).
+    /// Slot index of task `t` in the window.
     #[inline]
     fn slot(&self, t: TaskId) -> usize {
         t.0 - self.window_start
     }
 
-    /// Re-initializes every buffer for a run of `tasks` over `platform`,
-    /// keeping capacity from previous runs.
-    fn reset(&mut self, platform: &Platform, tasks: &[TaskArrival], timeline: &Timeline) {
-        let n = tasks.len();
-        self.release_order.clear();
-        self.release_order.extend(0..n as u32);
-        // Stable order by (release, index): indices are distinct, so an
-        // unstable sort on the pair is stable in effect. Arrival processes
-        // produce non-decreasing releases, so the sortedness pre-check makes
-        // the common case a plain sequential scan.
-        if !tasks.windows(2).all(|w| w[0].release <= w[1].release) {
-            self.release_order
-                .sort_unstable_by_key(|&i| (tasks[i as usize].release, i));
-        }
-        self.phases.clear();
-        self.phases.resize(n, TaskPhase::Unreleased);
-        self.releases.clear();
-        self.releases.resize(n, Time::ZERO);
-        self.records.clear();
-        self.records.resize(n, PartialRecord::default());
-        self.pending.clear();
-        self.pending.reserve(n);
-        self.arrivals.clear();
-        self.reset_common(platform, timeline);
-    }
-
-    /// [`SimWorkspace::reset`] for a streamed run: the task arrays start
-    /// empty and grow (and, in bounded-memory mode, recycle) as the feed
-    /// pulls arrivals.
-    fn reset_streamed(&mut self, platform: &Platform, timeline: &Timeline) {
-        self.release_order.clear();
-        self.phases.clear();
-        self.releases.clear();
-        self.records.clear();
-        self.arrivals.clear();
-        self.reset_common(platform, timeline);
-    }
-
-    /// The feed-independent part of a reset.
-    fn reset_common(&mut self, platform: &Platform, timeline: &Timeline) {
+    /// Re-initializes every buffer for a run over `platform`, keeping
+    /// capacity from previous runs. The slot window starts empty and grows
+    /// as tasks are released.
+    fn reset(&mut self, platform: &Platform, timeline: &Timeline) {
         let m = platform.num_slaves();
         self.heap.clear();
         // Releases and timeline events are streamed from their sorted
@@ -465,6 +472,8 @@ impl SimWorkspace {
             self.timeline_order
                 .sort_unstable_by_key(|&i| (tl[i as usize].time, i));
         }
+        self.records.clear();
+        self.releases.clear();
         self.window_start = 0;
         for s in &mut self.slaves {
             s.reset();
@@ -497,113 +506,36 @@ impl SimWorkspace {
     }
 }
 
-/// How the engine obtains task arrivals: from a materialized slice (the
-/// historical path) or by pulling a [`TaskSource`] (the streamed path).
-///
-/// The engine is generic over this seam and monomorphizes per feed, so the
-/// slice feed compiles to exactly the pre-streaming engine — same
-/// instructions, same allocation profile, bit-identical results — while
-/// the stream feed adds the windowed slot bookkeeping only streamed runs
-/// pay for.
-trait Feed {
-    /// Re-initializes the workspace for this feed's run.
-    fn prepare(&mut self, ws: &mut SimWorkspace, platform: &Platform, timeline: &Timeline);
-    /// First sequence number available to runtime events, given the
-    /// timeline length `k`.
-    fn seq_base(&self, k: usize) -> u64;
-    /// Release time of the next unreleased task, if any. May pull from the
-    /// underlying source (one-task lookahead).
-    fn peek_release(&mut self, ws: &SimWorkspace) -> Option<Time>;
-    /// Pops the next release — only called right after [`Feed::peek_release`]
-    /// returned `Some` — ensuring the task's slot exists in the window.
-    fn pop_release(&mut self, ws: &mut SimWorkspace) -> TaskId;
-    /// Arrival data of a live (windowed) task.
-    fn arrival(&self, ws: &SimWorkspace, t: TaskId) -> TaskArrival;
-    /// `true` once the run is over: every task released and completed.
-    fn is_complete(&mut self, released: usize, completed: usize) -> bool;
-    /// The `total` a [`SimError::Stalled`] reports. A stall requires the
-    /// release stream to be exhausted, so for every feed this equals the
-    /// full instance size.
-    fn stall_total(&self, released: usize) -> usize;
-    /// Per-iteration housekeeping; the streamed bounded-memory feed
-    /// finalizes completed records and recycles their slots here.
-    fn maintain(&mut self, ws: &mut SimWorkspace);
-}
-
-/// The materialized feed: releases stream from `ws.release_order` over a
-/// task slice, exactly as the pre-streaming engine did.
-struct SliceFeed<'s> {
-    tasks: &'s [TaskArrival],
-    /// Next entry of `ws.release_order` to stream.
-    cursor: usize,
-}
-
-impl Feed for SliceFeed<'_> {
-    fn prepare(&mut self, ws: &mut SimWorkspace, platform: &Platform, timeline: &Timeline) {
-        ws.reset(platform, self.tasks, timeline);
-        self.cursor = 0;
-    }
-
-    fn seq_base(&self, k: usize) -> u64 {
-        // Sequence numbering is unchanged from the heap-resident layout:
-        // release `i` owns seq `i`, timeline event `i` owns seq `n + i`,
-        // and runtime events count on from `n + k` — so the merged stream
-        // replays the exact historical `(time, seq)` event order.
-        (self.tasks.len() + k) as u64
-    }
-
-    fn peek_release(&mut self, ws: &SimWorkspace) -> Option<Time> {
-        ws.release_order
-            .get(self.cursor)
-            .map(|&i| self.tasks[i as usize].release)
-    }
-
-    fn pop_release(&mut self, ws: &mut SimWorkspace) -> TaskId {
-        let i = ws.release_order[self.cursor];
-        self.cursor += 1;
-        TaskId(i as usize)
-    }
-
-    fn arrival(&self, _ws: &SimWorkspace, t: TaskId) -> TaskArrival {
-        self.tasks[t.0]
-    }
-
-    fn is_complete(&mut self, _released: usize, completed: usize) -> bool {
-        completed >= self.tasks.len()
-    }
-
-    fn stall_total(&self, _released: usize) -> usize {
-        self.tasks.len()
-    }
-
-    fn maintain(&mut self, _ws: &mut SimWorkspace) {}
-}
-
 /// Recycle slots only once at least this many lead the window: keeps the
 /// compaction memmove amortized O(1) per task without letting tiny windows
 /// thrash.
 const COMPACT_MIN: usize = 64;
 
-/// The streamed feed: pulls a [`TaskSource`] with one task of lookahead
-/// and materializes task slots into the workspace window on release.
+/// The engine's input: pulls a [`TaskSource`] one task ahead of the
+/// releases, checks each arrival once as it is pulled, and appends its
+/// slot to the workspace window on release.
 ///
-/// In `recycle` mode it also finalizes completed records in id order —
-/// folding the three objectives with exactly the arithmetic (and fold
-/// order) of [`simulate_objectives_with_probe_in`] — and compacts the
-/// window, so a run's resident slot count stays proportional to the
-/// number of *in-flight* tasks, not the instance size.
-struct StreamFeed<'s> {
-    source: &'s mut dyn TaskSource,
-    lookahead: Option<TaskArrival>,
-    exhausted: bool,
-    /// Id the next pulled task will get (== tasks released so far).
+/// In `recycle` mode it also finalizes completed records in id order as
+/// they complete — folding the three objectives with the arithmetic (and
+/// fold order) of [`Trace::makespan`], [`Trace::max_flow`] and
+/// [`Trace::sum_flow`] — and compacts the window at batch ends, so a run's
+/// resident slot count stays proportional to the number of *in-flight*
+/// tasks, not the instance size.
+struct StreamFeed<S> {
+    source: S,
+    /// The next arrival, already pulled and checked; `None` once the
+    /// source is exhausted.
+    next: Option<TaskArrival>,
+    /// Id of the next arrival (== tasks released so far).
     next_id: usize,
-    /// Monotonicity guard: greatest release seen.
-    last_release: Time,
+    /// Greatest release pulled so far (releases must not decrease).
+    last_release: f64,
     /// `false` retains every slot (trace builds); `true` recycles.
     recycle: bool,
     /// First task id not yet folded into the objective accumulators.
     finalize_cursor: usize,
+    /// Set when the current batch advanced `finalize_cursor`.
+    finalized: bool,
     makespan: f64,
     max_flow: f64,
     sum_flow: f64,
@@ -611,16 +543,16 @@ struct StreamFeed<'s> {
     peak_resident: usize,
 }
 
-impl<'s> StreamFeed<'s> {
-    fn new(source: &'s mut dyn TaskSource, recycle: bool) -> Self {
+impl<S: TaskSource> StreamFeed<S> {
+    fn new(source: S, recycle: bool) -> Self {
         StreamFeed {
             source,
-            lookahead: None,
-            exhausted: false,
+            next: None,
             next_id: 0,
-            last_release: Time::ZERO,
+            last_release: 0.0,
             recycle,
             finalize_cursor: 0,
+            finalized: false,
             makespan: 0.0,
             max_flow: 0.0,
             sum_flow: 0.0,
@@ -629,119 +561,151 @@ impl<'s> StreamFeed<'s> {
         }
     }
 
-    /// Ensures the one-task lookahead holds the next arrival (or that the
-    /// source is known to be exhausted), enforcing the non-decreasing
-    /// release contract.
-    fn fill(&mut self) {
-        if self.lookahead.is_some() || self.exhausted {
-            return;
+    /// Pulls the first arrival; called once, before the first event.
+    fn start(&mut self) -> Result<(), SimError> {
+        self.next = self.pull()?;
+        Ok(())
+    }
+
+    /// Pulls the arrival of task `next_id`, checking its input contract.
+    #[inline]
+    fn pull(&mut self) -> Result<Option<TaskArrival>, SimError> {
+        let Some(arr) = self.source.next_task() else {
+            return Ok(None);
+        };
+        let r = arr.release.as_f64();
+        // One fused test for the common case; `NaN` fails every comparison
+        // and lands in `reject`.
+        let valid = r >= self.last_release
+            && r < f64::INFINITY
+            && arr.size_c > 0.0
+            && arr.size_c < f64::INFINITY
+            && arr.size_p > 0.0
+            && arr.size_p < f64::INFINITY;
+        if !valid {
+            return Err(self.reject(arr));
         }
-        match self.source.next_task() {
-            Some(arr) => {
-                assert!(
-                    arr.release >= self.last_release,
-                    "TaskSource contract violation: release {} of task {} decreases below \
-                     the previous release {}",
-                    arr.release,
-                    self.next_id,
-                    self.last_release,
-                );
-                self.last_release = arr.release;
-                self.lookahead = Some(arr);
-            }
-            None => self.exhausted = true,
+        self.last_release = r;
+        Ok(Some(arr))
+    }
+
+    /// The [`SimError::InvalidTask`] of an arrival that failed the check
+    /// in [`StreamFeed::pull`].
+    #[cold]
+    fn reject(&self, arr: TaskArrival) -> SimError {
+        let r = arr.release.as_f64();
+        let reason = if !(r.is_finite() && r >= 0.0) {
+            format!("release {r} is not a finite, non-negative time")
+        } else if r < self.last_release {
+            format!(
+                "release {r} decreases below the previous release {}; a task source \
+                 must yield non-decreasing releases",
+                self.last_release
+            )
+        } else {
+            format!(
+                "size multipliers ({}, {}) must be finite and positive",
+                arr.size_c, arr.size_p
+            )
+        };
+        SimError::InvalidTask {
+            task: TaskId(self.next_id),
+            reason,
         }
     }
-}
 
-impl Feed for StreamFeed<'_> {
-    fn prepare(&mut self, ws: &mut SimWorkspace, platform: &Platform, timeline: &Timeline) {
-        ws.reset_streamed(platform, timeline);
+    /// Release time of the next unreleased task, if any.
+    #[inline]
+    fn next_release(&self) -> Option<Time> {
+        self.next.as_ref().map(|a| a.release)
     }
 
-    fn seq_base(&self, k: usize) -> u64 {
-        // Streamed releases never enter the heap and own no sequence
-        // numbers; only the relative order of runtime seqs (and the
-        // release > timeline > runtime tie priority, which `pop_next`
-        // resolves structurally) is observable, so counting from `k`
-        // replays the materialized event order exactly.
-        k as u64
-    }
-
-    fn peek_release(&mut self, _ws: &SimWorkspace) -> Option<Time> {
-        self.fill();
-        self.lookahead.as_ref().map(|a| a.release)
-    }
-
-    fn pop_release(&mut self, ws: &mut SimWorkspace) -> TaskId {
-        let arr = self.lookahead.take().expect("pop_release after peek");
+    /// Releases the next task — only called when
+    /// [`StreamFeed::next_release`] is `Some` — appending its slot to the
+    /// window, and pulls the one after it.
+    #[inline]
+    fn pop_release(&mut self, ws: &mut SimWorkspace) -> Result<TaskId, SimError> {
+        let arr = self.next.expect("pop_release with a next arrival");
         let t = TaskId(self.next_id);
         self.next_id += 1;
-        ws.arrivals.push(arr);
-        ws.phases.push(TaskPhase::Unreleased);
-        ws.releases.push(Time::ZERO);
-        ws.records.push(PartialRecord::default());
+        ws.records.push(PartialRecord::released(arr));
+        ws.releases.push(arr.release);
         self.peak_resident = self.peak_resident.max(ws.records.len());
         let live = ws.records.len() - (self.finalize_cursor - ws.window_start);
         self.peak_live = self.peak_live.max(live);
-        t
+        self.next = self.pull()?;
+        Ok(t)
     }
 
-    fn arrival(&self, ws: &SimWorkspace, t: TaskId) -> TaskArrival {
-        ws.arrivals[ws.slot(t)]
+    /// `true` once the run is over: the source is exhausted and every
+    /// pulled task has completed.
+    #[inline]
+    fn is_complete(&self, completed: usize) -> bool {
+        self.next.is_none() && completed >= self.next_id
     }
 
-    fn is_complete(&mut self, released: usize, completed: usize) -> bool {
-        // Peek so an exhausted (e.g. empty) source terminates the loop —
-        // the streamed analogue of `completed == tasks.len()`.
-        self.fill();
-        self.exhausted && completed >= released
-    }
-
-    fn stall_total(&self, released: usize) -> usize {
-        // A stall implies the stream is exhausted, so every task of the
-        // instance has been released: `released` is the instance size,
-        // matching the materialized `tasks.len()`.
-        released
-    }
-
-    fn maintain(&mut self, ws: &mut SimWorkspace) {
-        if !self.recycle {
-            return;
-        }
-        // Finalize the completed prefix in id order: the same values, in
-        // the same fold order, as the end-of-run objective folds of the
-        // materialized path, so the accumulated objectives are
-        // bit-identical to them.
+    /// Folds the completed prefix of the window into the objectives, in
+    /// id order: the same values, in the same fold order, as the trace's
+    /// objective folds, so the accumulated objectives are bit-identical to
+    /// them. Called by a recycling run when the task at the cursor
+    /// completes.
+    fn finalize(&mut self, ws: &SimWorkspace) {
         loop {
             let slot = self.finalize_cursor - ws.window_start;
-            if slot >= ws.records.len() || !ws.records[slot].done {
-                break;
+            match ws.records.get(slot) {
+                Some(r) if r.phase == TaskPhase::Done => {
+                    let flow = r.compute_end - ws.releases[slot].as_f64();
+                    self.makespan = self.makespan.max(r.compute_end);
+                    self.max_flow = self.max_flow.max(flow);
+                    self.sum_flow += flow;
+                    self.finalize_cursor += 1;
+                }
+                _ => break,
             }
-            let r = &ws.records[slot];
-            self.makespan = self.makespan.max(r.compute_end);
-            self.max_flow = self.max_flow.max(r.compute_end - r.release);
-            self.sum_flow += r.compute_end - r.release;
-            self.finalize_cursor += 1;
         }
-        // Recycle finalized slots once they dominate the window: amortized
-        // O(1) per task, allocation-free (`drain` keeps capacity), and the
-        // window length stays within 2× the live count + the threshold.
+        self.finalized = true;
+    }
+
+    /// End-of-batch housekeeping of a recycling run: recycles the
+    /// finalized slots once they dominate the window — amortized O(1) per
+    /// task, allocation-free (`drain` keeps capacity), and the window
+    /// length stays within 2× the live count + the threshold. Only a batch
+    /// that finalized a task can newly satisfy that condition (pushes only
+    /// add live slots), so the others skip the check.
+    #[inline]
+    fn maintain(&mut self, ws: &mut SimWorkspace) {
+        if !self.finalized {
+            return;
+        }
+        self.finalized = false;
         let dead = self.finalize_cursor - ws.window_start;
         let live = ws.records.len() - dead;
         if dead >= COMPACT_MIN && dead >= live {
-            ws.arrivals.drain(..dead);
-            ws.phases.drain(..dead);
-            ws.releases.drain(..dead);
             ws.records.drain(..dead);
+            ws.releases.drain(..dead);
             ws.window_start += dead;
+        }
+    }
+
+    /// The result of a finished recycling run.
+    fn stats(&self) -> StreamStats {
+        debug_assert_eq!(self.finalize_cursor, self.next_id, "every record folded");
+        StreamStats {
+            objectives: RunObjectives {
+                makespan: self.makespan,
+                max_flow: self.max_flow,
+                sum_flow: self.sum_flow,
+            },
+            tasks: self.next_id,
+            peak_live_slots: self.peak_live,
+            peak_resident_slots: self.peak_resident,
         }
     }
 }
 
-struct Engine<'a, P: Probe, F: Feed> {
+struct Engine<'a, P: Probe, S: TaskSource> {
     platform: &'a Platform,
-    feed: &'a mut F,
+    feed: &'a mut StreamFeed<S>,
     config: &'a SimConfig,
     timeline: &'a Timeline,
     ws: &'a mut SimWorkspace,
@@ -754,7 +718,6 @@ struct Engine<'a, P: Probe, F: Feed> {
     link_busy_until: Time,
     /// The send currently occupying the port, with its heap sequence.
     in_flight: Option<(TaskId, SlaveId, u64)>,
-    released_count: usize,
     completed_count: usize,
     steps: usize,
     /// `true` iff the run's tier is below `Clairvoyant` and the engine
@@ -768,17 +731,21 @@ struct Engine<'a, P: Probe, F: Feed> {
     refreshed: u64,
 }
 
-impl<'a, P: Probe, F: Feed> Engine<'a, P, F> {
+impl<'a, P: Probe, S: TaskSource> Engine<'a, P, S> {
     fn new(
         platform: &'a Platform,
-        feed: &'a mut F,
+        feed: &'a mut StreamFeed<S>,
         config: &'a SimConfig,
         timeline: &'a Timeline,
         ws: &'a mut SimWorkspace,
         probe: &'a mut P,
     ) -> Self {
-        feed.prepare(ws, platform, timeline);
-        let seq = feed.seq_base(timeline.events().len());
+        ws.reset(platform, timeline);
+        // Releases never enter the heap and own no sequence numbers; only
+        // the relative order of runtime seqs is observable (the release >
+        // timeline > runtime tie priority is resolved structurally by
+        // `pop_next`), so runtime events count on from the timeline's.
+        let seq = timeline.events().len() as u64;
         Engine {
             platform,
             feed,
@@ -790,7 +757,6 @@ impl<'a, P: Probe, F: Feed> Engine<'a, P, F> {
             seq,
             link_busy_until: Time::ZERO,
             in_flight: None,
-            released_count: 0,
             completed_count: 0,
             steps: 0,
             learning: config.info != InfoTier::Clairvoyant,
@@ -810,11 +776,11 @@ impl<'a, P: Probe, F: Feed> Engine<'a, P, F> {
     /// were when they occupied the heap — and skipped by the caller.
     ///
     /// Time ties resolve by the historical sequence layout without any seq
-    /// arithmetic: releases (seqs `0..n`) beat timeline events
-    /// (`n..n+k`), which beat runtime events (`n+k..`); within each source
-    /// the stream/heap order is already the seq order.
-    fn pop_next(&mut self, at: Option<Time>) -> Option<(Event, u64, bool, Time)> {
-        let release_t = self.feed.peek_release(self.ws);
+    /// arithmetic: releases beat timeline events, which beat runtime
+    /// events; within each source the stream/heap order is already the seq
+    /// order. Fails when the next pulled arrival breaks the input contract.
+    fn pop_next(&mut self, at: Option<Time>) -> Result<Option<(Event, u64, bool, Time)>, SimError> {
+        let release_t = self.feed.next_release();
         // Batch-drain fast path: while draining the batch at time `a`, no
         // source can hold anything earlier than `a`, and a release at `a`
         // beats every same-time candidate (it has the smallest seq) — so it
@@ -822,8 +788,8 @@ impl<'a, P: Probe, F: Feed> Engine<'a, P, F> {
         // a bag-of-tasks release flood a straight cursor walk.
         if let (Some(a), Some(rt)) = (at, release_t) {
             if rt == a {
-                let t = self.feed.pop_release(self.ws);
-                return Some((Event::Release(t), 0, false, rt));
+                let t = self.feed.pop_release(self.ws)?;
+                return Ok(Some((Event::Release(t), 0, false, rt)));
             }
         }
         let timeline_t = self
@@ -836,28 +802,30 @@ impl<'a, P: Probe, F: Feed> Engine<'a, P, F> {
         if let Some(rt) = release_t {
             if timeline_t.is_none_or(|t| rt <= t) && heap_t.is_none_or(|t| rt <= t) {
                 if at.is_some_and(|a| rt != a) {
-                    return None;
+                    return Ok(None);
                 }
-                let t = self.feed.pop_release(self.ws);
-                return Some((Event::Release(t), 0, false, rt));
+                let t = self.feed.pop_release(self.ws)?;
+                return Ok(Some((Event::Release(t), 0, false, rt)));
             }
         }
         if let Some(tt) = timeline_t {
             if heap_t.is_none_or(|t| tt <= t) {
                 if at.is_some_and(|a| tt != a) {
-                    return None;
+                    return Ok(None);
                 }
                 let i = self.ws.timeline_order[self.timeline_cursor];
                 self.timeline_cursor += 1;
-                return Some((Event::Platform(i as usize), 0, false, tt));
+                return Ok(Some((Event::Platform(i as usize), 0, false, tt)));
             }
         }
-        let ht = heap_t?;
+        let Some(ht) = heap_t else {
+            return Ok(None);
+        };
         if at.is_some_and(|a| ht != a) {
-            return None;
+            return Ok(None);
         }
         let Reverse(item) = self.ws.heap.pop().expect("heap top just peeked");
-        Some((item.event, item.seq, true, item.time))
+        Ok(Some((item.event, item.seq, true, item.time)))
     }
 
     fn push(&mut self, time: Time, event: Event) -> u64 {
@@ -872,12 +840,11 @@ impl<'a, P: Probe, F: Feed> Engine<'a, P, F> {
     fn lose_task(&mut self, t: TaskId) {
         let slot = self.ws.slot(t);
         let r = &mut self.ws.records[slot];
+        r.phase = TaskPhase::Pending;
         r.send_start = 0.0;
         r.send_end = 0.0;
         r.compute_start = 0.0;
         r.slave = 0;
-        r.assigned = false;
-        self.ws.phases[slot] = TaskPhase::Pending;
         self.ws.pending.push_back(t);
     }
 
@@ -1058,7 +1025,7 @@ impl<'a, P: Probe, F: Feed> Engine<'a, P, F> {
             releases: &self.ws.releases,
             release_base: self.ws.window_start,
             horizon: self.config.horizon_hint,
-            released_count: self.released_count,
+            released_count: self.feed.next_id,
             completed_count: self.completed_count,
             journal: Some(&self.ws.journal),
             idle_lazy: true,
@@ -1069,13 +1036,8 @@ impl<'a, P: Probe, F: Feed> Engine<'a, P, F> {
         let now = self.clock.as_f64();
         match event {
             Event::Release(t) => {
-                let release = self.feed.arrival(self.ws, t).release;
-                let slot = self.ws.slot(t);
-                self.ws.releases[slot] = release;
-                self.ws.records[slot].release = release.as_f64();
-                self.ws.phases[slot] = TaskPhase::Pending;
+                // The feed appended the task's slot, already pending.
                 self.ws.pending.push_back(t);
-                self.released_count += 1;
                 self.probe.task_released(now, t.0);
                 Some(SchedulerEvent::Released(t))
             }
@@ -1141,9 +1103,11 @@ impl<'a, P: Probe, F: Feed> Engine<'a, P, F> {
                 }
                 self.probe.compute_complete(now, t.0, j.0);
                 self.ws.records[slot].compute_end = now;
-                self.ws.records[slot].done = true;
-                self.ws.phases[slot] = TaskPhase::Done;
+                self.ws.records[slot].phase = TaskPhase::Done;
                 self.completed_count += 1;
+                if self.feed.recycle && t.0 == self.feed.finalize_cursor {
+                    self.feed.finalize(self.ws);
+                }
                 self.mark_view_dirty(j.0);
                 let rt = &mut self.ws.slaves[j.0];
                 debug_assert_eq!(rt.computing, Some(t));
@@ -1241,9 +1205,8 @@ impl<'a, P: Probe, F: Feed> Engine<'a, P, F> {
         // starts; the nominal estimate below is what schedulers see. With
         // a factor of exactly 1.0 the arithmetic is bit-identical to the
         // static engine.
-        let size_p = self.feed.arrival(self.ws, t).size_p;
         let slot = self.ws.slot(t);
-        let billed_p = self.ws.speed_factor[j.0] * size_p;
+        let billed_p = self.ws.speed_factor[j.0] * self.ws.records[slot].size_p;
         let actual = self.platform.p(j) * billed_p;
         self.ws.records[slot].compute_start = now;
         self.ws.records[slot].billed_p = billed_p;
@@ -1276,13 +1239,13 @@ impl<'a, P: Probe, F: Feed> Engine<'a, P, F> {
                 ),
             });
         }
-        // O(1) membership check through the phase slot map (no queue scan);
-        // an out-of-range id — including a recycled streamed slot, which is
-        // necessarily `Done` — is "never released" and takes the same error.
+        // O(1) membership check through the task's slot (no queue scan);
+        // an out-of-range id — an unreleased task, or a recycled slot,
+        // which was necessarily `Done` — takes the same error.
         let pending =
             t.0.checked_sub(self.ws.window_start)
-                .and_then(|s| self.ws.phases.get(s))
-                == Some(&TaskPhase::Pending);
+                .and_then(|s| self.ws.records.get(s))
+                .is_some_and(|r| r.phase == TaskPhase::Pending);
         if !pending {
             return Err(SimError::InvalidDecision {
                 at: now,
@@ -1310,16 +1273,15 @@ impl<'a, P: Probe, F: Feed> Engine<'a, P, F> {
                 .expect("task in Pending phase is in the pending queue");
             self.ws.pending.remove(pos);
         }
-        let size_c = self.feed.arrival(self.ws, t).size_c;
         let slot = self.ws.slot(t);
-        self.ws.phases[slot] = TaskPhase::Assigned;
-        let billed_c = self.ws.link_factor[j.0] * size_c;
+        let r = &mut self.ws.records[slot];
+        r.phase = TaskPhase::Assigned;
+        let billed_c = self.ws.link_factor[j.0] * r.size_c;
         let actual_c = self.platform.c(j) * billed_c;
         let nominal_c = self.platform.c(j);
-        self.ws.records[slot].send_start = now.as_f64();
-        self.ws.records[slot].billed_c = billed_c;
-        self.ws.records[slot].slave = j.0;
-        self.ws.records[slot].assigned = true;
+        r.send_start = now.as_f64();
+        r.billed_c = billed_c;
+        r.slave = j.0;
         self.link_busy_until = now + actual_c;
         self.mark_view_dirty(j.0);
         self.ws.slaves[j.0].outstanding.push_back(OutTask {
@@ -1360,14 +1322,182 @@ impl<'a, P: Probe, F: Feed> Engine<'a, P, F> {
     }
 }
 
-/// Runs `scheduler` on `tasks` over `platform` and returns the trace.
+/// Storage of the default (empty) timeline a [`Simulation`] borrows.
+static NO_EVENTS: Timeline = Timeline::EMPTY;
+
+/// One engine run, configured step by step: platform and configuration
+/// in; optionally a platform-event [`Timeline`], a reusable
+/// [`SimWorkspace`] and an instrumentation [`Probe`]; then
+/// [`Simulation::trace`] or [`Simulation::objectives`] pulls the tasks
+/// through the scheduler.
 ///
 /// The scheduler sees nominal task sizes; the engine bills actual
-/// (possibly perturbed) ones. Fails if the scheduler stalls, produces an
-/// invalid decision, or exhausts the step budget.
+/// (possibly perturbed) ones. A run fails if an arrival breaks the input
+/// contract ([`SimError::InvalidTask`]), or if the scheduler stalls,
+/// produces an invalid decision, or exhausts the step budget.
 ///
-/// Allocates a fresh [`SimWorkspace`] internally; use [`simulate_in`] to
-/// amortize buffer set-up over many runs.
+/// Every option is transparent: a reused workspace, a probe, and an empty
+/// timeline each leave the result bit-identical to the plain run.
+///
+/// # Examples
+/// ```
+/// use mss_sim::{Simulation, SimConfig, SimWorkspace, SliceSource, Platform, Timeline,
+///               bag_of_tasks};
+/// use mss_obs::RunCounters;
+/// # use mss_sim::{Decision, OnlineScheduler, SchedulerEvent, SimView, SlaveId};
+/// # struct FirstSlave;
+/// # impl OnlineScheduler for FirstSlave {
+/// #     fn name(&self) -> String { "first".into() }
+/// #     fn on_event(&mut self, view: &SimView<'_>, _e: SchedulerEvent) -> Decision {
+/// #         match (view.link_idle(), view.pending_tasks().first()) {
+/// #             (true, Some(&task)) => Decision::Send { task, slave: SlaveId(0) },
+/// #             _ => Decision::Idle,
+/// #         }
+/// #     }
+/// # }
+/// let platform = Platform::from_vectors(&[1.0], &[2.0]);
+/// let config = SimConfig::default();
+/// let tasks = bag_of_tasks(3);
+/// let mut ws = SimWorkspace::new();
+/// let mut counters = RunCounters::new();
+/// let trace = Simulation::new(&platform, &config)
+///     .timeline(&Timeline::EMPTY)
+///     .workspace(&mut ws)
+///     .probe(&mut counters)
+///     .trace(SliceSource::new(&tasks), &mut FirstSlave)
+///     .unwrap();
+/// assert_eq!(trace.makespan(), 7.0);
+/// assert_eq!(counters.sends_delivered, 3);
+///
+/// // The objectives alone, in memory bounded by the in-flight tasks.
+/// let stats = Simulation::new(&platform, &config)
+///     .objectives(SliceSource::new(&tasks), &mut FirstSlave)
+///     .unwrap();
+/// assert_eq!(stats.objectives.makespan, trace.makespan());
+/// assert_eq!(stats.tasks, 3);
+/// ```
+pub struct Simulation<'a, P = NoopProbe> {
+    platform: &'a Platform,
+    config: &'a SimConfig,
+    timeline: &'a Timeline,
+    workspace: Option<&'a mut SimWorkspace>,
+    probe: P,
+}
+
+impl<'a> Simulation<'a> {
+    /// A run of `platform` under `config`: static (empty timeline), in a
+    /// fresh workspace, unprobed.
+    pub fn new(platform: &'a Platform, config: &'a SimConfig) -> Self {
+        Simulation {
+            platform,
+            config,
+            timeline: &NO_EVENTS,
+            workspace: None,
+            probe: NoopProbe,
+        }
+    }
+}
+
+impl<'a, P: Probe> Simulation<'a, P> {
+    /// Runs over a *dynamic* platform: `timeline` scripts slave failures,
+    /// recoveries, and link/speed drift (see [`crate::events`]).
+    ///
+    /// Tasks on a failing slave are lost and re-enter the pending queue;
+    /// sends to a down slave are permitted (the master may be
+    /// fault-oblivious or gamble on a recovery) but are lost on arrival
+    /// while the slave is down. An empty timeline is the static run, bit
+    /// for bit.
+    pub fn timeline(self, timeline: &'a Timeline) -> Self {
+        Simulation { timeline, ..self }
+    }
+
+    /// Runs inside caller-provided buffers, so repeated runs (a sweep, a
+    /// benchmark loop) allocate nothing once the workspace is warm.
+    pub fn workspace(self, ws: &'a mut SimWorkspace) -> Self {
+        Simulation {
+            workspace: Some(ws),
+            ..self
+        }
+    }
+
+    /// Attaches an instrumentation [`Probe`] observing every engine
+    /// boundary (see [`mss_obs::Probe`] for the hook catalogue); pass
+    /// `&mut probe` to read it afterwards.
+    ///
+    /// The probe is an observer only: the result (or error) is
+    /// bit-identical to the unprobed run. With [`NoopProbe`] the
+    /// monomorphized engine *is* the unprobed engine, instruction for
+    /// instruction. Hooks receive task *ids*: in a bounded-memory run a
+    /// probe must not assume it can index a task table of the instance
+    /// size (contract #13).
+    pub fn probe<Q: Probe>(self, probe: Q) -> Simulation<'a, Q> {
+        Simulation {
+            platform: self.platform,
+            config: self.config,
+            timeline: self.timeline,
+            workspace: self.workspace,
+            probe,
+        }
+    }
+
+    /// Runs `scheduler` over the tasks pulled from `tasks` and returns the
+    /// full [`Trace`]. A trace is per-task output, so this keeps every
+    /// task's slot: memory grows with the instance.
+    pub fn trace(
+        self,
+        tasks: impl TaskSource,
+        scheduler: &mut dyn OnlineScheduler,
+    ) -> Result<Trace, SimError> {
+        self.run(tasks, scheduler, false, |ws, _| trace_from(ws))
+    }
+
+    /// Runs `scheduler` over the tasks pulled from `tasks` and returns the
+    /// objectives plus the slot-window telemetry, recycling each task's
+    /// slot once its record is folded — without ever holding the instance
+    /// in memory. Peak resident memory is O(slaves + outstanding tasks),
+    /// so a million-task stream runs in a working set of a few hundred
+    /// slots.
+    ///
+    /// The objectives are bit-identical to [`Trace::makespan`],
+    /// [`Trace::max_flow`] and [`Trace::sum_flow`] of the same run's
+    /// trace: finalization folds each record in task-id order with the
+    /// same float arithmetic.
+    pub fn objectives(
+        self,
+        tasks: impl TaskSource,
+        scheduler: &mut dyn OnlineScheduler,
+    ) -> Result<StreamStats, SimError> {
+        self.run(tasks, scheduler, true, |_, feed| feed.stats())
+    }
+
+    fn run<S: TaskSource, R>(
+        mut self,
+        tasks: S,
+        scheduler: &mut dyn OnlineScheduler,
+        recycle: bool,
+        finish: impl FnOnce(&SimWorkspace, &StreamFeed<S>) -> R,
+    ) -> Result<R, SimError> {
+        let mut fresh = None;
+        let ws = match self.workspace {
+            Some(ws) => ws,
+            None => fresh.insert(SimWorkspace::new()),
+        };
+        let mut feed = StreamFeed::new(tasks, recycle);
+        drive(
+            ws,
+            self.platform,
+            &mut feed,
+            self.config,
+            self.timeline,
+            scheduler,
+            &mut self.probe,
+        )?;
+        Ok(finish(ws, &feed))
+    }
+}
+
+/// Runs `scheduler` on `tasks` over `platform` and returns the trace: the
+/// one-line form of [`Simulation::trace`] over a [`SliceSource`].
 ///
 /// # Examples
 /// ```
@@ -1398,140 +1528,49 @@ pub fn simulate(
     config: &SimConfig,
     scheduler: &mut dyn OnlineScheduler,
 ) -> Result<Trace, SimError> {
-    simulate_with_events(platform, tasks, config, &Timeline::EMPTY, scheduler)
+    Simulation::new(platform, config).trace(SliceSource::new(tasks), scheduler)
 }
 
-/// [`simulate`] with caller-provided buffers: runs entirely inside `ws`,
-/// so repeated calls (a sweep, a benchmark loop) allocate nothing once the
-/// workspace is warm. Results are identical to [`simulate`].
-pub fn simulate_in(
+/// [`Simulation::objectives`] over a borrowed source, in `ws`, over
+/// `timeline`.
+pub fn simulate_streamed_objectives_in(
     ws: &mut SimWorkspace,
     platform: &Platform,
-    tasks: &[TaskArrival],
-    config: &SimConfig,
-    scheduler: &mut dyn OnlineScheduler,
-) -> Result<Trace, SimError> {
-    simulate_with_events_in(ws, platform, tasks, config, &Timeline::EMPTY, scheduler)
-}
-
-/// Like [`simulate`], over a *dynamic* platform: `timeline` scripts slave
-/// failures, recoveries, and link/speed drift (see [`crate::events`]).
-///
-/// Tasks on a failing slave are lost and re-enter the pending queue; sends
-/// to a down slave are permitted (the master may be fault-oblivious or
-/// gamble on a recovery) but are lost on arrival while the slave is down.
-/// With an empty timeline this is exactly [`simulate`], bit for bit.
-///
-/// # Examples
-/// ```
-/// use mss_sim::{simulate, simulate_with_events, SimConfig, Platform, Timeline,
-///               bag_of_tasks};
-/// # use mss_sim::{Decision, OnlineScheduler, SchedulerEvent, SimView, SlaveId};
-/// # struct FirstSlave;
-/// # impl OnlineScheduler for FirstSlave {
-/// #     fn name(&self) -> String { "first".into() }
-/// #     fn on_event(&mut self, view: &SimView<'_>, _e: SchedulerEvent) -> Decision {
-/// #         match (view.link_idle(), view.pending_tasks().first()) {
-/// #             (true, Some(&task)) => Decision::Send { task, slave: SlaveId(0) },
-/// #             _ => Decision::Idle,
-/// #         }
-/// #     }
-/// # }
-/// let platform = Platform::from_vectors(&[1.0], &[2.0]);
-/// let tasks = bag_of_tasks(3);
-/// // An empty timeline is bit-for-bit the static engine.
-/// let dynamic = simulate_with_events(&platform, &tasks, &SimConfig::default(),
-///                                    &Timeline::EMPTY, &mut FirstSlave).unwrap();
-/// let static_ = simulate(&platform, &tasks, &SimConfig::default(),
-///                        &mut FirstSlave).unwrap();
-/// assert_eq!(dynamic, static_);
-/// ```
-pub fn simulate_with_events(
-    platform: &Platform,
-    tasks: &[TaskArrival],
+    source: &mut dyn TaskSource,
     config: &SimConfig,
     timeline: &Timeline,
     scheduler: &mut dyn OnlineScheduler,
-) -> Result<Trace, SimError> {
-    let mut ws = SimWorkspace::new();
-    simulate_with_events_in(&mut ws, platform, tasks, config, timeline, scheduler)
+) -> Result<StreamStats, SimError> {
+    Simulation::new(platform, config)
+        .timeline(timeline)
+        .workspace(ws)
+        .objectives(source, scheduler)
 }
 
-/// [`simulate_with_events`] with caller-provided buffers (see
-/// [`simulate_in`]).
-pub fn simulate_with_events_in(
-    ws: &mut SimWorkspace,
-    platform: &Platform,
-    tasks: &[TaskArrival],
-    config: &SimConfig,
-    timeline: &Timeline,
-    scheduler: &mut dyn OnlineScheduler,
-) -> Result<Trace, SimError> {
-    simulate_with_probe_in(
-        ws,
-        platform,
-        tasks,
-        config,
-        timeline,
-        scheduler,
-        &mut NoopProbe,
-    )
-}
-
-/// [`simulate_with_events_in`] with an instrumentation [`Probe`] observing
-/// every engine boundary (see [`mss_obs::Probe`] for the hook catalogue).
-///
-/// The probe is an observer only: for any probe, the returned trace (or
-/// error) is bit-identical to the unprobed run — probes cannot influence
-/// the engine, only watch it. With [`NoopProbe`] the monomorphized engine
-/// *is* the unprobed engine, instruction for instruction.
-///
-/// # Examples
-/// ```
-/// use mss_sim::{simulate_with_probe_in, SimConfig, SimWorkspace, Platform,
-///               Timeline, bag_of_tasks};
-/// use mss_obs::RunCounters;
-/// # use mss_sim::{Decision, OnlineScheduler, SchedulerEvent, SimView, SlaveId};
-/// # struct FirstSlave;
-/// # impl OnlineScheduler for FirstSlave {
-/// #     fn name(&self) -> String { "first".into() }
-/// #     fn on_event(&mut self, view: &SimView<'_>, _e: SchedulerEvent) -> Decision {
-/// #         match (view.link_idle(), view.pending_tasks().first()) {
-/// #             (true, Some(&task)) => Decision::Send { task, slave: SlaveId(0) },
-/// #             _ => Decision::Idle,
-/// #         }
-/// #     }
-/// # }
-/// let platform = Platform::from_vectors(&[1.0], &[2.0]);
-/// let mut ws = SimWorkspace::new();
-/// let mut counters = RunCounters::new();
-/// let trace = simulate_with_probe_in(&mut ws, &platform, &bag_of_tasks(3),
-///                                    &SimConfig::default(), &Timeline::EMPTY,
-///                                    &mut FirstSlave, &mut counters).unwrap();
-/// assert_eq!(trace.makespan(), 7.0);
-/// assert_eq!(counters.sends_delivered, 3);
-/// assert_eq!(counters.computes_completed, 3);
-/// ```
+/// [`simulate_streamed_objectives_in`] with an instrumentation [`Probe`].
 #[allow(clippy::too_many_arguments)]
-pub fn simulate_with_probe_in<P: Probe>(
+pub fn simulate_streamed_objectives_with_probe_in<P: Probe>(
     ws: &mut SimWorkspace,
     platform: &Platform,
-    tasks: &[TaskArrival],
+    source: &mut dyn TaskSource,
     config: &SimConfig,
     timeline: &Timeline,
     scheduler: &mut dyn OnlineScheduler,
     probe: &mut P,
-) -> Result<Trace, SimError> {
-    drive(ws, platform, tasks, config, timeline, scheduler, probe)?;
-    Ok(trace_from(ws))
+) -> Result<StreamStats, SimError> {
+    Simulation::new(platform, config)
+        .timeline(timeline)
+        .workspace(ws)
+        .probe(probe)
+        .objectives(source, scheduler)
 }
 
 /// The objective values of one completed run.
 ///
-/// Computed directly from the engine's internal records with the *same
-/// folds, in the same order,* as [`Trace::makespan`], [`Trace::max_flow`]
-/// and [`Trace::sum_flow`], so the numbers are bit-identical to going
-/// through a [`Trace`] — without materializing one.
+/// Folded from the engine's internal records with the *same folds, in the
+/// same order,* as [`Trace::makespan`], [`Trace::max_flow`] and
+/// [`Trace::sum_flow`], so the numbers are bit-identical to going through
+/// a [`Trace`] — without materializing one.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RunObjectives {
     /// Makespan `max C_i` (0 for an empty run).
@@ -1542,41 +1581,12 @@ pub struct RunObjectives {
     pub sum_flow: f64,
 }
 
-/// [`simulate_with_probe_in`] for callers that only need the objective
-/// values: skips building the per-task [`Trace`] (the one remaining
-/// per-run output allocation), which is what a sweep over thousands of
-/// cells measures anyway. Results are bit-identical to computing the same
-/// objectives from the returned trace. This is what a sweep runs per
-/// cell, with [`NoopProbe`] or a counting probe.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_objectives_with_probe_in<P: Probe>(
-    ws: &mut SimWorkspace,
-    platform: &Platform,
-    tasks: &[TaskArrival],
-    config: &SimConfig,
-    timeline: &Timeline,
-    scheduler: &mut dyn OnlineScheduler,
-    probe: &mut P,
-) -> Result<RunObjectives, SimError> {
-    drive(ws, platform, tasks, config, timeline, scheduler, probe)?;
-    let records = &ws.records;
-    Ok(RunObjectives {
-        makespan: records.iter().map(|r| r.compute_end).fold(0.0, f64::max),
-        max_flow: records
-            .iter()
-            .map(|r| r.compute_end - r.release)
-            .fold(0.0, f64::max),
-        sum_flow: records.iter().map(|r| r.compute_end - r.release).sum(),
-    })
-}
-
-/// Result of a bounded-memory streamed run (see
-/// [`simulate_streamed_objectives_in`]): the objective values plus the
-/// memory telemetry the streaming contract is stated in.
+/// Result of [`Simulation::objectives`]: the objective values plus the
+/// memory telemetry the bounded-memory contract is stated in.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct StreamStats {
-    /// The run's objectives — bit-identical to the materialized
-    /// [`simulate_objectives_with_probe_in`] on the same instance.
+    /// The run's objectives — bit-identical to the objective folds of the
+    /// same run's [`Trace`].
     pub objectives: RunObjectives,
     /// Tasks pulled from the source (the instance size).
     pub tasks: usize,
@@ -1591,159 +1601,19 @@ pub struct StreamStats {
     pub peak_resident_slots: usize,
 }
 
-/// Runs `scheduler` over the tasks pulled from `source` and returns the
-/// full [`Trace`].
-///
-/// Wherever the instance also fits in memory, the result is bit-identical
-/// to materializing the stream into a `Vec` and calling [`simulate`] —
-/// streaming is an evaluation strategy, not a model change. Because a
-/// trace is per-task output, this entry point retains every task record
-/// (memory grows with the instance); use
-/// [`simulate_streamed_objectives_in`] for the bounded-memory mode.
-///
-/// # Panics
-/// Panics if `source` violates the non-decreasing release contract.
-///
-/// # Examples
-/// ```
-/// use mss_sim::{simulate, simulate_streamed, SimConfig, Platform, TaskArrival,
-///               TaskSource, bag_of_tasks};
-/// # use mss_sim::{Decision, OnlineScheduler, SchedulerEvent, SimView, SlaveId};
-/// # struct FirstSlave;
-/// # impl OnlineScheduler for FirstSlave {
-/// #     fn name(&self) -> String { "first".into() }
-/// #     fn on_event(&mut self, view: &SimView<'_>, _e: SchedulerEvent) -> Decision {
-/// #         match (view.link_idle(), view.pending_tasks().first()) {
-/// #             (true, Some(&task)) => Decision::Send { task, slave: SlaveId(0) },
-/// #             _ => Decision::Idle,
-/// #         }
-/// #     }
-/// # }
-/// struct Bag(usize, usize);
-/// impl TaskSource for Bag {
-///     fn next_task(&mut self) -> Option<TaskArrival> {
-///         (self.0 < self.1).then(|| { self.0 += 1; TaskArrival::at(0.0) })
-///     }
-///     fn len_hint(&self) -> Option<usize> { Some(self.1) }
-///     fn reset(&mut self) { self.0 = 0; }
-/// }
-///
-/// let platform = Platform::from_vectors(&[1.0], &[2.0]);
-/// let streamed = simulate_streamed(&platform, &mut Bag(0, 3), &SimConfig::default(),
-///                                  &mut FirstSlave).unwrap();
-/// let materialized = simulate(&platform, &bag_of_tasks(3), &SimConfig::default(),
-///                             &mut FirstSlave).unwrap();
-/// assert_eq!(streamed, materialized);
-/// ```
-pub fn simulate_streamed(
-    platform: &Platform,
-    source: &mut dyn TaskSource,
-    config: &SimConfig,
-    scheduler: &mut dyn OnlineScheduler,
-) -> Result<Trace, SimError> {
-    let mut ws = SimWorkspace::new();
-    simulate_streamed_with_probe_in(
-        &mut ws,
-        platform,
-        source,
-        config,
-        &Timeline::EMPTY,
-        scheduler,
-        &mut NoopProbe,
-    )
-}
-
-/// [`simulate_streamed`] with caller-provided buffers, a dynamic-platform
-/// [`Timeline`], and an instrumentation [`Probe`] (see
-/// [`simulate_with_probe_in`]). Retains every task record to build the
-/// trace; memory grows with the instance.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_streamed_with_probe_in<P: Probe>(
-    ws: &mut SimWorkspace,
-    platform: &Platform,
-    source: &mut dyn TaskSource,
-    config: &SimConfig,
-    timeline: &Timeline,
-    scheduler: &mut dyn OnlineScheduler,
-    probe: &mut P,
-) -> Result<Trace, SimError> {
-    let mut feed = StreamFeed::new(source, false);
-    drive_feed(ws, platform, &mut feed, config, timeline, scheduler, probe)?;
-    Ok(trace_from(ws))
-}
-
-/// The bounded-memory streamed run: pulls tasks from `source`, recycles a
-/// task's slot once its record is finalized, and returns the objectives
-/// plus the slot-window telemetry — without ever holding the instance in
-/// memory. Peak resident memory is O(slaves + outstanding tasks), so a
-/// million-task instance runs in a working set of a few hundred slots.
-///
-/// The objectives are bit-identical to
-/// [`simulate_objectives_with_probe_in`] over the materialized stream:
-/// finalization folds each record in task-id order with the same float
-/// arithmetic.
-pub fn simulate_streamed_objectives_in(
-    ws: &mut SimWorkspace,
-    platform: &Platform,
-    source: &mut dyn TaskSource,
-    config: &SimConfig,
-    timeline: &Timeline,
-    scheduler: &mut dyn OnlineScheduler,
-) -> Result<StreamStats, SimError> {
-    simulate_streamed_objectives_with_probe_in(
-        ws,
-        platform,
-        source,
-        config,
-        timeline,
-        scheduler,
-        &mut NoopProbe,
-    )
-}
-
-/// [`simulate_streamed_objectives_in`] with an instrumentation [`Probe`].
-/// Probe hooks observe the same event stream as the materialized run, so
-/// digest and telemetry probes produce bit-identical output — but hooks
-/// receive task *ids*, not table indices: a probe must not assume it can
-/// index a task table of the instance size (contract #13).
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_streamed_objectives_with_probe_in<P: Probe>(
-    ws: &mut SimWorkspace,
-    platform: &Platform,
-    source: &mut dyn TaskSource,
-    config: &SimConfig,
-    timeline: &Timeline,
-    scheduler: &mut dyn OnlineScheduler,
-    probe: &mut P,
-) -> Result<StreamStats, SimError> {
-    let mut feed = StreamFeed::new(source, true);
-    drive_feed(ws, platform, &mut feed, config, timeline, scheduler, probe)?;
-    // The loop finalizes after every batch, so a completed run has folded
-    // every record already; this is belt-and-braces for the empty run.
-    feed.maintain(ws);
-    Ok(StreamStats {
-        objectives: RunObjectives {
-            makespan: feed.makespan,
-            max_flow: feed.max_flow,
-            sum_flow: feed.sum_flow,
-        },
-        tasks: feed.next_id,
-        peak_live_slots: feed.peak_live,
-        peak_resident_slots: feed.peak_resident,
-    })
-}
-
-/// Builds the [`Trace`] out of a driven workspace.
+/// Builds the [`Trace`] out of a driven workspace that kept every slot.
 fn trace_from(ws: &SimWorkspace) -> Trace {
+    debug_assert_eq!(ws.window_start, 0, "a trace run keeps every slot");
     let records = ws
         .records
         .iter()
+        .zip(&ws.releases)
         .enumerate()
-        .map(|(i, r)| {
-            debug_assert!(r.done);
+        .map(|(i, (r, &release))| {
+            debug_assert_eq!(r.phase, TaskPhase::Done);
             TaskRecord {
                 task: TaskId(i),
-                release: Time::new(r.release),
+                release,
                 slave: SlaveId(r.slave),
                 send_start: Time::new(r.send_start),
                 send_end: Time::new(r.send_end),
@@ -1770,28 +1640,11 @@ fn probe_decision<P: Probe>(probe: &mut P, now: f64, decision: &Decision) {
     }
 }
 
-/// Runs the event loop to completion over a materialized task slice,
-/// leaving the run's records in `ws`.
-fn drive<P: Probe>(
+/// Runs the event loop to completion, leaving the run's records in `ws`.
+fn drive<P: Probe, S: TaskSource>(
     ws: &mut SimWorkspace,
     platform: &Platform,
-    tasks: &[TaskArrival],
-    config: &SimConfig,
-    timeline: &Timeline,
-    scheduler: &mut dyn OnlineScheduler,
-    probe: &mut P,
-) -> Result<(), SimError> {
-    let mut feed = SliceFeed { tasks, cursor: 0 };
-    drive_feed(ws, platform, &mut feed, config, timeline, scheduler, probe)
-}
-
-/// Runs the event loop to completion over any [`Feed`]. Monomorphized per
-/// feed: with [`SliceFeed`] this is the historical materialized engine,
-/// instruction for instruction.
-fn drive_feed<P: Probe, F: Feed>(
-    ws: &mut SimWorkspace,
-    platform: &Platform,
-    feed: &mut F,
+    feed: &mut StreamFeed<S>,
     config: &SimConfig,
     timeline: &Timeline,
     scheduler: &mut dyn OnlineScheduler,
@@ -1805,6 +1658,7 @@ fn drive_feed<P: Probe, F: Feed>(
             required: scheduler.min_tier(),
         });
     }
+    feed.start()?;
     let mut engine = Engine::new(platform, feed, config, timeline, ws, probe);
     // Poll-driven schedulers promise to answer Idle (with no state change)
     // whenever the port is busy or nothing is pending, so those
@@ -1814,13 +1668,10 @@ fn drive_feed<P: Probe, F: Feed>(
     engine.refresh_views();
     scheduler.init(&engine.view());
 
-    while !engine
-        .feed
-        .is_complete(engine.released_count, engine.completed_count)
-    {
+    while !engine.feed.is_complete(engine.completed_count) {
         engine.step_budget()?;
 
-        let Some((first_event, first_seq, first_from_heap, first_time)) = engine.pop_next(None)
+        let Some((first_event, first_seq, first_from_heap, first_time)) = engine.pop_next(None)?
         else {
             // Nothing scheduled: give the scheduler one last chance to act.
             engine.refresh_views();
@@ -1840,8 +1691,10 @@ fn drive_feed<P: Probe, F: Feed>(
                     return Err(SimError::Stalled {
                         at: engine.clock,
                         completed: engine.completed_count,
-                        total: engine.feed.stall_total(engine.released_count),
-                    })
+                        // A stall implies the stream is exhausted: every
+                        // task of the instance has been pulled.
+                        total: engine.feed.next_id,
+                    });
                 }
             }
         };
@@ -1861,7 +1714,7 @@ fn drive_feed<P: Probe, F: Feed>(
                 }
             }
             next = engine
-                .pop_next(Some(first_time))
+                .pop_next(Some(first_time))?
                 .map(|(e, s, f, _)| (e, s, f));
         }
         // Budget accounting is batched: one add + one check per batch
@@ -1925,9 +1778,8 @@ fn drive_feed<P: Probe, F: Feed>(
             }
         }
 
-        // Feed housekeeping once per settled batch: the bounded-memory
-        // streamed feed finalizes completed records and recycles their
-        // slots here (a no-op for every other feed).
+        // Feed housekeeping once per settled batch: a bounded-memory run
+        // recycles finalized slots here.
         engine.feed.maintain(engine.ws);
     }
 
@@ -1974,6 +1826,30 @@ mod tests {
 
     fn platform() -> Platform {
         Platform::from_vectors(&[1.0, 1.0], &[3.0, 7.0])
+    }
+
+    /// A default-config trace run of `tasks` over `pf` and `tl`.
+    fn with_events(
+        pf: &Platform,
+        tasks: &[TaskArrival],
+        tl: &Timeline,
+        scheduler: &mut dyn OnlineScheduler,
+    ) -> Result<Trace, SimError> {
+        Simulation::new(pf, &SimConfig::default())
+            .timeline(tl)
+            .trace(SliceSource::new(tasks), scheduler)
+    }
+
+    /// A default-config trace run of `tasks` over `pf`, inside `ws`.
+    fn in_ws(
+        ws: &mut SimWorkspace,
+        pf: &Platform,
+        tasks: &[TaskArrival],
+        scheduler: &mut dyn OnlineScheduler,
+    ) -> Result<Trace, SimError> {
+        Simulation::new(pf, &SimConfig::default())
+            .workspace(ws)
+            .trace(SliceSource::new(tasks), scheduler)
     }
 
     #[test]
@@ -2262,14 +2138,7 @@ mod tests {
         let pf = platform();
         let tasks = bag_of_tasks(5);
         let a = simulate(&pf, &tasks, &SimConfig::default(), &mut AllToFirst).unwrap();
-        let b = simulate_with_events(
-            &pf,
-            &tasks,
-            &SimConfig::default(),
-            &Timeline::EMPTY,
-            &mut AllToFirst,
-        )
-        .unwrap();
+        let b = with_events(&pf, &tasks, &Timeline::EMPTY, &mut AllToFirst).unwrap();
         assert_eq!(a, b);
     }
 
@@ -2282,16 +2151,8 @@ mod tests {
         let fresh = simulate(&pf, &tasks, &SimConfig::default(), &mut AllToFirst).unwrap();
         let mut ws = SimWorkspace::new();
         let other_pf = Platform::from_vectors(&[0.5, 0.5, 0.5], &[1.0, 2.0, 3.0]);
-        simulate_in(
-            &mut ws,
-            &other_pf,
-            &bag_of_tasks(20),
-            &SimConfig::default(),
-            &mut AllToFirst,
-        )
-        .unwrap();
-        let reused =
-            simulate_in(&mut ws, &pf, &tasks, &SimConfig::default(), &mut AllToFirst).unwrap();
+        in_ws(&mut ws, &other_pf, &bag_of_tasks(20), &mut AllToFirst).unwrap();
+        let reused = in_ws(&mut ws, &pf, &tasks, &mut AllToFirst).unwrap();
         assert_eq!(fresh, reused);
     }
 
@@ -2300,23 +2161,9 @@ mod tests {
         // An errored run must not poison the workspace for the next one.
         let pf = platform();
         let mut ws = SimWorkspace::new();
-        let err = simulate_in(
-            &mut ws,
-            &pf,
-            &bag_of_tasks(2),
-            &SimConfig::default(),
-            &mut Lazy,
-        )
-        .unwrap_err();
+        let err = in_ws(&mut ws, &pf, &bag_of_tasks(2), &mut Lazy).unwrap_err();
         assert!(matches!(err, SimError::Stalled { .. }));
-        let trace = simulate_in(
-            &mut ws,
-            &pf,
-            &bag_of_tasks(3),
-            &SimConfig::default(),
-            &mut AllToFirst,
-        )
-        .unwrap();
+        let trace = in_ws(&mut ws, &pf, &bag_of_tasks(3), &mut AllToFirst).unwrap();
         assert!((trace.makespan() - 10.0).abs() < 1e-12);
         assert!(validate(&trace, &pf).is_empty());
     }
@@ -2335,14 +2182,7 @@ mod tests {
             (5.0, 0, PlatformEventKind::Fail),
             (7.5, 0, PlatformEventKind::Recover),
         ]);
-        let trace = simulate_with_events(
-            &pf,
-            &bag_of_tasks(3),
-            &SimConfig::default(),
-            &tl,
-            &mut AllToFirst,
-        )
-        .unwrap();
+        let trace = with_events(&pf, &bag_of_tasks(3), &tl, &mut AllToFirst).unwrap();
         assert!(validate(&trace, &pf).is_empty());
         assert_eq!(trace.record(TaskId(0)).compute_end, Time::new(4.0));
         let r1 = trace.record(TaskId(1));
@@ -2363,14 +2203,7 @@ mod tests {
             (0.5, 0, PlatformEventKind::Fail),
             (2.0, 0, PlatformEventKind::Recover),
         ]);
-        let trace = simulate_with_events(
-            &pf,
-            &bag_of_tasks(1),
-            &SimConfig::default(),
-            &tl,
-            &mut AllToFirst,
-        )
-        .unwrap();
+        let trace = with_events(&pf, &bag_of_tasks(1), &tl, &mut AllToFirst).unwrap();
         let r = trace.record(TaskId(0));
         // Re-sends: 0.5-1.5 (lost on arrival), 1.5-2.5 (P1 back at 2.0).
         assert_eq!(r.send_start, Time::new(1.5));
@@ -2384,14 +2217,7 @@ mod tests {
         // rate and ends at 4; T1 starts at 4 and takes 6 seconds.
         let pf = platform();
         let tl = timeline(vec![(2.0, 0, PlatformEventKind::SetSpeedFactor(2.0))]);
-        let trace = simulate_with_events(
-            &pf,
-            &bag_of_tasks(2),
-            &SimConfig::default(),
-            &tl,
-            &mut AllToFirst,
-        )
-        .unwrap();
+        let trace = with_events(&pf, &bag_of_tasks(2), &tl, &mut AllToFirst).unwrap();
         assert_eq!(trace.record(TaskId(0)).compute_end, Time::new(4.0));
         let r1 = trace.record(TaskId(1));
         assert_eq!(r1.compute_end, Time::new(10.0));
@@ -2437,8 +2263,7 @@ mod tests {
             (2.0, 0, PlatformEventKind::Recover),
         ]);
         let mut w = Watcher { seen: vec![] };
-        let trace = simulate_with_events(&pf, &bag_of_tasks(2), &SimConfig::default(), &tl, &mut w)
-            .unwrap();
+        let trace = with_events(&pf, &bag_of_tasks(2), &tl, &mut w).unwrap();
         assert_eq!(w.seen, vec!["failed", "recovered"]);
         // The watcher fell back to P2 (the only available slave) after the
         // failure; everything still validates.

@@ -12,13 +12,19 @@
 //!   beforehand;
 //! * **dynamic platforms** (optional): a [`Timeline`] of platform [`events`]
 //!   — slave failures with lost-work re-release, recoveries, link/speed
-//!   drift — consumed by [`simulate_with_events`]; an empty timeline is
+//!   drift — attached with [`Simulation::timeline`]; an empty timeline is
 //!   bit-for-bit the paper's static model.
 //!
 //! Schedulers implement [`OnlineScheduler`] and observe the world through
-//! [`SimView`]; [`simulate`] produces a [`Trace`] from which makespan,
-//! max-flow and sum-flow are computed, and [`validate`] re-checks every model
-//! invariant on the result.
+//! [`SimView`]. Every run goes through one [`Simulation`] builder: the
+//! engine's only input is a [`TaskSource`] pulled in release order (a slice
+//! through [`SliceSource`]), checked arrival by arrival
+//! ([`SimError::InvalidTask`]). [`Simulation::trace`] produces a [`Trace`]
+//! from which makespan, max-flow and sum-flow are computed, and
+//! [`validate`] re-checks every model invariant on the result;
+//! [`Simulation::objectives`] folds the objectives alone in memory bounded
+//! by the in-flight tasks. [`simulate`] is the one-line trace run over a
+//! slice.
 //!
 //! How much a view reveals is governed by the run's **information tier**
 //! ([`InfoTier`], set on [`SimConfig`]): `Clairvoyant` (the paper's fully
@@ -28,11 +34,11 @@
 //! hints hidden too; counts, availability and learned rates only).
 //!
 //! Every engine boundary carries an instrumentation hook ([`Probe`], from
-//! `mss-obs`): [`simulate_with_probe_in`] runs with counters
-//! ([`RunCounters`]) or a span recorder ([`TraceRecorder`]) attached, while
-//! the default [`NoopProbe`] monomorphizes the hooks away entirely — the
-//! unprobed entry points are bit-identical *and* instruction-identical to
-//! the pre-instrumentation engine.
+//! `mss-obs`): [`Simulation::probe`] runs with counters ([`RunCounters`])
+//! or a span recorder ([`TraceRecorder`]) attached, while the default
+//! [`NoopProbe`] monomorphizes the hooks away entirely — an unprobed run is
+//! bit-identical *and* instruction-identical to the pre-instrumentation
+//! engine.
 //!
 //! ```
 //! use mss_sim::{simulate, Decision, OnlineScheduler, Platform, SchedulerEvent,
@@ -80,10 +86,8 @@ mod trace;
 mod view;
 
 pub use engine::{
-    simulate, simulate_in, simulate_objectives_with_probe_in, simulate_streamed,
-    simulate_streamed_objectives_in, simulate_streamed_objectives_with_probe_in,
-    simulate_streamed_with_probe_in, simulate_with_events, simulate_with_events_in,
-    simulate_with_probe_in, RunObjectives, SimConfig, SimError, SimWorkspace, StreamStats,
+    simulate, simulate_streamed_objectives_in, simulate_streamed_objectives_with_probe_in,
+    RunObjectives, SimConfig, SimError, SimWorkspace, Simulation, StreamStats,
 };
 pub use events::{PlatformEvent, PlatformEventKind, Timeline};
 pub use gantt::render as render_gantt;
@@ -98,7 +102,7 @@ pub use mss_obs::{
 };
 pub use platform::{Platform, PlatformClass, SlaveId, SlaveSpec};
 pub use scheduler::{Decision, OnlineScheduler, SchedulerEvent};
-pub use source::TaskSource;
+pub use source::{SliceSource, TaskSource};
 pub use stats::{trace_stats, SlaveStats, TraceStats};
 pub use task::{bag_of_tasks, released_at, TaskArrival, TaskId};
 pub use time::{Time, TIME_EPS};

@@ -1,32 +1,34 @@
-//! The [`TaskSource`] trait: a pull-based, bounded-memory task stream.
+//! The [`TaskSource`] trait: a pull-based, bounded-memory task stream —
+//! the engine's only input.
 //!
-//! The materialized entry points ([`crate::simulate`] and friends) receive
-//! the whole instance as a `&[TaskArrival]`; the streamed entry points
-//! ([`crate::simulate_streamed`] and friends) instead *pull* arrivals one
-//! at a time from a `TaskSource`, so an instance of a million tasks never
-//! exists in memory at once — the engine keeps a bounded window of live
-//! task slots and recycles a slot once its record is finalized.
+//! In the paper's on-line model the master learns of task `i` only at its
+//! release `r_i`, so every run ([`crate::Simulation`]) *pulls* arrivals one
+//! at a time from a `TaskSource` in release order. An instance that is
+//! already in memory is pulled through [`SliceSource`]; an instance of a
+//! million tasks never has to exist in memory at once — with
+//! [`crate::Simulation::objectives`] the engine keeps a bounded window of
+//! live task slots and recycles a slot once its record is finalized.
 //!
-//! Implementations live in `mss-workload` (`MaterializedSource`,
-//! `GeneratedSource`, `TraceSource`); this crate only defines the contract
-//! the engine consumes, mirroring how `PlatformStream` streams platforms.
+//! Further implementations live in `mss-workload` (`GeneratedSource`,
+//! `TraceSource`); this crate defines the contract the engine consumes,
+//! mirroring how `PlatformStream` streams platforms.
 //!
 //! # Contract
 //!
-//! * **Non-decreasing releases.** `next_task` must yield arrivals with
-//!   non-decreasing `release` times — the stream *is* the release order.
-//!   The engine checks this and panics on a violation (a decreasing
-//!   release would silently reorder history, breaking determinism).
+//! * **Valid, non-decreasing arrivals.** `next_task` must yield arrivals
+//!   whose `release` times are finite, non-negative and non-decreasing —
+//!   the stream *is* the release order — with finite, positive size
+//!   multipliers. The engine checks every pulled arrival once and ends the
+//!   run with [`SimError::InvalidTask`](crate::SimError::InvalidTask),
+//!   naming the first offending task, on a violation (a decreasing release
+//!   would silently reorder history, breaking determinism).
 //! * **Seed-determinism.** Two sources constructed from the same inputs
 //!   must yield the identical sequence; [`TaskSource::reset`] rewinds so
 //!   the same source replays it. Replaying one instance under several
 //!   schedulers relies on this to reset or re-instantiate the source per
 //!   run instead of cloning streams.
 //! * **Task identity.** The engine assigns dense [`TaskId`]s in pull
-//!   order (`0, 1, 2, …`), which — because releases are non-decreasing —
-//!   is exactly the id order of the equivalent materialized run, so
-//!   streamed and materialized runs are bit-identical wherever both fit
-//!   in memory.
+//!   order (`0, 1, 2, …`): a slice's task `i` is its `i`-th element.
 //!
 //! [`TaskId`]: crate::TaskId
 
@@ -73,6 +75,54 @@ pub trait TaskSource {
     /// Rewinds to the beginning; the replay must be identical to the
     /// first pass, element for element.
     fn reset(&mut self);
+}
+
+/// A [`TaskSource`] over a borrowed, in-memory instance: how a task slice
+/// reaches the engine. Task `i` is the slice's `i`-th element, so the
+/// slice must already be in release order (the engine rejects a
+/// decreasing release).
+///
+/// # Examples
+/// ```
+/// use mss_sim::{SliceSource, TaskArrival, TaskSource};
+///
+/// let tasks = [TaskArrival::at(0.0), TaskArrival::at(2.5)];
+/// let mut s = SliceSource::new(&tasks);
+/// assert_eq!(s.len_hint(), Some(2));
+/// assert_eq!(s.next_task(), Some(tasks[0]));
+/// assert_eq!(s.next_task(), Some(tasks[1]));
+/// assert_eq!(s.next_task(), None);
+/// s.reset();
+/// assert_eq!(s.next_task(), Some(tasks[0]));
+/// ```
+#[derive(Clone, Copy, Debug)]
+pub struct SliceSource<'a> {
+    tasks: &'a [TaskArrival],
+    cursor: usize,
+}
+
+impl<'a> SliceSource<'a> {
+    /// A source yielding `tasks` in order.
+    pub fn new(tasks: &'a [TaskArrival]) -> Self {
+        SliceSource { tasks, cursor: 0 }
+    }
+}
+
+impl TaskSource for SliceSource<'_> {
+    #[inline]
+    fn next_task(&mut self) -> Option<TaskArrival> {
+        let t = self.tasks.get(self.cursor).copied()?;
+        self.cursor += 1;
+        Some(t)
+    }
+
+    fn len_hint(&self) -> Option<usize> {
+        Some(self.tasks.len())
+    }
+
+    fn reset(&mut self) {
+        self.cursor = 0;
+    }
 }
 
 /// A boxed source is a source (so heterogeneous sources can share a
@@ -122,6 +172,19 @@ mod tests {
         fn reset(&mut self) {
             self.0 = 0;
         }
+    }
+
+    #[test]
+    fn slice_source_round_trips_and_resets() {
+        let tasks = crate::task::released_at(&[0.0, 1.0, 2.5]);
+        let mut s = SliceSource::new(&tasks);
+        assert_eq!(s.len_hint(), Some(3));
+        let drain =
+            |s: &mut SliceSource<'_>| std::iter::from_fn(|| s.next_task()).collect::<Vec<_>>();
+        assert_eq!(drain(&mut s), tasks);
+        assert_eq!(s.next_task(), None);
+        s.reset();
+        assert_eq!(drain(&mut s), tasks);
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //!   ledger pinpoints that decision as the first divergent event.
 
 use mss_sim::{
-    simulate_with_probe_in, Decision, DigestProbe, MetricsProbe, NoopProbe, OnlineScheduler,
-    Platform, SchedulerEvent, SimConfig, SimView, SimWorkspace, SlaveId, TaskArrival, Time,
-    Timeline,
+    Decision, DigestProbe, MetricsProbe, NoopProbe, OnlineScheduler, Platform, SchedulerEvent,
+    SimConfig, SimView, SimWorkspace, Simulation, SlaveId, SliceSource, TaskArrival, Time,
 };
 use proptest::prelude::*;
 
@@ -97,7 +96,10 @@ fn arb_platform() -> impl Strategy<Value = Platform> {
 }
 
 fn arb_tasks() -> impl Strategy<Value = Vec<TaskArrival>> {
-    proptest::collection::vec((0.0f64..20.0, 0.9f64..1.1, 0.9f64..1.1), 2..20).prop_map(|ts| {
+    proptest::collection::vec((0.0f64..20.0, 0.9f64..1.1, 0.9f64..1.1), 2..20).prop_map(|mut ts| {
+        // The engine takes a release-ordered stream: the drawn tasks, in
+        // release order.
+        ts.sort_by(|a, b| a.0.total_cmp(&b.0));
         ts.into_iter()
             .map(|(r, sc, sp)| TaskArrival {
                 release: Time::new(r),
@@ -117,16 +119,14 @@ fn digest_of<P: mss_sim::Probe>(
     let mut ws = SimWorkspace::new();
     let mut digest = DigestProbe::new();
     let mut probe = (&mut *extra, &mut digest);
-    simulate_with_probe_in(
-        &mut ws,
-        platform,
-        tasks,
-        &SimConfig::default(),
-        &Timeline::EMPTY,
-        &mut TapeScheduler::new(tape.to_vec()),
-        &mut probe,
-    )
-    .expect("tape scheduler progresses");
+    Simulation::new(platform, &SimConfig::default())
+        .workspace(&mut ws)
+        .probe(&mut probe)
+        .trace(
+            SliceSource::new(tasks),
+            &mut TapeScheduler::new(tape.to_vec()),
+        )
+        .expect("tape scheduler progresses");
     (digest.digest(), digest.events())
 }
 
@@ -166,13 +166,17 @@ proptest! {
             let mut probe = DigestProbe::with_ledger();
             let cfg = SimConfig::default();
             let r = match perturb {
-                None => simulate_with_probe_in(
-                    &mut ws, &platform, &tasks, &cfg, &Timeline::EMPTY,
-                    &mut TapeScheduler::new(tape.clone()), &mut probe),
-                Some(n) => simulate_with_probe_in(
-                    &mut ws, &platform, &tasks, &cfg, &Timeline::EMPTY,
-                    &mut PerturbNthSend { inner: TapeScheduler::new(tape.clone()), n, seen: 0 },
-                    &mut probe),
+                None => Simulation::new(&platform, &cfg)
+                    .workspace(&mut ws)
+                    .probe(&mut probe)
+                    .trace(SliceSource::new(&tasks), &mut TapeScheduler::new(tape.clone())),
+                Some(n) => Simulation::new(&platform, &cfg)
+                    .workspace(&mut ws)
+                    .probe(&mut probe)
+                    .trace(
+                        SliceSource::new(&tasks),
+                        &mut PerturbNthSend { inner: TapeScheduler::new(tape.clone()), n, seen: 0 },
+                    ),
             };
             r.expect("tape scheduler progresses");
             (probe.digest(), probe.into_ledger())

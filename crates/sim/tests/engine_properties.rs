@@ -1,11 +1,12 @@
 //! Engine-level property tests: whatever a (well-formed) scheduler does,
 //! the resulting trace satisfies every model invariant, and the objective
-//! folds agree with a straightforward recomputation.
+//! folds agree with a straightforward recomputation; whatever breaks the
+//! input contract is a located error.
 
 use mss_sim::{
-    bag_of_tasks, simulate, simulate_with_events, simulate_with_events_in, validate, Decision,
-    OnlineScheduler, Platform, PlatformEvent, PlatformEventKind, SchedulerEvent, SimConfig,
-    SimView, SimWorkspace, SlaveId, TaskArrival, Time, Timeline,
+    bag_of_tasks, simulate, validate, Decision, OnlineScheduler, Platform, PlatformEvent,
+    PlatformEventKind, SchedulerEvent, SimConfig, SimError, SimView, SimWorkspace, Simulation,
+    SlaveId, SliceSource, TaskArrival, TaskId, TaskSource, Time, Timeline,
 };
 use proptest::prelude::*;
 
@@ -63,7 +64,10 @@ fn arb_platform() -> impl Strategy<Value = Platform> {
 }
 
 fn arb_tasks() -> impl Strategy<Value = Vec<TaskArrival>> {
-    proptest::collection::vec((0.0f64..20.0, 0.9f64..1.1, 0.9f64..1.1), 1..25).prop_map(|ts| {
+    proptest::collection::vec((0.0f64..20.0, 0.9f64..1.1, 0.9f64..1.1), 1..25).prop_map(|mut ts| {
+        // The engine takes a release-ordered stream: the drawn tasks, in
+        // release order.
+        ts.sort_by(|a, b| a.0.total_cmp(&b.0));
         ts.into_iter()
             .map(|(r, sc, sp)| TaskArrival {
                 release: Time::new(r),
@@ -72,6 +76,50 @@ fn arb_tasks() -> impl Strategy<Value = Vec<TaskArrival>> {
             })
             .collect()
     })
+}
+
+/// One way to break the engine's input contract at one task.
+#[derive(Clone, Copy, Debug)]
+enum Corruption {
+    /// Release this much earlier than the previous task's (the first
+    /// task goes negative instead).
+    Decrease(f64),
+    /// An infinite release.
+    InfiniteRelease,
+    /// This communication-size multiplier.
+    SizeC(f64),
+    /// This computation-size multiplier.
+    SizeP(f64),
+}
+
+fn arb_corruption() -> impl Strategy<Value = Corruption> {
+    let bad_size = || prop_oneof![Just(0.0), Just(f64::INFINITY), Just(f64::NAN), -5.0f64..0.0];
+    prop_oneof![
+        (0.001f64..5.0).prop_map(Corruption::Decrease),
+        Just(Corruption::InfiniteRelease),
+        bad_size().prop_map(Corruption::SizeC),
+        bad_size().prop_map(Corruption::SizeP),
+    ]
+}
+
+/// A non-slice source over a task list (pulled through `&mut dyn`).
+struct Replay {
+    tasks: Vec<TaskArrival>,
+    next: usize,
+}
+
+impl TaskSource for Replay {
+    fn next_task(&mut self) -> Option<TaskArrival> {
+        let t = self.tasks.get(self.next).copied();
+        self.next += 1;
+        t
+    }
+    fn len_hint(&self) -> Option<usize> {
+        Some(self.tasks.len())
+    }
+    fn reset(&mut self) {
+        self.next = 0;
+    }
 }
 
 proptest! {
@@ -188,14 +236,17 @@ proptest! {
         let cfg = SimConfig { max_steps: 100_000, ..SimConfig::default() };
 
         let mut ws = SimWorkspace::new();
-        let fresh_ws = simulate_with_events_in(
-            &mut ws, &platform, &tasks, &cfg, &timeline,
-            &mut TapeScheduler::new(tape.clone()));
-        let reused_ws = simulate_with_events_in(
-            &mut ws, &platform, &tasks, &cfg, &timeline,
-            &mut TapeScheduler::new(tape.clone()));
-        let plain = simulate_with_events(
-            &platform, &tasks, &cfg, &timeline, &mut TapeScheduler::new(tape));
+        let fresh_ws = Simulation::new(&platform, &cfg)
+            .timeline(&timeline)
+            .workspace(&mut ws)
+            .trace(SliceSource::new(&tasks), &mut TapeScheduler::new(tape.clone()));
+        let reused_ws = Simulation::new(&platform, &cfg)
+            .timeline(&timeline)
+            .workspace(&mut ws)
+            .trace(SliceSource::new(&tasks), &mut TapeScheduler::new(tape.clone()));
+        let plain = Simulation::new(&platform, &cfg)
+            .timeline(&timeline)
+            .trace(SliceSource::new(&tasks), &mut TapeScheduler::new(tape));
 
         prop_assert_eq!(&fresh_ws, &reused_ws);
         prop_assert_eq!(&fresh_ws, &plain);
@@ -203,6 +254,58 @@ proptest! {
             let violations = validate(&trace, &platform);
             prop_assert!(violations.is_empty(), "violations: {violations:?}");
             prop_assert_eq!(trace.len(), tasks.len());
+        }
+    }
+
+    /// A decreasing or non-finite release and a non-finite or
+    /// non-positive size are each a `SimError::InvalidTask` naming the
+    /// first offending task — through a slice or another source, for a
+    /// trace or the objectives alone — never a panic.
+    #[test]
+    fn invalid_arrivals_are_located_errors(
+        platform in arb_platform(),
+        tasks in arb_tasks(),
+        at in 0usize..25,
+        corruption in arb_corruption(),
+        tape in proptest::collection::vec(0u32..1000, 8..64),
+    ) {
+        let k = at % tasks.len();
+        let mut bad = tasks.clone();
+        match corruption {
+            Corruption::Decrease(d) => {
+                let prev = if k == 0 { 0.0 } else { bad[k - 1].release.as_f64() };
+                bad[k].release = Time::new(prev - d);
+            }
+            Corruption::InfiniteRelease => bad[k].release = Time::new(f64::INFINITY),
+            Corruption::SizeC(v) => bad[k].size_c = v,
+            Corruption::SizeP(v) => bad[k].size_p = v,
+        }
+        let cfg = SimConfig::default();
+        let mut replay = Replay { tasks: bad.clone(), next: 0 };
+        let runs = [
+            Simulation::new(&platform, &cfg)
+                .trace(SliceSource::new(&bad), &mut TapeScheduler::new(tape.clone()))
+                .map(|_| ()),
+            Simulation::new(&platform, &cfg)
+                .objectives(SliceSource::new(&bad), &mut TapeScheduler::new(tape.clone()))
+                .map(|_| ()),
+            Simulation::new(&platform, &cfg)
+                .trace(&mut replay as &mut dyn TaskSource, &mut TapeScheduler::new(tape.clone()))
+                .map(|_| ()),
+            {
+                replay.reset();
+                Simulation::new(&platform, &cfg)
+                    .objectives(&mut replay as &mut dyn TaskSource, &mut TapeScheduler::new(tape))
+                    .map(|_| ())
+            },
+        ];
+        for (i, run) in runs.into_iter().enumerate() {
+            match run {
+                Err(SimError::InvalidTask { task, reason }) => {
+                    prop_assert_eq!(task, TaskId(k), "run {}: {}", i, reason);
+                }
+                other => prop_assert!(false, "run {}: expected InvalidTask at T{}, got {:?}", i, k, other),
+            }
         }
     }
 }

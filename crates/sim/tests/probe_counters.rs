@@ -10,9 +10,9 @@
 //! views for the elision oracle that release builds skip.)
 
 use mss_sim::{
-    bag_of_tasks, simulate_with_probe_in, Decision, MarkerKind, OnlineScheduler, Platform,
-    PlatformEvent, PlatformEventKind, RunCounters, SchedulerEvent, SimConfig, SimView,
-    SimWorkspace, SlaveId, SpanKind, Time, Timeline, TraceRecorder,
+    bag_of_tasks, Decision, MarkerKind, OnlineScheduler, Platform, PlatformEvent,
+    PlatformEventKind, RunCounters, SchedulerEvent, SimConfig, SimView, SimWorkspace, Simulation,
+    SlaveId, SliceSource, SpanKind, Time, Timeline, TraceRecorder,
 };
 
 /// Fault-aware greedy: oldest pending task to the *available* slave with
@@ -69,16 +69,12 @@ fn trace_spans_match_counter_totals() {
 
     let mut ws = SimWorkspace::new();
     let mut probe = (RunCounters::new(), TraceRecorder::new());
-    let trace = simulate_with_probe_in(
-        &mut ws,
-        &platform,
-        &tasks,
-        &cfg,
-        &timeline,
-        &mut Greedy,
-        &mut probe,
-    )
-    .expect("failure scenario completes");
+    let trace = Simulation::new(&platform, &cfg)
+        .timeline(&timeline)
+        .workspace(&mut ws)
+        .probe(&mut probe)
+        .trace(SliceSource::new(&tasks), &mut Greedy)
+        .expect("failure scenario completes");
     let (c, mut rec) = probe;
     rec.finalize(rec.end_time());
 

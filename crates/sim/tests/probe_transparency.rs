@@ -10,9 +10,9 @@
 //! identical message.
 
 use mss_sim::{
-    simulate_with_events_in, simulate_with_probe_in, Decision, InfoTier, NoopProbe,
-    OnlineScheduler, Platform, PlatformEvent, PlatformEventKind, RunCounters, SchedulerEvent,
-    SimConfig, SimView, SimWorkspace, SlaveId, TaskArrival, Time, Timeline, TraceRecorder,
+    Decision, InfoTier, NoopProbe, OnlineScheduler, Platform, PlatformEvent, PlatformEventKind,
+    RunCounters, SchedulerEvent, SimConfig, SimView, SimWorkspace, Simulation, SlaveId,
+    SliceSource, TaskArrival, Time, Timeline, TraceRecorder,
 };
 use proptest::prelude::*;
 
@@ -67,7 +67,10 @@ fn arb_platform() -> impl Strategy<Value = Platform> {
 }
 
 fn arb_tasks() -> impl Strategy<Value = Vec<TaskArrival>> {
-    proptest::collection::vec((0.0f64..20.0, 0.9f64..1.1, 0.9f64..1.1), 1..25).prop_map(|ts| {
+    proptest::collection::vec((0.0f64..20.0, 0.9f64..1.1, 0.9f64..1.1), 1..25).prop_map(|mut ts| {
+        // The engine takes a release-ordered stream: the drawn tasks, in
+        // release order.
+        ts.sort_by(|a, b| a.0.total_cmp(&b.0));
         ts.into_iter()
             .map(|(r, sc, sp)| TaskArrival {
                 release: Time::new(r),
@@ -126,16 +129,21 @@ proptest! {
         let cfg = SimConfig { max_steps: 100_000, info, ..SimConfig::default() };
 
         let mut ws = SimWorkspace::new();
-        let plain = simulate_with_events_in(
-            &mut ws, &platform, &tasks, &cfg, &timeline,
-            &mut TapeScheduler::new(tape.clone()));
-        let noop = simulate_with_probe_in(
-            &mut ws, &platform, &tasks, &cfg, &timeline,
-            &mut TapeScheduler::new(tape.clone()), &mut NoopProbe);
+        let plain = Simulation::new(&platform, &cfg)
+            .timeline(&timeline)
+            .workspace(&mut ws)
+            .trace(SliceSource::new(&tasks), &mut TapeScheduler::new(tape.clone()));
+        let noop = Simulation::new(&platform, &cfg)
+            .timeline(&timeline)
+            .workspace(&mut ws)
+            .probe(&mut NoopProbe)
+            .trace(SliceSource::new(&tasks), &mut TapeScheduler::new(tape.clone()));
         let mut probe = (RunCounters::new(), TraceRecorder::new());
-        let heavy = simulate_with_probe_in(
-            &mut ws, &platform, &tasks, &cfg, &timeline,
-            &mut TapeScheduler::new(tape), &mut probe);
+        let heavy = Simulation::new(&platform, &cfg)
+            .timeline(&timeline)
+            .workspace(&mut ws)
+            .probe(&mut probe)
+            .trace(SliceSource::new(&tasks), &mut TapeScheduler::new(tape));
 
         prop_assert_eq!(&plain, &noop);
         prop_assert_eq!(&plain, &heavy);

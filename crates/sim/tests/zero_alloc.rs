@@ -11,9 +11,9 @@
 //! thread can allocate concurrently and pollute the counter.
 
 use mss_sim::{
-    bag_of_tasks, simulate_in, simulate_streamed_objectives_in, simulate_with_probe_in, Decision,
-    IncrementalArgmin, NoopProbe, OnlineScheduler, Platform, SchedulerEvent, SimConfig, SimView,
-    SimWorkspace, SlaveId, TaskArrival, TaskSource, Timeline, Trace,
+    bag_of_tasks, simulate_streamed_objectives_in, Decision, IncrementalArgmin, NoopProbe,
+    OnlineScheduler, Platform, SchedulerEvent, SimConfig, SimView, SimWorkspace, Simulation,
+    SlaveId, SliceSource, TaskArrival, TaskSource, Timeline, Trace,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -140,11 +140,17 @@ fn steady_state_events_allocate_nothing() {
     let mut ws = SimWorkspace::new();
 
     // Warm-up run sizes every workspace buffer.
-    let warm: Trace = simulate_in(&mut ws, &platform, &tasks, &cfg, &mut Greedy).unwrap();
+    let warm: Trace = Simulation::new(&platform, &cfg)
+        .workspace(&mut ws)
+        .trace(SliceSource::new(&tasks), &mut Greedy)
+        .unwrap();
     assert_eq!(warm.len(), n);
 
     let before = ALLOCS.load(Ordering::SeqCst);
-    let trace = simulate_in(&mut ws, &platform, &tasks, &cfg, &mut Greedy).unwrap();
+    let trace = Simulation::new(&platform, &cfg)
+        .workspace(&mut ws)
+        .trace(SliceSource::new(&tasks), &mut Greedy)
+        .unwrap();
     let during = ALLOCS.load(Ordering::SeqCst) - before;
     assert_eq!(trace, warm, "warm rerun must be bit-identical");
 
@@ -166,16 +172,11 @@ fn steady_state_events_allocate_nothing() {
     // allocates exactly as little as the uninstrumented entry point — and
     // returns bit-identical results.
     let before = ALLOCS.load(Ordering::SeqCst);
-    let probed = simulate_with_probe_in(
-        &mut ws,
-        &platform,
-        &tasks,
-        &cfg,
-        &Timeline::EMPTY,
-        &mut Greedy,
-        &mut NoopProbe,
-    )
-    .unwrap();
+    let probed = Simulation::new(&platform, &cfg)
+        .workspace(&mut ws)
+        .probe(&mut NoopProbe)
+        .trace(SliceSource::new(&tasks), &mut Greedy)
+        .unwrap();
     let during = ALLOCS.load(Ordering::SeqCst) - before;
     assert_eq!(probed, warm, "NoopProbe run must be bit-identical");
     assert!(
@@ -255,11 +256,16 @@ fn steady_state_events_allocate_nothing() {
     let mut kernel_sched = KernelGreedy {
         kernel: IncrementalArgmin::new().with_threshold(0),
     };
-    let kernel_warm: Trace =
-        simulate_in(&mut ws, &platform, &tasks, &cfg, &mut kernel_sched).unwrap();
+    let kernel_warm: Trace = Simulation::new(&platform, &cfg)
+        .workspace(&mut ws)
+        .trace(SliceSource::new(&tasks), &mut kernel_sched)
+        .unwrap();
     assert_eq!(kernel_warm.len(), n);
     let before = ALLOCS.load(Ordering::SeqCst);
-    let kernel_trace = simulate_in(&mut ws, &platform, &tasks, &cfg, &mut kernel_sched).unwrap();
+    let kernel_trace = Simulation::new(&platform, &cfg)
+        .workspace(&mut ws)
+        .trace(SliceSource::new(&tasks), &mut kernel_sched)
+        .unwrap();
     let during = ALLOCS.load(Ordering::SeqCst) - before;
     assert_eq!(
         kernel_trace, kernel_warm,

@@ -12,8 +12,8 @@
 use crate::batch::SamplerCache;
 use crate::run_metrics::CellRunMetrics;
 use mss_core::{
-    simulate_objectives_with_probe_in, Algorithm, InfoTier, NoopProbe, OnlineScheduler, Platform,
-    PlatformClass, Probe, Redispatch, SimConfig, SimError, SimWorkspace, TaskArrival, Timeline,
+    Algorithm, InfoTier, NoopProbe, OnlineScheduler, Platform, PlatformClass, Probe, Redispatch,
+    SimConfig, SimError, SimWorkspace, Simulation, SliceSource, TaskArrival, Timeline,
 };
 use mss_opt::bounds::{makespan_lower_bound, max_flow_lower_bound, sum_flow_lower_bound};
 use mss_opt::schedule::Instance;
@@ -248,6 +248,9 @@ pub enum AbortKind {
     /// The run's information tier is below the scheduler's declared
     /// minimum.
     InsufficientInformation,
+    /// A task of the instance broke the engine's input contract (a
+    /// decreasing or non-finite release, or a non-positive size).
+    InvalidTask,
 }
 
 impl From<&SimError> for AbortKind {
@@ -257,6 +260,7 @@ impl From<&SimError> for AbortKind {
             SimError::InvalidDecision { .. } => AbortKind::InvalidDecision,
             SimError::BudgetExhausted { .. } => AbortKind::BudgetExhausted,
             SimError::InsufficientInformation { .. } => AbortKind::InsufficientInformation,
+            SimError::InvalidTask { .. } => AbortKind::InvalidTask,
         }
     }
 }
@@ -339,24 +343,17 @@ impl Cell {
     /// failures, a `fault_aware: false` cell may legitimately abort when
     /// the fault-oblivious algorithm livelocks — see [`ScenarioCell`]).
     pub fn run(&self) -> CellMetrics {
-        self.run_in(&mut SimWorkspace::new())
+        self.try_run_in(&mut SimWorkspace::new())
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`Cell::run`] with caller-provided simulator buffers: the sweep
-    /// executor keeps one [`SimWorkspace`] per worker thread, so the
-    /// engine's zero-allocation hot path stays warm across the whole grid.
-    /// Results are bit-identical to [`Cell::run`] (the engine re-initializes
-    /// the workspace per run).
-    pub fn run_in(&self, ws: &mut SimWorkspace) -> CellMetrics {
-        self.try_run_in(ws).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Non-panicking [`Cell::run_in`]: a cell that legitimately aborts
-    /// (see [`ScenarioCell`]) comes back as a [`CellError`] value instead,
-    /// so batched executors can carry it to the right result slot.
+    /// Non-panicking [`Cell::run`] with caller-provided simulator buffers:
+    /// a cell that legitimately aborts (see [`ScenarioCell`]) comes back as
+    /// a [`CellError`] value instead. Results are bit-identical for a fresh
+    /// or a reused workspace (the engine re-initializes it per run).
     pub fn try_run_in(&self, ws: &mut SimWorkspace) -> Result<CellMetrics, CellError> {
         let mat = self.materialize();
-        self.try_run_materialized(&mat, ws)
+        self.try_run_probed(&mat, ws, &mut *self.build_scheduler(), &mut NoopProbe)
     }
 
     /// Materializes this cell's instance from scratch (no sampler cache).
@@ -406,19 +403,6 @@ impl Cell {
         }
     }
 
-    /// Runs this cell against a shared materialization. `mat` must come
-    /// from [`Cell::materialize`]/[`Cell::materialize_with`] of a cell for
-    /// which [`Cell::same_instance`] holds (the caller's grouping
-    /// invariant); results are then bit-identical to [`Cell::try_run_in`].
-    pub fn try_run_materialized(
-        &self,
-        mat: &MaterializedInstance,
-        ws: &mut SimWorkspace,
-    ) -> Result<CellMetrics, CellError> {
-        let mut scheduler = self.build_scheduler();
-        self.try_run_scheduled(mat, ws, &mut scheduler)
-    }
-
     /// Builds the scheduler instance this cell runs:
     /// [`Redispatch`]-wrapped iff the cell is fault-aware.
     pub fn build_scheduler(&self) -> Box<dyn OnlineScheduler> {
@@ -456,23 +440,16 @@ impl Cell {
         }
     }
 
-    /// [`Cell::try_run_materialized`] with a caller-provided scheduler
-    /// instance (which the engine fully re-initializes per run, so reuse
-    /// across cells is bit-transparent). The scheduler must be the one this
-    /// cell would build: `Redispatch`-wrapped iff the cell is fault-aware.
-    pub fn try_run_scheduled(
-        &self,
-        mat: &MaterializedInstance,
-        ws: &mut SimWorkspace,
-        scheduler: &mut dyn OnlineScheduler,
-    ) -> Result<CellMetrics, CellError> {
-        self.try_run_probed(mat, ws, scheduler, &mut NoopProbe)
-    }
-
-    /// [`Cell::try_run_scheduled`] with an instrumentation [`Probe`]
-    /// observing the engine run. Results are bit-identical for any probe
-    /// (probes are observers only); with [`NoopProbe`] this *is*
-    /// `try_run_scheduled`.
+    /// Runs this cell against a shared materialization, with a
+    /// caller-provided scheduler and an instrumentation [`Probe`]
+    /// observing the engine run. `mat` must come from
+    /// [`Cell::materialize`]/[`Cell::materialize_with`] of a cell for which
+    /// [`Cell::same_instance`] holds (the caller's grouping invariant).
+    /// The scheduler must be the one this cell would build
+    /// ([`Cell::build_scheduler`]); the engine fully re-initializes it per
+    /// run, so reuse across cells is bit-transparent. Results are then
+    /// bit-identical to [`Cell::try_run_in`] for any probe (probes are
+    /// observers only).
     pub fn try_run_probed<P: Probe>(
         &self,
         mat: &MaterializedInstance,
@@ -482,16 +459,13 @@ impl Cell {
     ) -> Result<CellMetrics, CellError> {
         let cfg = self.sim_config(mat);
         let tasks = mat.perturbed.as_deref().unwrap_or(&mat.nominal);
-        let run = simulate_objectives_with_probe_in(
-            ws,
-            &mat.platform,
-            tasks,
-            &cfg,
-            &mat.timeline,
-            scheduler,
-            probe,
-        )
-        .map_err(|e| self.abort_error(&e))?;
+        let run = Simulation::new(&mat.platform, &cfg)
+            .timeline(&mat.timeline)
+            .workspace(ws)
+            .probe(probe)
+            .objectives(SliceSource::new(tasks), scheduler)
+            .map_err(|e| self.abort_error(&e))?
+            .objectives;
 
         let lb = mat.lb_makespan;
         Ok(CellMetrics {
@@ -625,7 +599,7 @@ mod tests {
             faulty(Algorithm::ListScheduling),
             cell(Algorithm::Sljfwc),
         ] {
-            assert_eq!(c.run_in(&mut ws), c.run(), "{}", c.algorithm);
+            assert_eq!(c.try_run_in(&mut ws).unwrap(), c.run(), "{}", c.algorithm);
         }
     }
 
@@ -706,9 +680,11 @@ mod tests {
         assert!(clair.same_instance(&oblivious) && clair.same_instance(&blind));
         let mat = clair.materialize();
         let mut ws = SimWorkspace::new();
-        let base = clair.try_run_materialized(&mat, &mut ws).unwrap();
-        let oblv = oblivious.try_run_materialized(&mat, &mut ws).unwrap();
-        let nonc = blind.try_run_materialized(&mat, &mut ws).unwrap();
+        let [base, oblv, nonc] = [&clair, &oblivious, &blind].map(|c| {
+            let mut scheduler = c.build_scheduler();
+            c.try_run_probed(&mat, &mut ws, &mut *scheduler, &mut NoopProbe)
+                .unwrap()
+        });
 
         // Withdrawing knowledge cannot beat the certified lower bound, the
         // runs complete, and the bounds (instance properties) agree.

@@ -74,8 +74,8 @@ pub struct PerturbAxis {
     /// `"none"`, `"linear"` (size^1 on both phases), or `"matrix"`
     /// (size² communication, size³ computation).
     pub mode: String,
-    /// Maximum relative size deviation (e.g. `0.1` for ±10 %). Ignored for
-    /// `none`.
+    /// Maximum relative size deviation, in `[0, 1)` (e.g. `0.1` for
+    /// ±10 %). Ignored for `none`.
     pub delta: Option<f64>,
 }
 
@@ -296,24 +296,27 @@ impl SweepSpec {
         };
         let mut out = Vec::new();
         for p in axes {
-            match p.mode.to_ascii_lowercase().as_str() {
-                "none" | "exact" => out.push(None),
-                "linear" => out.push(Some((
-                    p.delta.ok_or_else(|| {
-                        SpecError("perturbation `linear` requires `delta`".into())
-                    })?,
-                    1.0,
-                    1.0,
-                ))),
-                "matrix" => out.push(Some((
-                    p.delta.ok_or_else(|| {
-                        SpecError("perturbation `matrix` requires `delta`".into())
-                    })?,
-                    2.0,
-                    3.0,
-                ))),
+            let mode = p.mode.to_ascii_lowercase();
+            let (comm, comp) = match mode.as_str() {
+                "none" | "exact" => {
+                    out.push(None);
+                    continue;
+                }
+                "linear" => (1.0, 1.0),
+                "matrix" => (2.0, 3.0),
                 other => return Err(SpecError(format!("unknown perturbation mode `{other}`"))),
+            };
+            let delta = p
+                .delta
+                .ok_or_else(|| SpecError(format!("perturbation `{mode}` requires `delta`")))?;
+            // Size factors are drawn from [1 − delta, 1 + delta]: a delta
+            // of 1 or more admits zero or negative task sizes.
+            if !(delta.is_finite() && (0.0..1.0).contains(&delta)) {
+                return Err(SpecError(format!(
+                    "perturbation `{mode}` needs `delta` in [0, 1), got {delta}"
+                )));
             }
+            out.push(Some((delta, comm, comp)));
         }
         if out.is_empty() {
             out.push(None);
@@ -725,6 +728,32 @@ mod tests {
             }];
             let err = s.expand().unwrap_err();
             assert!(err.0.contains("`slaves` >= 1"), "{kind}: {err}");
+        }
+    }
+
+    #[test]
+    fn perturbation_delta_outside_unit_interval_is_rejected() {
+        // A negative delta used to panic inside the sampler ("empty
+        // range"); a delta of 1 or more drew zero or negative task sizes
+        // and reported makespans below the certified lower bound.
+        for mode in ["linear", "matrix"] {
+            for delta in [-0.5, 1.0, 1.5, f64::INFINITY, f64::NAN] {
+                let mut s = spec();
+                s.perturbations = Some(vec![PerturbAxis {
+                    mode: mode.into(),
+                    delta: Some(delta),
+                }]);
+                let err = s.expand().unwrap_err();
+                assert!(err.0.contains("`delta` in [0, 1)"), "{mode} {delta}: {err}");
+            }
+            for delta in [0.0, 0.1, 0.99] {
+                let mut s = spec();
+                s.perturbations = Some(vec![PerturbAxis {
+                    mode: mode.into(),
+                    delta: Some(delta),
+                }]);
+                assert!(s.expand().is_ok(), "{mode} {delta}");
+            }
         }
     }
 

@@ -1,11 +1,14 @@
-//! Property: **the engine's stream feed is observationally pure**
-//! (contract #13, engine half).
+//! Property: **a lazily generated task stream is its materialized
+//! instance** (contract #13, source half).
 //!
-//! For arbitrary sweep specs — platforms × arrivals × perturbations ×
-//! scenarios × information tiers, all seven heuristics plain and
-//! `Redispatch`-wrapped — pulling each cell's tasks lazily from a seeded
-//! [`GeneratedSource`] must be indistinguishable from handing the engine
-//! the cell's materialized task slice:
+//! The engine has one input, a pulled task source, so streaming is pure
+//! exactly when the sources agree. For arbitrary sweep specs — platforms ×
+//! arrivals × perturbations × scenarios × information tiers, all seven
+//! heuristics plain and `Redispatch`-wrapped — pulling each cell's tasks
+//! lazily from a seeded [`GeneratedSource`] must be indistinguishable from
+//! pulling the cell's materialized instance (`ArrivalProcess::generate` +
+//! `Perturbation::apply`, as [`Cell::materialize`] builds it) through a
+//! [`SliceSource`]:
 //!
 //! * **traces** — the engine's full per-task [`Trace`](mss_core::Trace)
 //!   agrees record for record (and error-for-error on aborting cells);
@@ -15,7 +18,7 @@
 //! Thread-count and batch-split invariance of the sweep is proven once,
 //! by `batch_equivalence.rs`.
 
-use mss_core::{simulate_streamed_with_probe_in, simulate_with_probe_in, SimWorkspace};
+use mss_core::{SimWorkspace, Simulation, SliceSource};
 use mss_obs::DigestProbe;
 use mss_scenario::{EventSpec, GeneratorSpec};
 use mss_sweep::{Cell, ScenarioAxis, SweepSpec};
@@ -228,8 +231,9 @@ fn source(cell: &Cell, platform: &mss_core::Platform) -> GeneratedSource {
     }
 }
 
-/// Per-cell trace- and digest-level comparison: the slice-fed engine run
-/// against the stream-fed one, probe hashes included.
+/// Per-cell trace- and digest-level comparison: the run over the
+/// materialized slice against the run over the generated stream, probe
+/// hashes included.
 fn check_spec(spec: &SweepSpec) {
     let cells = spec.expand().expect("generated spec expands");
     let mut ws = SimWorkspace::new();
@@ -239,27 +243,19 @@ fn check_spec(spec: &SweepSpec) {
         let tasks = mat.perturbed.as_deref().unwrap_or(&mat.nominal);
         let mut digest_slice = DigestProbe::new();
         let mut sched = cell.build_scheduler();
-        let trace_slice = simulate_with_probe_in(
-            &mut ws,
-            &mat.platform,
-            tasks,
-            &cfg,
-            &mat.timeline,
-            sched.as_mut(),
-            &mut digest_slice,
-        );
+        let trace_slice = Simulation::new(&mat.platform, &cfg)
+            .timeline(&mat.timeline)
+            .workspace(&mut ws)
+            .probe(&mut digest_slice)
+            .trace(SliceSource::new(tasks), sched.as_mut());
 
         let mut digest_stream = DigestProbe::new();
         let mut sched = cell.build_scheduler();
-        let trace_stream = simulate_streamed_with_probe_in(
-            &mut ws,
-            &mat.platform,
-            &mut source(cell, &mat.platform),
-            &cfg,
-            &mat.timeline,
-            sched.as_mut(),
-            &mut digest_stream,
-        );
+        let trace_stream = Simulation::new(&mat.platform, &cfg)
+            .timeline(&mat.timeline)
+            .workspace(&mut ws)
+            .probe(&mut digest_stream)
+            .trace(&mut source(cell, &mat.platform), sched.as_mut());
 
         let label = format!("{} on {:?}", cell.algorithm, cell.platform);
         match (trace_slice, trace_stream) {
@@ -270,7 +266,7 @@ fn check_spec(spec: &SweepSpec) {
             (a, b) => panic!("{label}: outcome kind diverged: {a:?} vs {b:?}"),
         }
         // The digest hashes every probe hook in order — equal digests mean
-        // the stream-fed engine emitted the identical event stream.
+        // the generated stream drove the identical event stream.
         assert_eq!(
             digest_slice.digest(),
             digest_stream.digest(),
@@ -288,8 +284,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Arbitrary static grids (perturbations × information tiers × all
-    /// seven heuristics): the stream feed reproduces the slice feed's
-    /// traces and digests.
+    /// seven heuristics): the generated stream reproduces the
+    /// materialized instance's traces and digests.
     #[test]
     fn streamed_equals_materialized(spec in arb_static_spec()) {
         check_spec(&spec);
@@ -300,8 +296,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Grids with dynamic-platform scenarios — `Redispatch`-wrapped cells
-    /// and fault-oblivious cells that abort on the step budget: the stream
-    /// feed reproduces completions and aborts alike.
+    /// and fault-oblivious cells that abort on the step budget: the
+    /// generated stream reproduces completions and aborts alike.
     #[test]
     fn streamed_equals_materialized_under_scenarios(spec in arb_scenario_spec()) {
         check_spec(&spec);

@@ -39,4 +39,4 @@ pub use heterogeneity::{HeterogeneityAxis, HeterogeneityFamily};
 pub use mss_core::TaskSource;
 pub use perturbation::Perturbation;
 pub use platforms::{PlatformSampler, PlatformStream};
-pub use source::{GeneratedSource, MaterializedSource, TraceError, TraceFormat, TraceSource};
+pub use source::{GeneratedSource, TraceError, TraceFormat, TraceSource};

@@ -1,13 +1,11 @@
-//! Pull-based task sources: materialized, generated, and trace-replay.
+//! Pull-based task sources: generated and trace-replay.
 //!
-//! The streamed engine entry points (`mss_sim::simulate_streamed` and
-//! friends) pull arrivals one at a time from a [`TaskSource`] instead of
-//! receiving the whole instance as a slice, so a million-task instance
-//! never has to exist in memory at once. This module provides the three
+//! Every engine run (`mss_sim::Simulation`) pulls arrivals one at a time
+//! from a [`TaskSource`], so a million-task instance never has to exist in
+//! memory at once. An instance already in memory is pulled through
+//! `mss_sim::SliceSource`; this module provides the two lazy
 //! implementations the lab uses:
 //!
-//! * [`MaterializedSource`] — wraps an existing `Vec<TaskArrival>`; the
-//!   bit-exact default for instances that already fit in memory;
 //! * [`GeneratedSource`] — lazily drives the existing [`ArrivalProcess`]
 //!   and [`Perturbation`] samplers in per-task lockstep, yielding exactly
 //!   the sequence `process.generate(..)` + `perturbation.apply(..)` would
@@ -17,7 +15,7 @@
 //!   located errors, like the TOML spec parser) and torn-final-line
 //!   recovery (like the sweep result store).
 //!
-//! All three are seed-deterministic and resumable: [`TaskSource::reset`]
+//! Both are seed-deterministic and resumable: [`TaskSource::reset`]
 //! rewinds to an identical replay, so replaying one instance under several
 //! schedulers re-instantiates or resets the source per run instead of
 //! cloning a stream.
@@ -45,56 +43,6 @@ impl fmt::Display for TraceError {
 }
 
 impl std::error::Error for TraceError {}
-
-// ---------------------------------------------------------------------------
-// MaterializedSource
-// ---------------------------------------------------------------------------
-
-/// A [`TaskSource`] over an instance that is already in memory.
-///
-/// This is the bridge between the materialized world and the streamed
-/// engine: a streamed run over a `MaterializedSource` is bit-identical to
-/// the materialized run over the same slice.
-#[derive(Clone, Debug)]
-pub struct MaterializedSource {
-    tasks: Vec<TaskArrival>,
-    cursor: usize,
-}
-
-impl MaterializedSource {
-    /// Wraps an instance. Tasks must be sorted by release time (the engine
-    /// checks and panics otherwise, as for any source).
-    pub fn new(tasks: Vec<TaskArrival>) -> Self {
-        MaterializedSource { tasks, cursor: 0 }
-    }
-
-    /// The wrapped instance (for callers that need both views).
-    pub fn tasks(&self) -> &[TaskArrival] {
-        &self.tasks
-    }
-}
-
-impl From<Vec<TaskArrival>> for MaterializedSource {
-    fn from(tasks: Vec<TaskArrival>) -> Self {
-        MaterializedSource::new(tasks)
-    }
-}
-
-impl TaskSource for MaterializedSource {
-    fn next_task(&mut self) -> Option<TaskArrival> {
-        let t = self.tasks.get(self.cursor).copied()?;
-        self.cursor += 1;
-        Some(t)
-    }
-
-    fn len_hint(&self) -> Option<usize> {
-        Some(self.tasks.len())
-    }
-
-    fn reset(&mut self) {
-        self.cursor = 0;
-    }
-}
 
 // ---------------------------------------------------------------------------
 // GeneratedSource
@@ -683,17 +631,6 @@ mod tests {
             assert_eq!(x.size_c.to_bits(), y.size_c.to_bits());
             assert_eq!(x.size_p.to_bits(), y.size_p.to_bits());
         }
-    }
-
-    #[test]
-    fn materialized_source_round_trips_and_resets() {
-        let tasks = mss_core::released_at(&[0.0, 1.0, 2.5]);
-        let mut s = MaterializedSource::new(tasks.clone());
-        assert_eq!(s.len_hint(), Some(3));
-        assert_bit_identical(&drain(&mut s), &tasks);
-        assert_eq!(s.next_task(), None);
-        s.reset();
-        assert_bit_identical(&drain(&mut s), &tasks);
     }
 
     #[test]

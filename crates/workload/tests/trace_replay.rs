@@ -6,7 +6,7 @@
 //! streamed simulation, and reject schema violations with located errors
 //! matching the repo's strict-key convention.
 
-use mss_core::{simulate_streamed, Algorithm, Platform, SimConfig};
+use mss_core::{Algorithm, Platform, SimConfig, Simulation};
 use mss_workload::{TaskSource, TraceFormat, TraceSource};
 use std::path::{Path, PathBuf};
 
@@ -59,25 +59,17 @@ fn golden_fixture_drives_a_streamed_simulation() {
     let mut source = TraceSource::open(fixture("replay_trace.jsonl")).unwrap();
     let n = source.len();
     let mut scheduler = Algorithm::ListScheduling.build();
-    let trace = simulate_streamed(
-        &platform,
-        &mut source,
-        &SimConfig::with_horizon(n),
-        scheduler.as_mut(),
-    )
-    .unwrap();
+    let trace = Simulation::new(&platform, &SimConfig::with_horizon(n))
+        .trace(&mut source, scheduler.as_mut())
+        .unwrap();
     assert_eq!(trace.len(), GOLDEN.len());
     // Replays are deterministic: a second pass over the same file is
     // bit-identical.
     source.reset();
     let mut scheduler = Algorithm::ListScheduling.build();
-    let again = simulate_streamed(
-        &platform,
-        &mut source,
-        &SimConfig::with_horizon(n),
-        scheduler.as_mut(),
-    )
-    .unwrap();
+    let again = Simulation::new(&platform, &SimConfig::with_horizon(n))
+        .trace(&mut source, scheduler.as_mut())
+        .unwrap();
     assert_eq!(again, trace);
 }
 

@@ -3,8 +3,8 @@
 //! every trace can be inspected (Gantt, statistics) and serialized.
 
 use master_slave_sched::core::{
-    simulate, simulate_with_probe_in, Algorithm, Platform, RunCounters, SimConfig, SimWorkspace,
-    TaskArrival, Timeline,
+    simulate, Algorithm, Platform, RunCounters, SimConfig, SimWorkspace, Simulation, SliceSource,
+    TaskArrival,
 };
 use master_slave_sched::sim::{render_gantt, trace_stats, TIME_EPS};
 use master_slave_sched::workload::{
@@ -140,16 +140,11 @@ fn counted_run(
     alg: Algorithm,
 ) -> RunCounters {
     let mut counters = RunCounters::new();
-    simulate_with_probe_in(
-        ws,
-        platform,
-        tasks,
-        &SimConfig::with_horizon(tasks.len()),
-        &Timeline::EMPTY,
-        &mut alg.build(),
-        &mut counters,
-    )
-    .unwrap();
+    Simulation::new(platform, &SimConfig::with_horizon(tasks.len()))
+        .workspace(ws)
+        .probe(&mut counters)
+        .trace(SliceSource::new(tasks), &mut alg.build())
+        .unwrap();
     counters
 }
 

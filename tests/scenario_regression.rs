@@ -3,7 +3,7 @@
 //! must honor the same determinism contract the static engine guarantees.
 
 use master_slave_sched::core::{
-    simulate, simulate_with_events, Algorithm, Redispatch, SimConfig, Timeline,
+    simulate, Algorithm, Redispatch, SimConfig, Simulation, SliceSource, Timeline,
 };
 use master_slave_sched::scenario::{GeneratorSpec, ScenarioSpec};
 use master_slave_sched::workload::{ArrivalProcess, PlatformSampler};
@@ -31,13 +31,16 @@ fn static_scenario_traces_are_byte_identical() {
         assert_eq!(compiled, Timeline::EMPTY);
         for a in Algorithm::ALL {
             let reference = simulate(platform, &tasks, &cfg, &mut a.build()).unwrap();
-            let via_events =
-                simulate_with_events(platform, &tasks, &cfg, &compiled, &mut a.build()).unwrap();
+            let via_events = Simulation::new(platform, &cfg)
+                .timeline(&compiled)
+                .trace(SliceSource::new(&tasks), &mut a.build())
+                .unwrap();
             assert_eq!(reference, via_events, "{a} on {class}");
             // The fault-aware wrapper is the identity on static platforms.
-            let wrapped =
-                simulate_with_events(platform, &tasks, &cfg, &compiled, &mut Redispatch::wrap(a))
-                    .unwrap();
+            let wrapped = Simulation::new(platform, &cfg)
+                .timeline(&compiled)
+                .trace(SliceSource::new(&tasks), &mut Redispatch::wrap(a))
+                .unwrap();
             assert_eq!(reference, wrapped, "{a}+RD on {class}");
         }
     }
