@@ -49,15 +49,6 @@
 //!                      write a Chrome-trace-event JSON (open it at
 //!                      ui.perfetto.dev): per-slave send/compute/downtime
 //!                      tracks with failure instants
-//!   bench              time the engine and sweep hot loops and write the
-//!                      schema-stable BENCH_engine.json perf-trajectory
-//!                      point: the reference sweep at 1 thread and at max
-//!                      threads, plus a larger multi-algorithm grid.
-//!                      [--out PATH] (default ./BENCH_engine.json);
-//!                      [--threads N] caps the max-threads entries;
-//!                      [--compare OLD.json] prints per-metric deltas vs a
-//!                      previous point and exits 1 on a regression beyond
-//!                      [--threshold PCT] (default 20) unless [--warn-only]
 //!   all                table1, fig1, fig2, the four ablations, resilience
 //!                      and oblivion
 //! ```
@@ -101,10 +92,6 @@ const COMMANDS: &[(&str, &str)] = &[
     ),
     ("trace <spec>", "[--cell N] [--out PATH]"),
     ("profile", "[--quick] [--threads N]"),
-    (
-        "bench",
-        "[--quick] [--threads N] [--out PATH] [--compare OLD.json] [--threshold PCT] [--warn-only]",
-    ),
 ];
 
 fn usage() -> ! {
@@ -499,34 +486,6 @@ fn run_trace(args: &[String]) {
     }
 }
 
-fn run_bench(args: &[String], config: &SweepConfig) {
-    let quick = args.iter().any(|a| a == "--quick");
-    let report = mss_lab::bench::run(quick, config.threads);
-    println!("{}", report.render());
-    let out = parse_flag(args, "--out")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("BENCH_engine.json"));
-    let path = report.write(&out);
-    println!("perf-trajectory point: {}", path.display());
-    if let Some(old_path) = parse_flag(args, "--compare") {
-        let old = match mss_lab::bench::load_report(std::path::Path::new(&old_path)) {
-            Ok(old) => old,
-            Err(e) => {
-                eprintln!("bench: {e}");
-                std::process::exit(2);
-            }
-        };
-        let threshold = parse_flag(args, "--threshold")
-            .map(|v| v.parse().unwrap_or_else(|_| usage()))
-            .unwrap_or(20.0);
-        let cmp = mss_lab::bench::compare(&old, &report, threshold);
-        println!("\nvs {}:\n{}", old_path, cmp.render());
-        if !cmp.regressions().is_empty() && !args.iter().any(|a| a == "--warn-only") {
-            std::process::exit(1);
-        }
-    }
-}
-
 fn run_oblivion(scale: ExperimentScale, config: &SweepConfig) {
     let arrival = ArrivalProcess::UniformStream { load: 0.9 };
     let report = oblivion::run_with(scale, arrival, config);
@@ -545,7 +504,13 @@ fn run_resilience(args: &[String], scale: ExperimentScale, config: &SweepConfig)
                     std::process::exit(2);
                 }
             };
-            resilience::run_scenario_file(scale, arrival, &spec, config)
+            match resilience::run_scenario_file(scale, arrival, &spec, config) {
+                Ok(report) => report,
+                Err(e) => {
+                    eprintln!("resilience: {e}");
+                    std::process::exit(2);
+                }
+            }
         }
         None => resilience::run_with(scale, arrival, config),
     };
@@ -583,7 +548,6 @@ fn main() {
         "diff" => run_diff(rest),
         "profile" => run_profile(rest, &runtime),
         "trace" => run_trace(rest),
-        "bench" => run_bench(rest, &runtime),
         "ablation-buffer" => {
             let report = ablations::buffer_sweep_with(scale, &runtime);
             println!("{}", report.render());

@@ -13,7 +13,6 @@
 //! | user-defined scenario grids | `mss_sweep` | `ms-lab sweep <spec.toml>` |
 //! | run telemetry (flow quantiles, utilization) | [`metrics`] | `ms-lab metrics <spec.toml>` |
 //! | first-divergence audit | [`diff`] | `ms-lab diff <spec.toml>` |
-//! | perf baseline (`BENCH_engine.json`) | [`bench`](mod@bench) | `ms-lab bench` |
 //!
 //! Each experiment prints an ASCII table mirroring the paper's layout and
 //! writes CSV + JSON artifacts under `target/lab/`. EXPERIMENTS.md records
@@ -28,7 +27,6 @@
 #![warn(missing_docs)]
 
 pub mod ablations;
-pub mod bench;
 pub mod diff;
 pub mod fig1;
 pub mod fig2;

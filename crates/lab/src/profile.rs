@@ -24,8 +24,8 @@ use mss_sweep::{run_cells, spec_from_toml, CellError, CellMetrics, SweepConfig, 
 use std::path::PathBuf;
 
 /// The representative grid the profiler replays: every algorithm over
-/// heterogeneous platform draws, bag and Poisson arrivals — the same shape
-/// as the bench reference grid, sized so the phase fractions are stable.
+/// heterogeneous platform draws, bag and Poisson arrivals, sized so the
+/// phase fractions are stable.
 fn profile_spec(quick: bool) -> SweepSpec {
     let (tasks, count) = if quick {
         ("[60]", 2)

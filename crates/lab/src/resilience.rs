@@ -15,9 +15,12 @@
 
 use crate::report::{fmt3, write_csv, write_json, AsciiTable, ExperimentScale};
 use mss_core::{Algorithm, InfoTier, PlatformClass};
-use mss_scenario::{GeneratorSpec, ScenarioSpec};
+use mss_scenario::{GeneratorSpec, ScenarioError, ScenarioSpec};
 use mss_sweep::{run_cells, Cell, PlatformCell, ScenarioCell, SweepConfig};
 use mss_workload::ArrivalProcess;
+
+/// Slaves per platform draw: the paper's heterogeneous platforms.
+const SLAVES: usize = 5;
 
 /// One failure-rate level of the experiment.
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
@@ -123,7 +126,7 @@ pub fn report_cells(
                 cells.push(Cell {
                     platform: PlatformCell::Class {
                         class: PlatformClass::Heterogeneous,
-                        slaves: 5,
+                        slaves: SLAVES,
                         seed: scale.seed,
                         index: pi,
                     },
@@ -205,13 +208,15 @@ pub fn run_with(
 
 /// Runs static vs one user-supplied scenario (e.g. parsed from
 /// `examples/failure_scenario.toml`). Each platform draw perturbs the
-/// scenario seed so draws see independent failure patterns.
+/// scenario seed so draws see independent failure patterns. A scenario
+/// that does not fit the experiment's 5-slave platforms is an error.
 pub fn run_scenario_file(
     scale: ExperimentScale,
     arrival: ArrivalProcess,
     scenario: &ScenarioSpec,
     config: &SweepConfig,
-) -> ResilienceReport {
+) -> Result<ResilienceReport, ScenarioError> {
+    scenario.validate_for(SLAVES)?;
     let levels = vec![
         FailureLevel {
             label: "static".into(),
@@ -233,7 +238,7 @@ pub fn run_scenario_file(
             cells.push(Cell {
                 platform: PlatformCell::Class {
                     class: PlatformClass::Heterogeneous,
-                    slaves: 5,
+                    slaves: SLAVES,
                     seed: scale.seed,
                     index: pi,
                 },
@@ -252,12 +257,12 @@ pub fn run_scenario_file(
         }
     }
     let outcome = run_cells(cells, config);
-    ResilienceReport {
+    Ok(ResilienceReport {
         scale,
         arrival,
         rows: fold_rows(&outcome.metrics, levels.len(), scale),
         levels: levels.into_iter().map(|l| l.label).collect(),
-    }
+    })
 }
 
 impl ResilienceReport {
@@ -419,7 +424,8 @@ mod tests {
             ArrivalProcess::AllAtZero,
             &scenario,
             &SweepConfig::default(),
-        );
+        )
+        .expect("a maintenance scenario fits");
         assert_eq!(report.levels, vec!["static".to_string(), "maint".into()]);
         for row in &report.rows {
             assert!((row.degradation_makespan[0] - 1.0).abs() < 1e-12);

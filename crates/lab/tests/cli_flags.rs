@@ -52,6 +52,17 @@ fn the_removed_streamed_flag_is_rejected() {
 }
 
 #[test]
+fn the_removed_bench_command_is_unknown() {
+    // Timing lives in the `benchmark/` package; `bench` is no command.
+    let out = ms_lab(&["bench", "--quick"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.starts_with("usage: ms-lab <command>"), "{stderr}");
+    assert!(!stderr.contains("bench"), "usage still lists it: {stderr}");
+    assert!(out.stdout.is_empty(), "bench started running");
+}
+
+#[test]
 fn value_flags_need_a_value() {
     assert_rejected(&["fig1a", "--quick", "--threads"], "--threads");
     assert_rejected(&["sweep", "spec.toml", "--threads", "--quiet"], "--threads");

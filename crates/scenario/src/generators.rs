@@ -103,6 +103,16 @@ pub(crate) fn validate(g: &GeneratorSpec, gi: usize) -> Result<(), ScenarioError
                      below `period` {period}"
                 )));
             }
+            // A window start far below zero never advances by `period`,
+            // so its loop in `expand` would emit events without end.
+            for (name, value) in [("offset", g.offset), ("stagger", g.stagger)] {
+                if let Some(v) = value.filter(|v| !(v.is_finite() && *v >= 0.0)) {
+                    return Err(ScenarioError(format!(
+                        "generator {gi} (`{kind}`): `{name}` must be non-negative and \
+                         finite, got {v:?}"
+                    )));
+                }
+            }
         }
         "speed-drift" | "link-drift" => {
             positive(g.step, "step", gi, &kind)?;
@@ -123,6 +133,17 @@ pub(crate) fn validate(g: &GeneratorSpec, gi: usize) -> Result<(), ScenarioError
         }
     }
     Ok(())
+}
+
+/// The parameter that paces a validated generator, its value, and the
+/// events one slave draws per interval of it: a failure and its repair per
+/// `mtbf`, a window's start and end per `period`, one walk step per `step`.
+pub(crate) fn pace(g: &GeneratorSpec) -> (&'static str, Option<f64>, f64) {
+    match g.kind.to_ascii_lowercase().as_str() {
+        "poisson-failures" => ("mtbf", g.mtbf, 2.0),
+        "maintenance" => ("period", g.period, 2.0),
+        _ => ("step", g.step, 1.0),
+    }
 }
 
 /// Expands one generator over `[0, horizon]`. Callers run [`validate`]

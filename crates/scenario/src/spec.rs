@@ -3,6 +3,12 @@
 use crate::generators;
 use mss_sim::{PlatformEvent, PlatformEventKind, SlaveId, Time, Timeline};
 
+/// The most timeline events a scenario's generators may be expected to
+/// emit for one platform. Generators expand into memory before the run
+/// starts, so a tiny `mtbf`, `period` or `step` over a long `horizon`
+/// would exhaust memory, or never finish, before the first event.
+const MAX_EXPECTED_EVENTS: u64 = 10_000_000;
+
 /// A malformed or uncompilable scenario.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ScenarioError(pub String);
@@ -202,6 +208,37 @@ impl ScenarioSpec {
         self.scripted_events(usize::MAX).map(|_| ())
     }
 
+    /// [`ScenarioSpec::validate`], then the event budget on a platform of
+    /// `num_slaves` slaves: summed over the generators, each targeted
+    /// slave is expected to draw a failure and its repair per `mtbf`, a
+    /// window's start and end per `period`, or one drift step per `step`
+    /// over the `horizon`, and the total may not exceed 10⁷ events.
+    pub fn validate_for(&self, num_slaves: usize) -> Result<(), ScenarioError> {
+        self.validate()?;
+        let Some(horizon) = self.horizon else {
+            return Ok(()); // no generators
+        };
+        let mut expected = 0.0;
+        for (gi, g) in self.generators.iter().flatten().enumerate() {
+            let (field, value, per_interval) = generators::pace(g);
+            let value = value.expect("validated above");
+            let slaves = g.slaves.as_ref().map_or(num_slaves, Vec::len);
+            if slaves == 0 {
+                continue; // emits nothing (and 0 × an infinite ratio is NaN)
+            }
+            expected += slaves as f64 * per_interval * (horizon / value);
+            if expected > MAX_EXPECTED_EVENTS as f64 {
+                return Err(ScenarioError(format!(
+                    "generator {gi} (`{}`): `{field}` = {value:?} over `horizon` = \
+                     {horizon:?} on {slaves} slaves brings the expected timeline \
+                     events to {expected:e}, above the limit of {MAX_EXPECTED_EVENTS}",
+                    g.kind
+                )));
+            }
+        }
+        Ok(())
+    }
+
     /// Compiles the scenario for a platform of `num_slaves` slaves into the
     /// timeline the engine consumes.
     ///
@@ -220,7 +257,7 @@ impl ScenarioSpec {
         if num_slaves == 0 {
             return Err(ScenarioError("platform has no slaves".into()));
         }
-        self.validate()?;
+        self.validate_for(num_slaves)?;
         let mut events = self.scripted_events(num_slaves)?;
 
         let gens: &[GeneratorSpec] = self.generators.as_deref().unwrap_or(&[]);
@@ -352,6 +389,47 @@ mod tests {
     }
 
     #[test]
+    fn expected_events_above_the_budget_are_rejected() {
+        // Each would allocate (or loop) far past memory before a run.
+        let generator = |kind: &str| GeneratorSpec {
+            kind: kind.into(),
+            mtbf: Some(1e-300),
+            repair_mean: Some(1.0),
+            period: Some(1e-3),
+            duration: Some(1e-4),
+            step: Some(1e-3),
+            sigma: Some(0.1),
+            ..GeneratorSpec::default()
+        };
+        for (kind, field, value) in [
+            ("poisson-failures", "`mtbf`", "1e-300"),
+            ("maintenance", "`period`", "0.001"),
+            ("speed-drift", "`step`", "0.001"),
+        ] {
+            let spec = ScenarioSpec {
+                horizon: Some(1e308),
+                generators: Some(vec![generator(kind)]),
+                ..ScenarioSpec::static_spec()
+            };
+            let err = spec.compile(3).unwrap_err();
+            for part in [field, value, "10000000"] {
+                assert!(err.0.contains(part), "{kind}: {part} in {err}");
+            }
+        }
+        // The budget is per platform: windows every 10⁻³ s over 500 s are
+        // 10⁶ events a slave, inside it for one slave and twice over it
+        // for 20.
+        let spec = ScenarioSpec {
+            horizon: Some(500.0),
+            generators: Some(vec![generator("maintenance")]),
+            ..ScenarioSpec::static_spec()
+        };
+        let err = spec.validate_for(20).unwrap_err();
+        assert!(err.0.contains("20 slaves"), "{err}");
+        assert!(spec.validate_for(1).is_ok());
+    }
+
+    #[test]
     fn min_up_is_enforced() {
         // Script a simultaneous blackout of both slaves; min_up = 1 must
         // keep one alive (the second failure and its recovery are dropped).
@@ -475,6 +553,25 @@ mod tests {
         let err = rare.validate().unwrap_err();
         assert!(err.0.contains("weibul"), "{err}");
         assert!(rare.compile(3).is_err(), "compile validates too");
+
+        // Maintenance windows must start at or after zero.
+        for (offset, stagger, name) in [(-1e300, None, "`offset`"), (0.0, Some(-1.0), "`stagger`")]
+        {
+            let windows = ScenarioSpec {
+                horizon: Some(100.0),
+                generators: Some(vec![GeneratorSpec {
+                    kind: "maintenance".into(),
+                    period: Some(40.0),
+                    duration: Some(5.0),
+                    offset: Some(offset),
+                    stagger,
+                    ..GeneratorSpec::default()
+                }]),
+                ..ScenarioSpec::static_spec()
+            };
+            let err = windows.validate().unwrap_err();
+            assert!(err.0.contains(name), "{err}");
+        }
 
         // A valid spec validates.
         assert!(ScenarioSpec::static_spec().validate().is_ok());

@@ -355,8 +355,8 @@ impl IncrementalArgmin {
     }
 
     /// The linear-scan reference kernel: every decision is answered by
-    /// [`chunked_argmin`], never the tree. Used by equivalence proptests
-    /// and the `kernel-vs-scan` benchmarks as the historical path.
+    /// [`chunked_argmin`], never the tree. Equivalence proptests and the
+    /// large-`m` work-count test use it as the historical path.
     pub fn scan_reference() -> Self {
         IncrementalArgmin {
             scan_only: true,

@@ -1,22 +1,25 @@
-//! Large-`m` smoke: the engine and the decision kernel at 10,000 slaves.
+//! Large-`m` gate: the engine and the decision kernel at 10,000 slaves.
 //!
 //! A streamed run on a 10k-slave platform must (a) complete within the
 //! engine's step budget, (b) keep the bounded-memory contract's resident
 //! task-slot window independent of the instance size, and (c) serve its
-//! decisions from the tournament tree — the per-decision cost that used
-//! to be `O(m)` linear scans is what this PR makes sublinear, and this
-//! test is the floor that keeps it that way. CI runs it in release as
-//! the `large-m` smoke gate.
+//! decisions from the tournament tree. A linear-scan twin of the same run
+//! then pins the kernel's sublinear work as exact key-evaluation counts:
+//! the two runs agree bit for bit, and the scan evaluates at least 3×
+//! the keys the tree does. CI also runs this file in release.
 
+use mss_obs::KernelStats;
 use mss_sim::{
-    simulate_streamed_objectives_in, Decision, IncrementalArgmin, OnlineScheduler, Platform,
-    SchedulerEvent, SimConfig, SimView, SimWorkspace, SlaveId, TaskArrival, TaskSource, Timeline,
+    Decision, IncrementalArgmin, OnlineScheduler, Platform, SchedulerEvent, SimConfig, SimView,
+    Simulation, SlaveId, StreamStats, TaskArrival, TaskSource,
 };
 
 /// SRPT on the incremental kernel (the shape `mss-core`'s production SRPT
 /// uses; re-implemented here because `mss-sim` cannot depend on it).
 struct KernelSrpt {
     kernel: IncrementalArgmin,
+    /// Calls of the argmin key: the kernel's work, counted exactly.
+    evaluations: u64,
 }
 
 impl OnlineScheduler for KernelSrpt {
@@ -31,7 +34,9 @@ impl OnlineScheduler for KernelSrpt {
         let Some(&task) = view.pending_tasks().first() else {
             return Decision::Idle;
         };
+        let evaluations = &mut self.evaluations;
         let slave = self.kernel.argmin(view, |j| {
+            *evaluations += 1;
             let j = SlaveId(j);
             if view.slave_idle(j) {
                 view.believed_p(j)
@@ -77,17 +82,16 @@ impl TaskSource for UniformSource {
     }
 }
 
-#[test]
-fn ten_thousand_slaves_streamed_within_budget() {
-    let m = 10_000;
-    let c: Vec<f64> = (0..m).map(|j| 0.001 + 1e-5 * (j % 97) as f64).collect();
-    let p: Vec<f64> = (0..m).map(|j| 2.0 + 0.03 * (j % 89) as f64).collect();
-    let platform = Platform::from_vectors(&c, &p);
-
+/// One streamed SRPT run of `n` tasks on `platform` through `kernel`:
+/// the run's stats, the kernel tallies and the key evaluations.
+fn run(
+    platform: &Platform,
+    n: usize,
+    kernel: IncrementalArgmin,
+) -> (StreamStats, KernelStats, u64) {
     // ~2k tasks streamed fast enough that many slaves cycle busy/idle but
     // the one-port master never backlogs unboundedly (gap > min c).
-    let n = 2_000;
-    let mut source = UniformSource {
+    let source = UniformSource {
         n,
         gap: 0.01,
         next: 0,
@@ -100,21 +104,26 @@ fn ten_thousand_slaves_streamed_within_budget() {
         max_steps: 40 * n,
         ..SimConfig::default()
     };
-    let mut ws = SimWorkspace::new();
     let mut sched = KernelSrpt {
-        kernel: IncrementalArgmin::new(),
+        kernel,
+        evaluations: 0,
     };
-
     mss_obs::kernel_stats_reset();
-    let stats = simulate_streamed_objectives_in(
-        &mut ws,
-        &platform,
-        &mut source,
-        &cfg,
-        &Timeline::EMPTY,
-        &mut sched,
-    )
-    .expect("10k-slave streamed run completes within the step budget");
+    let stats = Simulation::new(platform, &cfg)
+        .objectives(source, &mut sched)
+        .expect("10k-slave streamed run completes within the step budget");
+    (stats, mss_obs::kernel_stats_snapshot(), sched.evaluations)
+}
+
+#[test]
+fn ten_thousand_slaves_streamed_within_budget() {
+    let m = 10_000;
+    let c: Vec<f64> = (0..m).map(|j| 0.001 + 1e-5 * (j % 97) as f64).collect();
+    let p: Vec<f64> = (0..m).map(|j| 2.0 + 0.03 * (j % 89) as f64).collect();
+    let platform = Platform::from_vectors(&c, &p);
+    let n = 2_000;
+
+    let (stats, k, tree_evals) = run(&platform, n, IncrementalArgmin::new());
     assert_eq!(stats.tasks, n);
     assert!(stats.objectives.makespan > 0.0);
 
@@ -130,9 +139,23 @@ fn ten_thousand_slaves_streamed_within_budget() {
 
     // The decisions were tree-served: at m = 10k every query must go
     // through the tournament tree (threshold is 64), with exactly one
-    // rebuild (first sync of the run) and zero scan fallbacks.
-    let k = mss_obs::kernel_stats_snapshot();
+    // rebuild (first sync of the run) and zero scan fallbacks. The
+    // rebuild evaluates every key once and each replayed journal entry
+    // one more. `replayed` itself is not pinned: debug builds refresh
+    // views for the elision oracle, which replays more entries.
     assert!(k.queries > 0, "kernel never queried: {k:?}");
     assert_eq!(k.scans, 0, "scan fallback used at m = 10k: {k:?}");
     assert_eq!(k.rebuilds, 1, "expected exactly one rebuild: {k:?}");
+    assert_eq!(tree_evals, m as u64 + k.replayed, "{k:?}");
+
+    // The linear-scan twin: same decisions, same bits, m keys a decision.
+    let (scan_stats, s, scan_evals) = run(&platform, n, IncrementalArgmin::scan_reference());
+    assert_eq!(scan_stats.objectives, stats.objectives, "kernel ≢ scan");
+    assert_eq!(s.scans, k.queries, "decision counts differ: {s:?} vs {k:?}");
+    assert_eq!(scan_evals, s.scans * m as u64, "{s:?}");
+    // The sublinear-dispatch floor, on work rather than wall time.
+    assert!(
+        scan_evals >= 3 * tree_evals,
+        "tree evaluated {tree_evals} keys, scan {scan_evals}: below the 3× floor"
+    );
 }

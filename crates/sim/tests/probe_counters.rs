@@ -116,6 +116,36 @@ fn trace_spans_match_counter_totals() {
     assert!(c.events() > 3 * n as u64, "outage adds events beyond 3n");
 }
 
+/// A static bag on the 5-slave reference platform (`c = 0.1 … 0.9`,
+/// `p = 1 … 5`), where the greedy above is List Scheduling. Every task
+/// crosses four engine boundaries and raises three scheduler events (its
+/// release, its send's delivery, its completion); the engine delivers n
+/// callbacks and elides 2n, so the elided share is exactly 2/3.
+#[test]
+fn static_list_scheduling_counts_are_exact() {
+    let platform = Platform::from_vectors(&[0.1, 0.3, 0.5, 0.7, 0.9], &[1.0, 2.0, 3.0, 4.0, 5.0]);
+    for n in [500u64, 2_000] {
+        let tasks = bag_of_tasks(n as usize);
+        let mut c = RunCounters::new();
+        let trace = Simulation::new(&platform, &SimConfig::with_horizon(n as usize))
+            .probe(&mut c)
+            .trace(SliceSource::new(&tasks), &mut Greedy)
+            .expect("static reference run completes");
+        assert_eq!(trace.len() as u64, n);
+        for (name, count) in [
+            ("sends_started", c.sends_started),
+            ("sends_delivered", c.sends_delivered),
+            ("computes_started", c.computes_started),
+            ("computes_completed", c.computes_completed),
+            ("callbacks", c.callbacks),
+        ] {
+            assert_eq!(count, n, "{name} at n = {n}: {c:?}");
+        }
+        assert_eq!(c.events(), 4 * n, "n = {n}: {c:?}");
+        assert_eq!(c.callbacks_elided, 2 * n, "n = {n}: {c:?}");
+    }
+}
+
 fn span_count(rec: &TraceRecorder, kind: SpanKind) -> usize {
     rec.spans.iter().filter(|s| s.kind == kind).count()
 }

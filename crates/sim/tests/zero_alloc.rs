@@ -3,9 +3,9 @@
 //! A counting global allocator measures heap allocations during a full
 //! simulation on a *warm* [`SimWorkspace`]: the event loop itself must not
 //! allocate at all — the only permitted allocations of a run are the
-//! returned [`Trace`]'s record vector. `ms-lab bench` reports this contract
-//! (`allocs_per_event_steady_state`) in `BENCH_engine.json`; this test is
-//! what enforces it.
+//! returned [`Trace`]'s record vector. A 100k-task streamed run must also
+//! keep its live task-slot peak within `16·m + 64` (contract #13). CI runs
+//! this file in release as well.
 //!
 //! This file deliberately contains a single `#[test]` so no sibling test
 //! thread can allocate concurrently and pollute the counter.

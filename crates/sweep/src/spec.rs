@@ -132,6 +132,15 @@ pub struct SweepSpec {
     pub information: Option<Vec<String>>,
 }
 
+/// The most tasks one cell may simulate. A cell holds its whole instance
+/// in memory (a 10⁷-task List Scheduling cell peaks near 1.4 GB); larger
+/// counts abort on allocation.
+const MAX_TASKS_PER_CELL: usize = 10_000_000;
+
+/// The most slaves one platform may have. The engine sizes its per-slave
+/// state up front, so larger counts abort on allocation.
+const MAX_SLAVES: usize = 1_000_000;
+
 /// `(delta, comm_exponent, comp_exponent)` of one perturbation axis entry;
 /// `None` means exact sizes.
 type PerturbParams = Option<(f64, f64, f64)>;
@@ -187,10 +196,18 @@ impl SweepSpec {
         for axis in &self.platforms {
             let kind = axis.kind.to_ascii_lowercase();
             let slaves = axis.slaves.unwrap_or(5);
-            if slaves == 0 && (kind == "class" || kind == "heterogeneity") {
-                return Err(SpecError(format!(
-                    "platform kind `{kind}` needs `slaves` >= 1, got 0"
-                )));
+            if kind == "class" || kind == "heterogeneity" {
+                if slaves == 0 {
+                    return Err(SpecError(format!(
+                        "platform kind `{kind}` needs `slaves` >= 1, got 0"
+                    )));
+                }
+                if slaves > MAX_SLAVES {
+                    return Err(SpecError(format!(
+                        "platform kind `{kind}` has `slaves` = {slaves}, above the limit \
+                         of {MAX_SLAVES} slaves per platform"
+                    )));
+                }
             }
             match kind.as_str() {
                 "class" => {
@@ -243,6 +260,13 @@ impl SweepSpec {
                         return Err(SpecError(
                             "explicit platform needs non-empty c and p of equal length".into(),
                         ));
+                    }
+                    if c.len() > MAX_SLAVES {
+                        return Err(SpecError(format!(
+                            "explicit platform has {} entries in `c`, above the limit \
+                             of {MAX_SLAVES} slaves per platform",
+                            c.len()
+                        )));
                     }
                     for (name, values) in [("c", &c), ("p", &p)] {
                         if let Some((j, v)) = values
@@ -325,8 +349,9 @@ impl SweepSpec {
     }
 
     /// Scenario templates, one per axis entry; `None` is the static model.
-    /// The embedded spec seeds are zero here and filled per cell.
-    fn scenario_set(&self) -> Result<Vec<Option<ScenarioCell>>, SpecError> {
+    /// The embedded spec seeds are zero here and filled per cell. Each is
+    /// checked against the largest platform it will run on.
+    fn scenario_set(&self, max_slaves: usize) -> Result<Vec<Option<ScenarioCell>>, SpecError> {
         let Some(axes) = &self.scenarios else {
             return Ok(vec![None]);
         };
@@ -360,7 +385,7 @@ impl SweepSpec {
                         )));
                     }
                     // Fail at spec time, not mid-sweep in a worker thread.
-                    spec.validate()
+                    spec.validate_for(max_slaves)
                         .map_err(|e| SpecError(format!("scenario {i}: {e}")))?;
                     out.push(Some(ScenarioCell { spec, fault_aware }));
                 }
@@ -409,7 +434,8 @@ impl SweepSpec {
         let recipes = self.platform_recipes()?;
         let arrivals = self.arrival_set()?;
         let perturbs = self.perturb_set()?;
-        let scenarios = self.scenario_set()?;
+        let max_slaves = recipes.iter().map(slave_count).max().unwrap_or(0);
+        let scenarios = self.scenario_set(max_slaves)?;
         let tiers = self.information_set()?;
         let replicates = self.replicates.unwrap_or(1).max(1);
         if self.tasks.is_empty() {
@@ -421,6 +447,12 @@ impl SweepSpec {
         if let Some(&n) = self.tasks.iter().find(|&&n| n == 0) {
             return Err(SpecError(format!(
                 "task count {n} in `tasks`: every cell needs at least one task"
+            )));
+        }
+        if let Some(&n) = self.tasks.iter().find(|&&n| n > MAX_TASKS_PER_CELL) {
+            return Err(SpecError(format!(
+                "task count {n} in `tasks` is above the limit of {MAX_TASKS_PER_CELL} \
+                 tasks per cell"
             )));
         }
 
@@ -486,6 +518,14 @@ impl SweepSpec {
             }
         }
         Ok(cells)
+    }
+}
+
+/// Slaves on the platform `recipe` builds.
+fn slave_count(recipe: &PlatformCell) -> usize {
+    match recipe {
+        PlatformCell::Class { slaves, .. } | PlatformCell::Heterogeneity { slaves, .. } => *slaves,
+        PlatformCell::Explicit { c, .. } => c.len(),
     }
 }
 
@@ -710,6 +750,18 @@ mod tests {
     }
 
     #[test]
+    fn task_count_above_the_cell_limit_is_rejected() {
+        let mut s = spec();
+        s.tasks = vec![20, 99_999_999_999];
+        let err = s.expand().unwrap_err();
+        for part in ["`tasks`", "99999999999", "10000000"] {
+            assert!(err.0.contains(part), "{part} in {err}");
+        }
+        s.tasks = vec![10_000_000];
+        assert!(s.expand().is_ok(), "the limit itself is allowed");
+    }
+
+    #[test]
     fn zero_slave_platform_is_rejected() {
         // `Platform::new` asserts at least one slave; the spec must say so
         // first, as a named error instead of a panic inside a worker.
@@ -728,6 +780,28 @@ mod tests {
             }];
             let err = s.expand().unwrap_err();
             assert!(err.0.contains("`slaves` >= 1"), "{kind}: {err}");
+        }
+    }
+
+    #[test]
+    fn slave_count_above_the_platform_limit_is_rejected() {
+        for kind in ["class", "heterogeneity"] {
+            let mut s = spec();
+            s.platforms = vec![PlatformAxis {
+                kind: kind.into(),
+                class: Some("het".into()),
+                count: Some(1),
+                slaves: Some(100_000_000),
+                axis: Some("both".into()),
+                levels: Some(vec![0.5]),
+                families: Some(1),
+                c: None,
+                p: None,
+            }];
+            let err = s.expand().unwrap_err();
+            for part in ["`slaves`", "100000000", "1000000 slaves"] {
+                assert!(err.0.contains(part), "{kind}: {part} in {err}");
+            }
         }
     }
 
@@ -800,6 +874,17 @@ mod tests {
         }]);
         let err = s.expand().unwrap_err();
         assert!(err.0.contains("horizon"), "{err}");
+        // So is a generator expected to emit past the event budget on the
+        // spec's largest platform (4 slaves here).
+        let mut axis = dynamic_axis();
+        axis.horizon = Some(1e308);
+        let mut s = spec();
+        s.scenarios = Some(vec![axis]);
+        let err = s.expand().unwrap_err();
+        assert!(
+            err.0.contains("scenario 0") && err.0.contains("on 4 slaves"),
+            "{err}"
+        );
     }
 
     #[test]

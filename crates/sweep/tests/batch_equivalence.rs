@@ -10,7 +10,8 @@
 
 use mss_scenario::{EventSpec, GeneratorSpec};
 use mss_sweep::{
-    try_run_cells, Cell, CellError, CellMetrics, ScenarioAxis, SweepConfig, SweepSpec,
+    group_instances, split_batches, try_run_cells, Cell, CellError, CellMetrics, ScenarioAxis,
+    SweepConfig, SweepMetrics, SweepSpec, DEFAULT_SPLIT_EVENTS,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -276,6 +277,19 @@ fn assert_results_match(
     }
 }
 
+/// Every executed batch materializes its instance exactly once, and the
+/// batches are exactly the split instance groups of the grid — which
+/// makes `batch_reuse_ratio()` exact.
+fn assert_one_materialization_per_batch(cells: &[Cell], stats: &SweepMetrics, split_events: u64) {
+    let all: Vec<usize> = (0..cells.len()).collect();
+    let batches = split_batches(cells, &all, group_instances(cells, &all), split_events).len();
+    assert_eq!(stats.batches, batches as u64, "split {split_events}");
+    assert_eq!(
+        stats.materializations, batches as u64,
+        "split {split_events}"
+    );
+}
+
 fn check_spec(spec: &SweepSpec) {
     let cells = spec.expand().expect("generated spec expands");
     // Oracle: every cell alone, in its own right, through the unbatched
@@ -294,6 +308,7 @@ fn check_spec(spec: &SweepSpec) {
             },
         );
         assert_eq!(outcome.executed, cells.len());
+        assert_one_materialization_per_batch(&cells, &outcome.stats, DEFAULT_SPLIT_EVENTS);
         assert_results_match(
             &cells,
             &outcome.results,
@@ -320,6 +335,7 @@ fn check_spec(spec: &SweepSpec) {
             },
         );
         assert_eq!(outcome.executed, cells.len(), "fresh store: all execute");
+        assert_one_materialization_per_batch(&cells, &outcome.stats, 1);
         assert_results_match(
             &cells,
             &outcome.results,
