@@ -24,8 +24,7 @@
 //!                      normalized to its own clairvoyant run
 //!   sweep <spec>       run a user-defined grid (TOML or JSON spec; see
 //!                      examples/sweep_grid.toml). [--quiet] suppresses the
-//!                      live progress line; [--split-events N] sets the
-//!                      batch-split threshold (same results for any N)
+//!                      live progress line
 //!   metrics <spec>     run a grid with telemetry probes and report
 //!                      flow/wait/transfer/compute quantiles, per-slave
 //!                      utilization splits and master-queue pressure per
@@ -80,7 +79,7 @@ const COMMANDS: &[(&str, &str)] = &[
     ),
     (
         "sweep <spec>",
-        "[--threads N] [--quiet] [--split-events N] [--cache-dir DIR] [--no-cache] [--baseline ALG]",
+        "[--threads N] [--quiet] [--cache-dir DIR] [--no-cache] [--baseline ALG]",
     ),
     (
         "metrics <spec>",
@@ -184,11 +183,6 @@ fn parse_runtime(args: &[String]) -> SweepConfig {
         progress: !args.iter().any(|a| a == "--quiet"),
         count_events: false,
         collect_metrics: false,
-        // Batch-splitting threshold in estimated events; results are
-        // bit-identical for any value (contract #14).
-        split_events: parse_flag(args, "--split-events")
-            .map(|v| v.parse().unwrap_or_else(|_| usage()))
-            .unwrap_or(mss_sweep::DEFAULT_SPLIT_EVENTS),
     }
 }
 
@@ -223,6 +217,26 @@ fn run_fig2(scale: ExperimentScale, config: &SweepConfig) {
     println!("artifacts: {}\n", path.display());
 }
 
+/// The result-store directory of `cmd`: `--cache-dir DIR`, or the
+/// spec's own directory under `target/sweep-cache`. Opens the store once
+/// up front, so a directory that cannot be created (a regular file, a
+/// read-only or missing mount) is a located error (exit 2), not a panic
+/// inside the sweep.
+fn open_cache_dir(args: &[String], cmd: &str, spec_name: &str) -> PathBuf {
+    let dir = parse_flag(args, "--cache-dir")
+        .map(PathBuf::from)
+        .unwrap_or_else(|| {
+            PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+                .join("../../target/sweep-cache")
+                .join(spec_name)
+        });
+    if let Err(e) = mss_sweep::ResultStore::open(&dir) {
+        eprintln!("{cmd}: cannot use cache directory `{}`: {e}", dir.display());
+        std::process::exit(2);
+    }
+    dir
+}
+
 fn run_sweep(args: &[String]) {
     let Some(spec_path) = args.first().filter(|a| !a.starts_with("--")) else {
         eprintln!("sweep: missing spec path");
@@ -238,14 +252,7 @@ fn run_sweep(args: &[String]) {
 
     let mut config = parse_runtime(args);
     if !args.iter().any(|a| a == "--no-cache") {
-        let dir = parse_flag(args, "--cache-dir")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| {
-                PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                    .join("../../target/sweep-cache")
-                    .join(&spec.name)
-            });
-        config.cache_dir = Some(dir);
+        config.cache_dir = Some(open_cache_dir(args, "sweep", &spec.name));
     }
     let baseline = match parse_flag(args, "--baseline") {
         Some(name) => match Algorithm::from_name(&name) {
@@ -367,14 +374,7 @@ fn run_metrics_cmd(args: &[String]) {
     // cache under the same per-spec directory the sweep command uses —
     // cached records without telemetry payloads re-run automatically.
     if !args.iter().any(|a| a == "--quick" || a == "--no-cache") {
-        let dir = parse_flag(args, "--cache-dir")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| {
-                PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                    .join("../../target/sweep-cache")
-                    .join(&spec.name)
-            });
-        config.cache_dir = Some(dir);
+        config.cache_dir = Some(open_cache_dir(args, "metrics", &spec.name));
     }
     match mss_lab::metrics::run_spec_metrics(&spec, &config) {
         Ok(report) => {

@@ -208,7 +208,6 @@ mod tests {
             progress: false,
             count_events: false,
             collect_metrics: false,
-            ..SweepConfig::default()
         }
     }
 

@@ -88,7 +88,6 @@ pub fn run_with(quick: bool, threads: usize) -> ProfileReport {
         progress: false,
         count_events: true,
         collect_metrics: false,
-        ..SweepConfig::default()
     };
     let outcome = run_cells(cells, &config);
     profile.add("materialize", outcome.stats.materialize_secs);

@@ -28,7 +28,7 @@ fn unknown_flags_are_rejected() {
     assert_rejected(&["fig1a", "--quick", "--bogus"], "--bogus");
     assert_rejected(&["fig1a", "--quick", "--thread", "2"], "--thread");
     // Flags of other commands are unknown too.
-    assert_rejected(&["fig1", "--split-events", "1"], "--split-events");
+    assert_rejected(&["fig1", "--baseline", "LS"], "--baseline");
     assert_rejected(&["table1", "--quick"], "--quick");
     // A second positional argument is not a flag value.
     assert_rejected(&["sweep", "a.toml", "b.toml"], "b.toml");
@@ -37,8 +37,9 @@ fn unknown_flags_are_rejected() {
 #[test]
 fn the_removed_streamed_flag_is_rejected() {
     // Spelled in two halves, so that searching the tree for the removed
-    // flag turns up no remaining use of it.
+    // flags turns up no remaining use of them.
     const STREAMED: &str = concat!("--", "streamed");
+    const SPLIT_EVENTS: &str = concat!("--", "split", "-events");
     assert_rejected(
         &[
             "sweep",
@@ -49,6 +50,30 @@ fn the_removed_streamed_flag_is_rejected() {
         ],
         STREAMED,
     );
+    assert_rejected(
+        &["sweep", "examples/trace_smoke.toml", SPLIT_EVENTS, "1"],
+        SPLIT_EVENTS,
+    );
+}
+
+#[test]
+fn an_unusable_cache_dir_is_a_located_error() {
+    // A regular file where the store directory should be. Exit 2 with one
+    // line of stderr rules out a panic (exit 101, with a backtrace note).
+    let file = std::env::temp_dir().join(format!("mss-cli-cache-file-{}", std::process::id()));
+    std::fs::write(&file, "not a directory").expect("create the blocking file");
+    let dir = file.to_str().expect("utf-8 temp path");
+    let examples = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples");
+    for (cmd, spec) in [
+        ("sweep", "sweep_grid.toml"),
+        ("metrics", "trace_smoke.toml"),
+    ] {
+        assert_rejected(
+            &[cmd, &format!("{examples}/{spec}"), "--cache-dir", dir],
+            dir,
+        );
+    }
+    let _ = std::fs::remove_file(&file);
 }
 
 #[test]
@@ -73,15 +98,7 @@ fn value_flags_need_a_value() {
 fn documented_flags_are_accepted() {
     let missing = "no-such-spec.toml";
     for args in [
-        &[
-            "sweep",
-            missing,
-            "--threads",
-            "2",
-            "--split-events",
-            "1",
-            "--quiet",
-        ][..],
+        &["sweep", missing, "--threads", "2", "--quiet"][..],
         &[
             "sweep",
             missing,

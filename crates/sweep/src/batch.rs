@@ -22,9 +22,7 @@
 
 use crate::cell::{Cell, CellError, CellMetrics};
 use crate::run_metrics::CellRunMetrics;
-use mss_core::{
-    Algorithm, NoopProbe, OnlineScheduler, Platform, PlatformClass, Redispatch, SimWorkspace,
-};
+use mss_core::{Algorithm, NoopProbe, OnlineScheduler, Platform, PlatformClass, SimWorkspace};
 use mss_obs::{BatchSpan, MetricsProbe, WorkerMetrics};
 use mss_workload::{PlatformSampler, PlatformStream};
 use std::collections::HashMap;
@@ -142,13 +140,7 @@ fn scheduler_for<'a>(
     let fault_aware = cell.scenario.as_ref().is_some_and(|s| s.fault_aware);
     schedulers
         .entry((cell.algorithm, fault_aware))
-        .or_insert_with(|| {
-            if fault_aware {
-                Box::new(Redispatch::wrap(cell.algorithm))
-            } else {
-                cell.algorithm.build()
-            }
-        })
+        .or_insert_with(|| cell.build_scheduler())
         .as_mut()
 }
 
@@ -163,7 +155,7 @@ pub const DEFAULT_SPLIT_EVENTS: u64 = 1 << 18;
 /// Estimated engine events for one cell with `tasks` tasks — the batch
 /// cost model. Every task costs a send, a compute and a completion
 /// callback (~3 events); the constant covers per-run setup. The estimate
-/// only steers scheduling (seeding order and split points), so its
+/// only steers scheduling (start order and split points), so its
 /// absolute scale is irrelevant — relative ordering is what matters.
 pub fn estimated_cell_events(tasks: usize) -> u64 {
     3 * tasks as u64 + 16
@@ -184,8 +176,7 @@ pub fn batch_cost(cells: &[Cell], indices: &[usize], batch: &Range<usize>) -> u6
 /// order, so downstream index-ordered flattening is untouched; each
 /// sub-unit re-materializes the shared instance (a few percent of a cell's
 /// cost), which is bit-transparent, so results stay identical for any
-/// threshold (the equivalence proptests force tiny thresholds to pin
-/// this).
+/// threshold (this module's tests force tiny thresholds to pin this).
 pub fn split_batches(
     cells: &[Cell],
     indices: &[usize],

@@ -1,13 +1,14 @@
 //! The deterministic parallel executor.
 //!
 //! Cells of a sweep are embarrassingly parallel: each is a pure function of
-//! its own spec and seeds. The executor distributes work items over
-//! per-worker **work-stealing deques** ([`crossbeam::deque`]): every item
-//! carries a cost estimate, items are seeded onto the deques
-//! largest-cost-first in round-robin (an LPT-style static pre-balance), and
-//! a worker whose own deque runs dry steals from the tail of its peers —
-//! late, slow items cannot stall a fixed pre-partition, and one oversized
-//! item no longer pins a worker while the rest idle behind a shared cursor.
+//! its own spec and seeds, and every worker thread is identical. That is
+//! the paper's master–slave problem with free communication, where List
+//! Scheduling — give the next task to the first free worker — needs no
+//! per-worker queues. The executor is greedy **LPT list scheduling**: every
+//! item carries a cost estimate, items are sorted largest cost first (ties
+//! broken by index), and each free worker takes the next item off one
+//! shared cursor, so the big rocks start before the gravel and no worker
+//! idles while an item is left.
 //!
 //! Scheduling only decides **who** computes a slot, never **what** ends up
 //! in it: every result is written back to the slot of its original index
@@ -15,7 +16,7 @@
 //! **results are bit-identical for any thread count** (and any cost
 //! model — costs steer placement, not content).
 
-use crossbeam::deque::{Steal, Stealer, Worker};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Number of worker threads to use when the caller does not care: the
@@ -36,75 +37,42 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    parallel_map_with(items, threads, || (), move |(), i, t| f(i, t))
+    parallel_map_costed(
+        items,
+        threads,
+        |_, _| 1,
+        || (),
+        move |(), i, t| f(i, t),
+        |()| (),
+    )
+    .0
 }
 
-/// [`parallel_map`] with per-worker scratch state: `init()` runs once on
-/// each worker thread and the resulting value is threaded through every
-/// `f(&mut scratch, i, &items[i])` call that worker executes.
+/// [`parallel_map`] with a per-item **cost model**, per-worker scratch
+/// state and a per-worker drain.
 ///
-/// This is how the sweep's per-cell loop reuses one
-/// [`SimWorkspace`](mss_core::SimWorkspace) per worker — the simulator's
-/// zero-allocation buffers are warmed by the first cell and recycled by
-/// every subsequent cell on that thread. Scratch state must not influence
-/// results (`f` stays a pure function of `(i, items[i])` observationally),
-/// which the engine guarantees by re-initializing the workspace per run;
-/// determinism for any thread count is unchanged.
-pub fn parallel_map_with<T, R, S, I, F>(items: &[T], threads: usize, init: I, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
-{
-    parallel_map_collect(items, threads, init, f, |_| ()).0
-}
-
-/// [`parallel_map_with`] that additionally *drains* every worker's scratch
-/// into a `Send` summary after that worker's last item: returns the
-/// results plus one summary per worker that ran, in no particular order
-/// (the sequential path returns its single summary).
+/// * `cost(i, &items[i])` estimates the relative work of item `i` (any
+///   scale; the sweep uses estimated simulation events). Items start in
+///   order of decreasing cost, ties by index; `cost` is evaluated once, up
+///   front, on the calling thread.
+/// * `init()` runs once on each worker thread, and the resulting scratch is
+///   threaded through every `f(&mut scratch, i, &items[i])` call that
+///   worker executes. This is how the sweep reuses one
+///   [`SimWorkspace`](mss_core::SimWorkspace) per worker: the simulator's
+///   zero-allocation buffers are warmed by the first cell and recycled by
+///   every later cell on that thread. Scratch must not influence results
+///   (`f` stays observationally a pure function of `(i, items[i])`), which
+///   the engine guarantees by re-initializing the workspace per run.
+/// * `drain(scratch)` runs on each worker thread after its last item and
+///   turns the scratch into a `Send` summary, so the scratch itself never
+///   crosses threads (it may hold non-`Send` state, e.g. boxed
+///   schedulers). This is how the sweep collects per-worker metrics
+///   without touching the hot path.
 ///
-/// This is how the sweep collects *per-worker metrics* without touching
-/// the hot path: each worker accumulates into its scratch thread-locally
-/// and the totals are folded after the join. The drain runs on the worker
-/// thread, so the scratch itself never crosses threads (it may hold
-/// non-`Send` state, e.g. boxed schedulers). The scratch-must-not-
-/// influence-results contract of [`parallel_map_with`] is unchanged.
-pub fn parallel_map_collect<T, R, S, M, I, F, D>(
-    items: &[T],
-    threads: usize,
-    init: I,
-    f: F,
-    drain: D,
-) -> (Vec<R>, Vec<M>)
-where
-    T: Sync,
-    R: Send,
-    M: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
-    D: Fn(S) -> M + Sync,
-{
-    parallel_map_costed(items, threads, |_, _| 1, init, f, drain)
-}
-
-/// [`parallel_map_collect`] with an explicit per-item **cost model**:
-/// `cost(i, &items[i])` estimates the relative work of item `i` (any
-/// positive scale; the sweep uses estimated simulation events). Costs feed
-/// the work-stealing scheduler two ways:
-///
-/// 1. **Seeding** — items are sorted largest-cost-first (ties broken by
-///    index) and dealt round-robin onto the per-worker deques, so every
-///    worker starts with a similar cost share and the big rocks are placed
-///    before the gravel (LPT-style);
-/// 2. **Stealing** — a worker whose deque runs dry takes from the *tail*
-///    of a peer's deque, i.e. the cheapest work that peer has queued,
-///    keeping each owner on its own expensive items.
-///
-/// Costs influence scheduling only: results land in their original index
-/// slots and are bit-identical for any thread count and any cost model
-/// (`cost` is evaluated once, up front, on the calling thread).
+/// Returns the results in item order plus one summary per worker that ran,
+/// in no particular order (the sequential path returns its single
+/// summary). Results are bit-identical for any thread count and any cost
+/// model.
 pub fn parallel_map_costed<T, R, S, M, C, I, F, D>(
     items: &[T],
     threads: usize,
@@ -133,22 +101,18 @@ where
     }
 
     let workers = threads.min(items.len());
-    // LPT-style seed: largest first, ties by index, dealt round-robin.
+    // LPT order: largest cost first, ties by index.
     let costs: Vec<u64> = items.iter().enumerate().map(|(i, t)| cost(i, t)).collect();
     let mut order: Vec<usize> = (0..items.len()).collect();
     order.sort_by(|&a, &b| costs[b].cmp(&costs[a]).then(a.cmp(&b)));
-    let deques: Vec<Worker<usize>> = (0..workers).map(|_| Worker::new_fifo()).collect();
-    for (rank, &i) in order.iter().enumerate() {
-        deques[rank % workers].push(i);
-    }
-    let stealers: Vec<Stealer<usize>> = deques.iter().map(|d| d.stealer()).collect();
+    let cursor = AtomicUsize::new(0);
 
     let sink: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
     let summaries: Mutex<Vec<M>> = Mutex::new(Vec::new());
 
     std::thread::scope(|scope| {
-        for (w, own) in deques.into_iter().enumerate() {
-            let stealers = &stealers;
+        for _ in 0..workers {
+            let (order, cursor) = (&order, &cursor);
             let (init, f, drain) = (&init, &f, &drain);
             let (sink, summaries) = (&sink, &summaries);
             scope.spawn(move || {
@@ -157,20 +121,11 @@ where
                 // `items` times.
                 let mut scratch = init();
                 let mut local: Vec<(usize, R)> = Vec::new();
-                loop {
-                    // Own deque first (front: the costliest seeds), then
-                    // one round over the peers' tails. No work is ever
-                    // re-queued, so a fully empty sweep means done.
-                    let next = own.pop().or_else(|| {
-                        (1..workers).find_map(|k| loop {
-                            match stealers[(w + k) % workers].steal() {
-                                Steal::Success(i) => break Some(i),
-                                Steal::Empty => break None,
-                                Steal::Retry => continue,
-                            }
-                        })
-                    });
-                    let Some(i) = next else { break };
+                // List scheduling: a free worker takes the next item in
+                // LPT order; a cursor past the end means done. `Relaxed`
+                // suffices: the cursor only hands out positions, `order` is
+                // published by the spawn and results by the locks below.
+                while let Some(&i) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
                     local.push((i, f(&mut scratch, i, &items[i])));
                 }
                 sink.lock().unwrap().extend(local);
@@ -214,64 +169,45 @@ mod tests {
         assert_eq!(parallel_map(&items, 64, |_, &x| x * 2), vec![2, 4, 6]);
     }
 
+    /// `parallel_map_costed` with unit costs, a scratch that counts its
+    /// worker's calls, and that count as each worker's summary.
+    fn count_calls(items: &[usize], threads: usize) -> (Vec<(usize, usize)>, Vec<usize>) {
+        parallel_map_costed(
+            items,
+            threads,
+            |_, _| 1,
+            || 0usize,
+            |calls, _, &x| {
+                *calls += 1;
+                (x * 2, *calls)
+            },
+            |calls| calls,
+        )
+    }
+
     #[test]
     fn scratch_state_is_per_worker_and_reused() {
         // The scratch counter grows along each worker's private sequence of
         // items; results must still land in item order regardless.
         let items: Vec<usize> = (0..100).collect();
-        let out = parallel_map_with(
-            &items,
-            4,
-            || 0usize,
-            |calls, i, &x| {
-                *calls += 1;
-                assert!(*calls >= 1);
-                i * 2 + x - x // pure in (i, x)
-            },
-        );
-        assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
-        // Sequential path threads one scratch through all items.
-        let seq = parallel_map_with(
-            &items,
-            1,
-            || 0usize,
-            |c, i, _| {
-                *c += 1;
-                (*c, i + 1)
-            },
-        );
-        assert_eq!(seq.last(), Some(&(100, 100)));
+        let (out, _) = count_calls(&items, 4);
+        let results: Vec<usize> = out.iter().map(|&(r, _)| r).collect();
+        assert_eq!(results, (0..100).map(|i| i * 2).collect::<Vec<_>>());
+        assert!(out.iter().all(|&(_, calls)| calls >= 1));
+        // The sequential path threads one scratch through all items.
+        let (seq, _) = count_calls(&items, 1);
+        assert_eq!(seq.last(), Some(&(198, 100)));
     }
 
     #[test]
     fn collect_drains_one_summary_per_worker() {
         let items: Vec<usize> = (0..64).collect();
-        let (out, summaries) = parallel_map_collect(
-            &items,
-            4,
-            || 0usize,
-            |c, _, &x| {
-                *c += 1;
-                x
-            },
-            |c| c,
-        );
-        assert_eq!(out, items);
+        let (_, summaries) = count_calls(&items, 4);
         assert!(!summaries.is_empty() && summaries.len() <= 4);
         // Every item was counted by exactly one worker.
         assert_eq!(summaries.iter().sum::<usize>(), 64);
-
         // Sequential path: one summary covering everything.
-        let (_, seq) = parallel_map_collect(
-            &items,
-            1,
-            || 0usize,
-            |c, _, &x| {
-                *c += 1;
-                x
-            },
-            |c| c,
-        );
+        let (_, seq) = count_calls(&items, 1);
         assert_eq!(seq, vec![64]);
     }
 
@@ -301,10 +237,9 @@ mod tests {
 
     #[test]
     fn one_giant_item_does_not_serialize_the_rest() {
-        // With a shared-cursor loop a giant first item pins one worker and
-        // the rest still drain the tail; with stealing the same holds —
-        // this pins the contract that every item is executed exactly once
-        // even when costs are violently skewed.
+        // A giant item pins one worker while the rest drain the cursor:
+        // every item is executed exactly once even when costs are
+        // violently skewed.
         let mut items = vec![1u64; 100];
         items[0] = 1_000_000;
         let (out, summaries) = parallel_map_costed(
@@ -327,11 +262,12 @@ mod tests {
     }
 
     #[test]
-    fn stealing_drains_a_worker_stuck_on_a_slow_item() {
-        // Worker 0's seeded queue holds the slowest item plus cheap ones;
-        // while it sleeps on the slow item the other workers must steal
-        // and finish the cheap tail (the sum proves nothing ran twice).
-        use std::sync::atomic::{AtomicUsize, Ordering};
+    fn free_workers_drain_the_cursor_past_a_slow_item() {
+        // The slowest item cannot finish until every cheap item has run,
+        // and only the free workers can run them: a worker stuck on one
+        // item must not strand any other (the count proves nothing ran
+        // twice and nothing was skipped).
+        use std::time::{Duration, Instant};
         let items: Vec<usize> = (0..40).collect();
         let executed = AtomicUsize::new(0);
         let (out, _) = parallel_map_costed(
@@ -341,14 +277,56 @@ mod tests {
             || (),
             |(), i, &x| {
                 if i == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(30));
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while executed.load(Ordering::SeqCst) < 39 {
+                        assert!(Instant::now() < deadline, "cheap items stranded");
+                        std::thread::yield_now();
+                    }
                 }
-                executed.fetch_add(1, Ordering::Relaxed);
+                executed.fetch_add(1, Ordering::SeqCst);
                 x * 3
             },
             |()| (),
         );
-        assert_eq!(executed.load(Ordering::Relaxed), 40);
+        assert_eq!(executed.load(Ordering::SeqCst), 40);
         assert_eq!(out, (0..40).map(|x| x * 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn the_costliest_item_is_among_the_first_started() {
+        // Greedy LPT: with 2 workers the costliest item is one of the
+        // first 2 taken off the cursor. The barrier holds each worker on
+        // its first item until both have started one, so start ranks 0 and
+        // 1 are exactly the first two cursor positions.
+        use std::sync::Barrier;
+        let items: Vec<u64> = (0..20).map(|i| if i == 13 { 50 } else { 1 }).collect();
+        let started = AtomicUsize::new(0);
+        let first_two = Barrier::new(2);
+        let (ranks, _) = parallel_map_costed(
+            &items,
+            2,
+            |_, &c| c,
+            || (),
+            |(), _, _| {
+                let rank = started.fetch_add(1, Ordering::SeqCst);
+                if rank < 2 {
+                    first_two.wait();
+                }
+                rank
+            },
+            |()| (),
+        );
+        assert!(
+            ranks[13] < 2,
+            "costliest item started at rank {}",
+            ranks[13]
+        );
+        let mut sorted = ranks;
+        sorted.sort_unstable();
+        assert_eq!(
+            sorted,
+            (0..20).collect::<Vec<_>>(),
+            "each item started once"
+        );
     }
 }

@@ -7,12 +7,13 @@
 //!
 //! 1. **expands** the grid into independent [`Cell`]s with content-derived
 //!    per-cell seeds ([`SweepSpec::expand`]);
-//! 2. **executes** cells across threads with dynamic load balancing
-//!    ([`exec::parallel_map_with`]), *instance-major*: consecutive cells
-//!    that differ only in algorithm share one materialized platform, task
-//!    stream, compiled timeline, and set of certified lower bounds
-//!    ([`batch`]) — results are bit-identical for any thread count and any
-//!    batch grouping because each cell stays a pure function of itself;
+//! 2. **executes** cells across threads, costliest batch first off one
+//!    shared cursor ([`exec::parallel_map_costed`]), *instance-major*:
+//!    consecutive cells that differ only in algorithm share one
+//!    materialized platform, task stream, compiled timeline, and set of
+//!    certified lower bounds ([`batch`]) — results are bit-identical for
+//!    any thread count and any batch grouping because each cell stays a
+//!    pure function of itself;
 //! 3. **caches** completed cells in a sharded JSONL [`ResultStore`] keyed
 //!    by content hash, so re-runs skip finished work and interrupted
 //!    sweeps resume (torn shard lines are detected and re-run);
@@ -111,9 +112,7 @@ pub use cell::{
     AbortKind, Cell, CellError, CellMetrics, MaterializedInstance, PerturbCell, PlatformCell,
     ScenarioCell,
 };
-pub use exec::{
-    default_threads, parallel_map, parallel_map_collect, parallel_map_costed, parallel_map_with,
-};
+pub use exec::{default_threads, parallel_map, parallel_map_costed};
 pub use mss_obs::{StoreStats, SweepMetrics, WorkerMetrics};
 pub use run_metrics::{CellRunMetrics, HistogramData};
 pub use spec::{ArrivalAxis, PerturbAxis, PlatformAxis, ScenarioAxis, SpecError, SweepSpec};
@@ -142,13 +141,6 @@ pub struct SweepConfig {
     /// [`SweepMetrics::hists`]. Cached records without a payload are
     /// re-run. Scalar results stay bit-identical either way.
     pub collect_metrics: bool,
-    /// Batch-splitting threshold in estimated events (the cost model of
-    /// [`estimated_cell_events`]): a same-instance batch costing more is
-    /// chopped into sub-units of at most this many events, so one giant
-    /// batch cannot pin a worker while the rest idle. Results are
-    /// bit-identical for any value (contract #14); the default
-    /// [`DEFAULT_SPLIT_EVENTS`] never splits the paper's reference grids.
-    pub split_events: u64,
 }
 
 impl Default for SweepConfig {
@@ -159,7 +151,6 @@ impl Default for SweepConfig {
             progress: false,
             count_events: false,
             collect_metrics: false,
-            split_events: DEFAULT_SPLIT_EVENTS,
         }
     }
 }
@@ -219,8 +210,8 @@ const WORKER_FLUSH_FLOOR: usize = 32 << 10;
 /// This is the engine behind [`run_cells`]. Execution is **instance-major**
 /// (see [`batch`]): not-yet-cached cells are grouped into maximal
 /// consecutive same-instance batches, each batch materializes its
-/// platform/task-streams/timeline/bounds once, and worker threads pick up
-/// whole batches through the dynamic load balancer. Both completed cells
+/// platform/task-streams/timeline/bounds once, and each free worker
+/// thread takes the costliest batch left. Both completed cells
 /// and tagged aborts enter the store, so resumed sweeps skip
 /// known-aborting cells instead of re-running them.
 ///
@@ -258,18 +249,18 @@ pub fn try_run_cells(cells: &[Cell], config: &SweepConfig) -> CheckedOutcome {
     };
 
     // Instance-major fan-out: each work item is one batch of consecutive
-    // same-instance cells (oversized batches pre-split into same-instance
-    // sub-units by the event cost model); each worker thread owns one
-    // BatchWorker (the reused SimWorkspace + memoized sampler streams) and
-    // the work-stealing executor seeds costliest batches first. Batch
-    // results are slotted back by index, so output order — and every bit
-    // of it — is independent of thread count, of the grouping, and of the
-    // cost model (contract #14).
+    // same-instance cells (batches above DEFAULT_SPLIT_EVENTS pre-split
+    // into same-instance sub-units by the event cost model); each worker
+    // thread owns one BatchWorker (the reused SimWorkspace + memoized
+    // sampler streams) and takes the costliest batch left off one shared
+    // cursor. Batch results are slotted back by index, so output order —
+    // and every bit of it — is independent of thread count, of the
+    // grouping, and of the cost model (contract #14).
     let batches = split_batches(
         cells,
         &missing,
         group_instances(cells, &missing),
-        config.split_events,
+        DEFAULT_SPLIT_EVENTS,
     );
     let progress = mss_obs::Progress::new(missing.len(), config.progress);
     // Workers persist their own results as they go: each scratch holds a

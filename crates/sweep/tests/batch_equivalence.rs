@@ -1,4 +1,5 @@
-//! Property: **instance-major batched execution is observationally pure**.
+//! Property: **instance-major batched execution is observationally pure,
+//! at every thread count** (contracts #9 and #14).
 //!
 //! For arbitrary sweep specs — algorithms × platforms × arrivals ×
 //! perturbations × scenarios — the batched executor ([`try_run_cells`])
@@ -7,49 +8,23 @@
 //! includes error-carrying cells: a budget abort (e.g. a fault-oblivious
 //! algorithm livelocking against a permanently down slave) must land in
 //! the aborting cell's own result slot and nowhere else.
+//!
+//! Every grid goes through one check, [`assert_thread_count_identity`]
+//! (`thread_identity/mod.rs`, which `sweep_properties.rs` also runs on the
+//! sweep contract grids): the grid runs at 1, 2, 4 and 8 threads and at
+//! the machine's default, uncached and into a fresh result store, and each
+//! run must match the per-cell oracle and the 1-thread run in results,
+//! batch accounting, aggregate bytes, telemetry payload bytes and store
+//! record lines.
+
+mod thread_identity;
 
 use mss_scenario::{EventSpec, GeneratorSpec};
 use mss_sweep::{
-    group_instances, split_batches, try_run_cells, Cell, CellError, CellMetrics, ScenarioAxis,
-    SweepConfig, SweepMetrics, SweepSpec, DEFAULT_SPLIT_EVENTS,
+    group_instances, spec_from_toml, split_batches, ScenarioAxis, SweepSpec, DEFAULT_SPLIT_EVENTS,
 };
 use proptest::prelude::*;
-use std::collections::BTreeMap;
-use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Unique store directories across the concurrently running tests of this
-/// binary.
-static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
-
-fn fresh_store_dir() -> std::path::PathBuf {
-    std::env::temp_dir().join(format!(
-        "mss-batch-eq-{}-{}",
-        std::process::id(),
-        DIR_SEQ.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
-/// All store records by shard file, each shard's lines sorted. Contract
-/// #14 fixes the record *bytes* and each shard's line multiset at any
-/// thread count and split threshold; intra-shard line *order* is
-/// scheduling-dependent under concurrency, which is why this sorts before
-/// comparing.
-fn sorted_shard_lines(dir: &Path) -> BTreeMap<String, Vec<String>> {
-    let mut shards = BTreeMap::new();
-    for entry in std::fs::read_dir(dir).expect("store dir exists") {
-        let entry = entry.expect("read store dir entry");
-        let name = entry.file_name().into_string().expect("utf-8 shard name");
-        if !name.ends_with(".jsonl") {
-            continue;
-        }
-        let body = std::fs::read_to_string(entry.path()).expect("read shard");
-        let mut lines: Vec<String> = body.lines().map(str::to_string).collect();
-        lines.sort_unstable();
-        shards.insert(name, lines);
-    }
-    shards
-}
+use thread_identity::assert_thread_count_identity;
 
 fn algorithms(picks: &[usize]) -> Vec<String> {
     const NAMES: [&str; 7] = ["SRPT", "LS", "RR", "RRC", "RRP", "SLJF", "SLJFWC"];
@@ -259,105 +234,15 @@ fn arb_scenario_spec() -> impl Strategy<Value = SweepSpec> {
         )
 }
 
-/// Bit-exact comparison of two per-cell outcomes (`==` on the f64 metrics
-/// is exact; error messages must also agree verbatim).
-fn assert_results_match(
-    cells: &[Cell],
-    got: &[Result<CellMetrics, CellError>],
-    want: &[Result<CellMetrics, CellError>],
-    label: &str,
-) {
-    assert_eq!(got.len(), want.len(), "{label}: length");
-    for (i, (g, w)) in got.iter().zip(want).enumerate() {
-        assert_eq!(
-            g, w,
-            "{label}: slot {i} ({} on {:?}) diverged",
-            cells[i].algorithm, cells[i].platform
-        );
-    }
-}
-
-/// Every executed batch materializes its instance exactly once, and the
-/// batches are exactly the split instance groups of the grid — which
-/// makes `batch_reuse_ratio()` exact.
-fn assert_one_materialization_per_batch(cells: &[Cell], stats: &SweepMetrics, split_events: u64) {
-    let all: Vec<usize> = (0..cells.len()).collect();
-    let batches = split_batches(cells, &all, group_instances(cells, &all), split_events).len();
-    assert_eq!(stats.batches, batches as u64, "split {split_events}");
-    assert_eq!(
-        stats.materializations, batches as u64,
-        "split {split_events}"
-    );
-}
-
 fn check_spec(spec: &SweepSpec) {
     let cells = spec.expand().expect("generated spec expands");
-    // Oracle: every cell alone, in its own right, through the unbatched
-    // per-cell path (one warm workspace, like the historical executor).
-    let mut ws = mss_core::SimWorkspace::new();
-    let oracle: Vec<Result<CellMetrics, CellError>> =
-        cells.iter().map(|c| c.try_run_in(&mut ws)).collect();
-
-    for threads in [1, 2, mss_sweep::default_threads(64)] {
-        let outcome = try_run_cells(
-            &cells,
-            &SweepConfig {
-                threads,
-                cache_dir: None,
-                ..SweepConfig::default()
-            },
-        );
-        assert_eq!(outcome.executed, cells.len());
-        assert_one_materialization_per_batch(&cells, &outcome.stats, DEFAULT_SPLIT_EVENTS);
-        assert_results_match(
-            &cells,
-            &outcome.results,
-            &oracle,
-            &format!("{} threads", threads),
-        );
-    }
-
-    // Forced splitting with a live store: a 1-event threshold chops every
-    // batch into single-cell sub-units, so sub-batch re-materialization
-    // and work stealing are exercised even on tiny grids — results must
-    // still be bit-identical, and the store's record bytes (per-shard
-    // sorted line multisets) must be invariant across thread counts too.
-    let mut store_baseline: Option<BTreeMap<String, Vec<String>>> = None;
-    for threads in [1, 2, mss_sweep::default_threads(64)] {
-        let dir = fresh_store_dir();
-        let outcome = try_run_cells(
-            &cells,
-            &SweepConfig {
-                threads,
-                cache_dir: Some(dir.clone()),
-                split_events: 1,
-                ..SweepConfig::default()
-            },
-        );
-        assert_eq!(outcome.executed, cells.len(), "fresh store: all execute");
-        assert_one_materialization_per_batch(&cells, &outcome.stats, 1);
-        assert_results_match(
-            &cells,
-            &outcome.results,
-            &oracle,
-            &format!("forced split, {} threads", threads),
-        );
-        let lines = sorted_shard_lines(&dir);
-        let _ = std::fs::remove_dir_all(&dir);
-        match &store_baseline {
-            None => store_baseline = Some(lines),
-            Some(base) => assert_eq!(
-                &lines, base,
-                "store record bytes diverged at {threads} threads (forced split)"
-            ),
-        }
-    }
+    assert_thread_count_identity(&cells, false);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Arbitrary static grids: batched == per-cell at 1, 2, and max threads.
+    /// Arbitrary static grids: batched == per-cell at every thread count.
     #[test]
     fn batched_execution_is_bit_identical_for_static_grids(spec in arb_static_spec()) {
         check_spec(&spec);
@@ -430,31 +315,83 @@ fn plain_budget_aborts_land_in_their_slots() {
     let cells = spec.expand().unwrap();
     assert_eq!(cells.len(), 4, "2 scenarios × 2 algorithms");
 
-    for threads in [1, 2, 8] {
-        let outcome = try_run_cells(
-            &cells,
-            &SweepConfig {
-                threads,
-                cache_dir: None,
-                ..SweepConfig::default()
-            },
+    // Every thread count reproduces these results (the identity check), so
+    // the slot pattern below holds at each of them.
+    let results = assert_thread_count_identity(&cells, false);
+    // Slots 0–1: plain SRPT/LS abort with the legacy message shape.
+    for (slot, name) in [(0, "SRPT"), (1, "LS")] {
+        let err = results[slot].as_ref().unwrap_err();
+        assert!(
+            err.message.contains(&format!("{name} failed"))
+                && err.message.contains("step budget")
+                && err.kind == mss_sweep::AbortKind::BudgetExhausted,
+            "slot {slot}: {err}"
         );
-        // Slots 0–1: plain SRPT/LS abort with the legacy message shape.
-        for (slot, name) in [(0, "SRPT"), (1, "LS")] {
-            let err = outcome.results[slot].as_ref().unwrap_err();
-            assert!(
-                err.message.contains(&format!("{name} failed"))
-                    && err.message.contains("step budget")
-                    && err.kind == mss_sweep::AbortKind::BudgetExhausted,
-                "slot {slot} at {threads} threads: {err}"
-            );
-        }
-        // Slots 2–3: the fault-aware twins complete and bit-match their
-        // solo runs despite sharing a batch worker with the aborts.
-        for slot in [2, 3] {
-            let solo = cells[slot].try_run_in(&mut mss_core::SimWorkspace::new());
-            assert_eq!(outcome.results[slot], solo, "slot {slot}");
-            assert!(outcome.results[slot].is_ok(), "slot {slot}");
-        }
     }
+    // Slots 2–3: the fault-aware twins complete and bit-match their solo
+    // runs despite sharing a batch worker with the aborts.
+    for slot in [2, 3] {
+        let solo = cells[slot].try_run_in(&mut mss_core::SimWorkspace::new());
+        assert_eq!(results[slot], solo, "slot {slot}");
+        assert!(results[slot].is_ok(), "slot {slot}");
+    }
+}
+
+/// Telemetry payloads are byte-identical for any thread count (contract
+/// #12), and collecting them leaves every scalar result bit-identical. The
+/// grid is shared with `metrics_equivalence.rs`.
+#[test]
+fn metrics_collecting_grids_are_thread_count_identical() {
+    for seed in [7u64, 42] {
+        let spec = SweepSpec {
+            seed,
+            ..spec_from_toml(include_str!("grids/metrics.toml")).unwrap()
+        };
+        let cells = spec.expand().unwrap();
+        assert_eq!(cells.len(), 7 * 3 * 2, "seed {seed}");
+        let results = assert_thread_count_identity(&cells, true);
+        assert!(results.iter().all(Result::is_ok), "seed {seed}: completes");
+    }
+}
+
+/// A batch that crosses the real split threshold: 7 algorithms × 12,500
+/// tasks is 7 × 37,516 = 262,612 estimated events, above
+/// `DEFAULT_SPLIT_EVENTS` = 2¹⁸ = 262,144, so the one instance runs as two
+/// sub-batches of 6 + 1 cells, each materialized once — and every thread
+/// count still reproduces the per-cell results.
+#[test]
+fn a_batch_above_the_split_threshold_splits_and_stays_identical() {
+    let cells = spec_from_toml(
+        r#"
+        name = "split-threshold"
+        seed = 3
+        tasks = [12500]
+        algorithms = ["all"]
+
+        [[platforms]]
+        kind = "class"
+        class = "heterogeneous"
+        count = 1
+        slaves = 5
+
+        [[arrivals]]
+        kind = "bag"
+        "#,
+    )
+    .unwrap()
+    .expand()
+    .unwrap();
+    assert_eq!(cells.len(), 7);
+    let all: Vec<usize> = (0..cells.len()).collect();
+    assert_eq!(
+        split_batches(
+            &cells,
+            &all,
+            group_instances(&cells, &all),
+            DEFAULT_SPLIT_EVENTS
+        ),
+        vec![0..6, 6..7],
+        "one instance group, split once"
+    );
+    assert_thread_count_identity(&cells, false);
 }

@@ -1,33 +1,16 @@
-//! Contract #12, end to end: a metrics-collecting sweep produces
-//! bit-identical telemetry for any thread count, and the payloads survive
-//! the result store exactly.
+//! Contract #12, end to end: telemetry payloads survive the result store
+//! exactly, worker histograms merge to the per-cell sums, and payload-less
+//! cache entries re-run under `collect_metrics`. Their thread-count
+//! identity is checked by `batch_equivalence.rs`.
 
 use mss_sweep::{spec_from_toml, try_run_cells, SweepConfig, SweepSpec};
 use std::path::PathBuf;
 
 fn spec(seed: u64) -> SweepSpec {
-    spec_from_toml(&format!(
-        r#"
-        name = "metrics-equivalence"
-        seed = {seed}
-        tasks = [30]
-        algorithms = ["all"]
-
-        [[platforms]]
-        kind = "class"
-        class = "heterogeneous"
-        count = 3
-        slaves = 4
-
-        [[arrivals]]
-        kind = "bag"
-
-        [[arrivals]]
-        kind = "poisson"
-        load = 0.9
-        "#
-    ))
-    .unwrap()
+    SweepSpec {
+        seed,
+        ..spec_from_toml(include_str!("grids/metrics.toml")).unwrap()
+    }
 }
 
 fn config(threads: usize) -> SweepConfig {
@@ -37,35 +20,6 @@ fn config(threads: usize) -> SweepConfig {
         progress: false,
         count_events: false,
         collect_metrics: true,
-        split_events: mss_sweep::DEFAULT_SPLIT_EVENTS,
-    }
-}
-
-/// Serializes every per-cell payload to its exact store bytes.
-fn payload_bytes(spec: &SweepSpec, threads: usize) -> Vec<String> {
-    let cells = spec.expand().unwrap();
-    let outcome = try_run_cells(&cells, &config(threads));
-    outcome
-        .results
-        .iter()
-        .map(|r| {
-            let m = r.as_ref().expect("static grid completes");
-            let payload = m.run_metrics.as_ref().expect("payload collected");
-            serde_json::to_string(payload).unwrap()
-        })
-        .collect()
-}
-
-#[test]
-fn payloads_bit_identical_across_thread_counts() {
-    for seed in [7u64, 42] {
-        let spec = spec(seed);
-        let one = payload_bytes(&spec, 1);
-        let two = payload_bytes(&spec, 2);
-        let max = payload_bytes(&spec, mss_sweep::default_threads(64));
-        assert!(!one.is_empty());
-        assert_eq!(one, two, "seed {seed}: 1 vs 2 threads");
-        assert_eq!(one, max, "seed {seed}: 1 vs max threads");
     }
 }
 

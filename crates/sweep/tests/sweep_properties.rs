@@ -4,10 +4,16 @@
 //!   thread vs N threads;
 //! * a second run against a warm store executes zero cells;
 //! * a truncated shard file is detected and only the affected cell re-runs.
+//!
+//! The thread-count clause runs through the shared identity check,
+//! `thread_identity/mod.rs` (contract #14).
+
+mod thread_identity;
 
 use mss_core::Algorithm;
 use mss_sweep::{run_spec, spec_from_toml, SweepConfig, SweepSpec};
 use std::path::PathBuf;
+use thread_identity::assert_thread_count_identity;
 
 /// A 2-class × 4-platform × 2-arrival × 7-algorithm grid: 112 cells, all
 /// small enough to keep the test fast.
@@ -54,44 +60,14 @@ fn aggregate_bytes(outcome: &mss_sweep::SweepOutcome) -> String {
     serde_json::to_string_pretty(&outcome.aggregate(Some(Algorithm::Srpt))).unwrap()
 }
 
+/// The grid's results, aggregate bytes and store lines are identical at
+/// 1, 2, 4, 8 threads and the machine's default.
 #[test]
 fn hundred_plus_cells_bit_identical_across_thread_counts() {
-    let spec = spec();
-    assert!(
-        spec.expand().unwrap().len() >= 100,
-        "grid must be ≥ 100 cells"
-    );
-
-    let single = run_spec(
-        &spec,
-        &SweepConfig {
-            threads: 1,
-            cache_dir: None,
-            ..SweepConfig::default()
-        },
-    )
-    .unwrap();
-    let bytes_single = aggregate_bytes(&single);
-
-    for threads in [2, 4, 8] {
-        let parallel = run_spec(
-            &spec,
-            &SweepConfig {
-                threads,
-                cache_dir: None,
-                ..SweepConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(parallel.executed, single.executed);
-        assert_eq!(
-            aggregate_bytes(&parallel),
-            bytes_single,
-            "aggregated output must be byte-identical at {threads} threads"
-        );
-        // Not just the aggregates: every raw metric bit-matches.
-        assert_eq!(parallel.metrics, single.metrics);
-    }
+    let cells = spec().expand().unwrap();
+    assert!(cells.len() >= 100, "grid must be ≥ 100 cells");
+    let results = assert_thread_count_identity(&cells, false);
+    assert!(results.iter().all(Result::is_ok), "static grid completes");
 }
 
 #[test]
@@ -208,33 +184,11 @@ fn faulty_spec() -> SweepSpec {
 
 #[test]
 fn scenario_grids_are_bit_identical_across_thread_counts() {
-    let spec = faulty_spec();
-    let cells = spec.expand().unwrap();
+    let cells = faulty_spec().expand().unwrap();
     assert_eq!(cells.len(), 2 * 2 * 2 * 3, "platforms×scenarios×reps×algs");
     assert!(cells.iter().filter(|c| c.scenario.is_some()).count() == cells.len() / 2);
-
-    let single = run_spec(
-        &spec,
-        &SweepConfig {
-            threads: 1,
-            cache_dir: None,
-            ..SweepConfig::default()
-        },
-    )
-    .unwrap();
-    for threads in [2, 8] {
-        let parallel = run_spec(
-            &spec,
-            &SweepConfig {
-                threads,
-                cache_dir: None,
-                ..SweepConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(parallel.metrics, single.metrics);
-        assert_eq!(aggregate_bytes(&parallel), aggregate_bytes(&single));
-    }
+    let results = assert_thread_count_identity(&cells, false);
+    assert!(results.iter().all(Result::is_ok), "faulty grid completes");
 }
 
 #[test]
