@@ -250,10 +250,24 @@ mod tests {
             names,
             ["expand", "materialize", "simulate", "store", "aggregate"]
         );
-        // Simulation dominates the measured phases (the claim the command
-        // exists to quantify) and the counters actually counted.
-        assert!(report.profile.fraction("simulate") > 0.5);
-        assert!(report.stats.counters.events() > 0);
+        // Phase times are wall-clock measurements, so only their sanity is
+        // asserted: a share of ~13 ms of phase time moves with one
+        // preemption.
+        for (name, secs) in report.profile.phases() {
+            assert!(secs.is_finite() && *secs >= 0.0, "{name}: {secs} s");
+        }
+        // The counters are exact: the same cells run one by one through a
+        // `RunCounters` probe count the same engine work.
+        let mut one_by_one = RunCounters::new();
+        let mut ws = SimWorkspace::new();
+        for cell in profile_spec(true).expand().expect("profile grid expands") {
+            let mat = cell.materialize();
+            let mut scheduler = cell.build_scheduler();
+            cell.try_run_probed(&mat, &mut ws, scheduler.as_mut(), &mut one_by_one)
+                .expect("profiled cell runs");
+        }
+        assert!(one_by_one.events() > 0);
+        assert_eq!(report.stats.counters, one_by_one);
         assert!(report.render().contains("% of measured phase time"));
         // The per-shard store contention breakdown is part of the report
         // (all 16 shards, hex-labelled).

@@ -43,8 +43,13 @@ pub struct RunCounters {
     pub callbacks: u64,
     /// Scheduler callbacks elided under the `poll_driven` contract.
     pub callbacks_elided: u64,
-    /// Cached slave views recomputed from scratch.
+    /// Cached slave views brought up to date (one per touched or expired
+    /// view at a refresh; most keep their cached ready estimate).
     pub view_recomputes: u64,
+    /// Recomputed views that folded the slave's whole queue because an
+    /// off-time event or the clock moved their estimate (perturbed sizes or
+    /// drift only).
+    pub view_refolds: u64,
     /// Recomputed views entered in the engine's expiry heap because their
     /// anchor event is billed late (perturbed sizes or drift only).
     pub view_expiry_arms: u64,
@@ -101,6 +106,7 @@ impl RunCounters {
         self.callbacks += other.callbacks;
         self.callbacks_elided += other.callbacks_elided;
         self.view_recomputes += other.view_recomputes;
+        self.view_refolds += other.view_refolds;
         self.view_expiry_arms += other.view_expiry_arms;
         self.estimator_updates += other.estimator_updates;
         self.failures += other.failures;
@@ -135,6 +141,9 @@ impl Probe for RunCounters {
     }
     fn view_recompute(&mut self, _now: f64, _slave: usize) {
         self.view_recomputes += 1;
+    }
+    fn view_refolded(&mut self, _now: f64, _slave: usize) {
+        self.view_refolds += 1;
     }
     fn view_expiry_armed(&mut self, _now: f64, _slave: usize) {
         self.view_expiry_arms += 1;
@@ -190,6 +199,7 @@ mod tests {
         let mut b = RunCounters::new();
         b.callback_elided(0.0);
         b.view_recompute(0.0, 2);
+        b.view_refolded(0.0, 2);
         b.view_expiry_armed(0.0, 2);
 
         let mut ab = a.clone();
@@ -200,6 +210,7 @@ mod tests {
         assert_eq!(ab.callbacks, 1);
         assert_eq!(ab.callbacks_elided, 1);
         assert_eq!(ab.view_recomputes, 1);
+        assert_eq!(ab.view_refolds, 1);
         assert_eq!(ab.view_expiry_arms, 1);
     }
 

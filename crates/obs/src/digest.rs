@@ -15,7 +15,8 @@
 //! subsequent running digest.
 //!
 //! **Build invariance:** the probe deliberately ignores
-//! [`view_recompute`](crate::Probe::view_recompute) and
+//! [`view_recompute`](crate::Probe::view_recompute),
+//! [`view_refolded`](crate::Probe::view_refolded) and
 //! [`view_expiry_armed`](crate::Probe::view_expiry_armed) (debug builds
 //! recompute views more often than release builds, documented on the
 //! hooks) and the engine never reports its `debug_assertions` elision
@@ -173,8 +174,8 @@ impl Probe for DigestProbe {
     fn callback_elided(&mut self, now: f64) {
         self.fold(8, "callback_elided", now, 0, 0);
     }
-    // view_recompute and view_expiry_armed deliberately not folded: debug
-    // builds recompute (and so may arm) more.
+    // view_recompute, view_refolded and view_expiry_armed deliberately not
+    // folded: debug builds recompute (and so may refold and arm) more.
     fn estimator_update(&mut self, now: f64, slave: usize) {
         self.fold(9, "estimator_update", now, slave as u64, 0);
     }
@@ -278,6 +279,7 @@ mod tests {
         a.callback(1.0);
         b.callback(1.0);
         b.view_recompute(1.0, 0);
+        b.view_refolded(1.0, 0);
         b.view_expiry_armed(1.0, 0);
         assert_eq!(a.digest(), b.digest());
     }

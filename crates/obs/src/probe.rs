@@ -60,11 +60,22 @@ pub trait Probe {
     /// A scheduler callback was elided under the `poll_driven` contract
     /// (the engine proved its answer would be `Idle` with no state change).
     fn callback_elided(&mut self, now: f64) {}
-    /// The cached view of `slave` was recomputed from scratch. Debug builds
-    /// may report more recomputations than release builds: the
+    /// The cached view of `slave` was brought up to date after an event
+    /// touched it or the clock passed its anchor. Its ready estimate is
+    /// kept across on-time events and refolded from scratch only after
+    /// off-time ones (see [`view_refolded`](Probe::view_refolded)). Debug
+    /// builds may report more recomputations than release builds: the
     /// `debug_assertions` elision oracle refreshes views on callbacks that
     /// release builds skip.
     fn view_recompute(&mut self, now: f64, slave: usize) {}
+    /// The view of `slave` just recomputed could not keep its cached ready
+    /// estimate and folded the slave's whole queue: an arrival or completion
+    /// billed away from its predicted instant changed the queue, or the
+    /// clock passed the estimate's anchor. Only perturbed sizes and drift
+    /// cause either, so it never fires on nominal-size, drift-free runs.
+    /// Like [`view_recompute`](Probe::view_recompute), debug builds may
+    /// report more of these than release builds.
+    fn view_refolded(&mut self, now: f64, slave: usize) {}
     /// The view of `slave` just recomputed can go stale on the clock alone:
     /// the event its estimate is anchored on (a computation's end, or an
     /// in-flight send's arrival) is billed later than its nominal time
@@ -146,6 +157,10 @@ impl<A: Probe, B: Probe> Probe for (A, B) {
         self.0.view_recompute(now, slave);
         self.1.view_recompute(now, slave);
     }
+    fn view_refolded(&mut self, now: f64, slave: usize) {
+        self.0.view_refolded(now, slave);
+        self.1.view_refolded(now, slave);
+    }
     fn view_expiry_armed(&mut self, now: f64, slave: usize) {
         self.0.view_expiry_armed(now, slave);
         self.1.view_expiry_armed(now, slave);
@@ -203,6 +218,9 @@ impl<P: Probe> Probe for &mut P {
     fn view_recompute(&mut self, now: f64, slave: usize) {
         (**self).view_recompute(now, slave);
     }
+    fn view_refolded(&mut self, now: f64, slave: usize) {
+        (**self).view_refolded(now, slave);
+    }
     fn view_expiry_armed(&mut self, now: f64, slave: usize) {
         (**self).view_expiry_armed(now, slave);
     }
@@ -252,6 +270,7 @@ mod tests {
         p.callback(2.0);
         p.callback_elided(2.0);
         p.view_recompute(2.0, 0);
+        p.view_refolded(2.0, 0);
         p.view_expiry_armed(2.0, 0);
         p.estimator_update(2.0, 0);
         p.slave_failed(3.0, 0);

@@ -57,10 +57,15 @@
 //!   a computation billed past its nominal end, or a send arriving after
 //!   its nominal arrival (perturbed sizes or drift). On nominal-size,
 //!   drift-free runs every anchor's own event fires on time and the heap
-//!   stays empty. Idle slaves — whose fold is `now` itself — are answered
-//!   lazily by the view and never recomputed at all, so a refresh touches
-//!   only the slaves that actually changed: O(touched · log m) per
-//!   callback, not O(m). The recomputation replays the *same sequential
+//!   stays empty. A recompute keeps the cached ready estimate unless an
+//!   off-time event moved it: a send extends it in O(1) by the fold's last
+//!   step, an on-time arrival or completion leaves it unchanged, and only
+//!   an early or late one (or the clock passing the anchor) refolds the
+//!   slave's queue — so on those runs no queue is ever refolded. Idle
+//!   slaves — whose fold is `now` itself — are answered lazily by the view
+//!   and never recomputed at all, so a refresh touches only the slaves
+//!   that actually changed: O(touched · log m) per callback, not O(m).
+//!   Kept, extended or refolded, the estimate is the *same sequential
 //!   float arithmetic* as a from-scratch evaluation, so cached and fresh
 //!   views are bit-identical — a `debug_assertions` oracle re-derives
 //!   every view from scratch after each refresh and asserts bitwise
@@ -409,6 +414,11 @@ pub struct SimWorkspace {
     /// `INFINITY` marks an idle slave (its view is answered lazily and
     /// never expires).
     view_valid_until: Vec<f64>,
+    /// Set when an off-time event changed the slave's queue: an arrival or
+    /// completion billed away from its predicted instant, or a task lost on
+    /// arrival. The next recompute then folds the queue from scratch instead
+    /// of keeping `views.ready_estimate[j]` (see [`Engine::recompute_view`]).
+    view_refold: Vec<bool>,
     /// Lazy-deletion min-heap of `(view_valid_until bits, slave)`, so the
     /// refresh finds clock-expired views without scanning. Only views
     /// that can expire are entered: a computation billed past its nominal
@@ -492,6 +502,8 @@ impl SimWorkspace {
         self.views.reset(m);
         self.view_valid_until.clear();
         self.view_valid_until.resize(m, f64::NEG_INFINITY);
+        self.view_refold.clear();
+        self.view_refold.resize(m, false);
         self.view_expiry.clear();
         self.view_expiry.reserve(m + 8);
         // Every view starts dirty, so the log opens with one touch per
@@ -848,8 +860,8 @@ impl<'a, P: Probe, S: TaskSource> Engine<'a, P, S> {
         self.ws.pending.push_back(t);
     }
 
-    /// Recomputes the cached view of slave `j` at the current clock and
-    /// records how long the result stays exact.
+    /// Brings the cached view of slave `j` up to date at the current clock
+    /// and records how long its estimate stays exact.
     ///
     /// The nominal ready estimate is the sequential fold
     /// `t ← max(t, avail_k) + p` over the outstanding tasks, anchored at
@@ -858,9 +870,18 @@ impl<'a, P: Probe, S: TaskSource> Engine<'a, P, S> {
     /// cache is bitwise transparent. `now` only enters the fold through its
     /// first `max`: as long as the clock has not passed that anchor (the
     /// predicted end of the current computation, or the arrival instant of
-    /// the in-flight head), the folded value is independent of `now` and the
-    /// cache stays valid without recomputation; an idle slave's estimate is
-    /// `now` itself and is only valid at the instant it was computed.
+    /// the in-flight head), the folded value is independent of `now`; an
+    /// idle slave's estimate is `now` itself and is only valid at the
+    /// instant it was computed.
+    ///
+    /// So the cached estimate is kept, not refolded, while the clock has not
+    /// passed the anchor: the events that change the queue maintain it. A
+    /// send extends it by the fold's own last step ([`Engine::execute_send`]);
+    /// an arrival at its predicted `avail`, or a completion at its
+    /// `cur_pred_end`, leaves every float operation of the fold unchanged.
+    /// Only an off-time arrival or completion, or a task lost on arrival,
+    /// flags the slave in `view_refold` for one full fold here, as does the
+    /// clock passing the anchor.
     ///
     /// The anchor's own event — the computation's completion, or the head's
     /// arrival — touches the slave when it fires. So the clock can pass the
@@ -869,23 +890,13 @@ impl<'a, P: Probe, S: TaskSource> Engine<'a, P, S> {
     fn recompute_view(&mut self, j: usize) {
         let now = self.clock.as_f64();
         self.probe.view_recompute(now, j);
-        let p = self.platform.p(SlaveId(j));
+        let refold = std::mem::take(&mut self.ws.view_refold[j]);
         let rt = &self.ws.slaves[j];
-        let mut t = now;
-        for (k, ot) in rt.outstanding.iter().enumerate() {
-            if k == 0 && rt.computing.is_some() {
-                // Master's best guess for the current task: its predicted
-                // end, but never before "now".
-                t = rt.cur_pred_end.max(now);
-            } else {
-                t = t.max(ot.avail) + p;
-            }
-        }
         if rt.outstanding.is_empty() {
             // Idle: the fold is `now` itself and the view answers it
-            // lazily (`SimView` substitutes `now` for idle rows), so the
-            // cache never expires and idle slaves cost nothing per
-            // callback.
+            // lazily (`SimView` substitutes `now` for idle rows, so the
+            // stored column is never read), the cache never expires, and
+            // idle slaves cost nothing per callback.
             self.ws.view_valid_until[j] = f64::INFINITY;
         } else {
             let (anchor, late) = if rt.computing.is_some() {
@@ -900,6 +911,21 @@ impl<'a, P: Probe, S: TaskSource> Engine<'a, P, S> {
                 );
                 (head.avail, self.link_busy_until.as_f64() > head.avail)
             };
+            if refold || now > anchor {
+                self.probe.view_refolded(now, j);
+                let p = self.platform.p(SlaveId(j));
+                let mut t = now;
+                for (k, ot) in rt.outstanding.iter().enumerate() {
+                    if k == 0 && rt.computing.is_some() {
+                        // Master's best guess for the current task: its
+                        // predicted end, but never before "now".
+                        t = rt.cur_pred_end.max(now);
+                    } else {
+                        t = t.max(ot.avail) + p;
+                    }
+                }
+                self.ws.views.ready_estimate[j] = t;
+            }
             let valid_until = anchor.max(now);
             self.ws.view_valid_until[j] = valid_until;
             if late {
@@ -910,7 +936,6 @@ impl<'a, P: Probe, S: TaskSource> Engine<'a, P, S> {
             }
         }
         self.ws.views.outstanding[j] = rt.outstanding.len();
-        self.ws.views.ready_estimate[j] = t;
         self.ws.views.completed[j] = rt.completed;
         self.ws.views.available[j] = !rt.down;
     }
@@ -1064,6 +1089,7 @@ impl<'a, P: Probe, S: TaskSource> Engine<'a, P, S> {
                         .position(|o| o.id == t)
                         .expect("in-flight task must be outstanding");
                     rt.outstanding.remove(pos);
+                    self.ws.view_refold[j.0] = true;
                     self.lose_task(t);
                     self.probe.send_complete(now, t.0, j.0, false);
                     return Some(SchedulerEvent::SendCompleted(t, j));
@@ -1071,12 +1097,14 @@ impl<'a, P: Probe, S: TaskSource> Engine<'a, P, S> {
                 self.ws.records[slot].send_end = now;
                 // The slave now actually has the task. Sends are serial on
                 // the one port, so the arriving task is the most recent push.
-                match rt.outstanding.back_mut() {
-                    Some(ot) if ot.id == t => ot.avail = now,
-                    _ => {
-                        if let Some(ot) = rt.outstanding.iter_mut().find(|o| o.id == t) {
-                            ot.avail = now;
-                        }
+                // Arriving at its predicted `avail` leaves the fold as it
+                // was (an arrival that starts the computation predicts its
+                // end at `now + p`, the fold's own step); any other instant
+                // moves it.
+                if let Some(ot) = rt.outstanding.iter_mut().rev().find(|o| o.id == t) {
+                    if ot.avail != now {
+                        ot.avail = now;
+                        self.ws.view_refold[j.0] = true;
                     }
                 }
                 self.probe.send_complete(now, t.0, j.0, true);
@@ -1111,6 +1139,11 @@ impl<'a, P: Probe, S: TaskSource> Engine<'a, P, S> {
                 self.mark_view_dirty(j.0);
                 let rt = &mut self.ws.slaves[j.0];
                 debug_assert_eq!(rt.computing, Some(t));
+                // Completing at the predicted end leaves the remaining fold
+                // steps as they were; early or late, the fold moves.
+                if rt.cur_end != rt.cur_pred_end {
+                    self.ws.view_refold[j.0] = true;
+                }
                 rt.computing = None;
                 rt.completed += 1;
                 // Computes are FIFO: the finished task is the head.
@@ -1284,10 +1317,19 @@ impl<'a, P: Probe, S: TaskSource> Engine<'a, P, S> {
         r.slave = j.0;
         self.link_busy_until = now + actual_c;
         self.mark_view_dirty(j.0);
-        self.ws.slaves[j.0].outstanding.push_back(OutTask {
-            id: t,
-            avail: now.as_f64() + nominal_c,
-        });
+        // Extend the cached estimate by the fold's last step. The scheduler
+        // has just read this slave's refreshed view, so the cached value is
+        // exact at `now` (an idle slave's is `now` itself).
+        let avail = now.as_f64() + nominal_c;
+        let ws = &mut *self.ws;
+        let rt = &mut ws.slaves[j.0];
+        let ready = if rt.outstanding.is_empty() {
+            now.as_f64()
+        } else {
+            ws.views.ready_estimate[j.0]
+        };
+        ws.views.ready_estimate[j.0] = ready.max(avail) + self.platform.p(j);
+        rt.outstanding.push_back(OutTask { id: t, avail });
         let seq = self.push(self.link_busy_until, Event::SendComplete(t, j));
         self.in_flight = Some((t, j, seq));
         self.probe.send_start(now.as_f64(), t.0, j.0);

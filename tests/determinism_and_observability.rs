@@ -150,10 +150,12 @@ fn counted_run(
 
 /// The engine enters a cached view in its expiry heap only when the clock
 /// can pass the view's anchor before an event touches the slave: a
-/// computation or send billed later than its nominal time. The paper's
-/// exact cells (nominal sizes, static 5-slave platforms, Fig. 1's bag and
-/// Fig. 2's stream) never arm it, whatever the heuristic; a ±10 %
-/// matrix-perturbed cell does.
+/// computation or send billed later than its nominal time. Likewise it
+/// refolds a slave's whole queue only after an off-time event: on-time
+/// arrivals and completions keep the cached estimate, and sends extend it
+/// in O(1). The paper's exact cells (nominal sizes, static 5-slave
+/// platforms, Fig. 1's bag and Fig. 2's stream) never arm or refold,
+/// whatever the heuristic; a ±10 % matrix-perturbed cell does both.
 #[test]
 fn view_expiry_is_armed_only_where_a_view_can_expire() {
     let sampler = PlatformSampler::default();
@@ -180,10 +182,18 @@ fn view_expiry_is_armed_only_where_a_view_can_expire() {
                     exact.view_expiry_arms, 0,
                     "{alg:?} on a nominal {class:?} {arrivals:?} cell"
                 );
+                assert_eq!(
+                    exact.view_refolds, 0,
+                    "{alg:?} refolded on a nominal {class:?} {arrivals:?} cell"
+                );
                 let late = counted_run(&mut ws, platform, &perturbed, alg);
                 assert!(
                     late.view_expiry_arms > 0,
                     "{alg:?} on a perturbed {class:?} {arrivals:?} cell"
+                );
+                assert!(
+                    late.view_refolds > 0,
+                    "{alg:?} never refolded on a perturbed {class:?} {arrivals:?} cell"
                 );
             }
         }
