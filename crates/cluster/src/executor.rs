@@ -15,9 +15,9 @@
 //! [`validate_loose`] instead of the DES's exact validator.
 
 use crate::matrix::Matrix;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use mss_core::{OnlineScheduler, Platform, SchedulerEvent, TaskArrival, TaskId, Trace};
 use mss_sim::{Decision, SlaveId, TaskRecord, Time, ViewState};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -145,11 +145,11 @@ pub fn execute(
     let n = tasks.len();
     let t0 = Instant::now();
 
-    let (done_tx, done_rx) = unbounded::<FromWorker>();
-    let mut to_workers: Vec<Sender<ToWorker>> = Vec::with_capacity(m);
+    let (done_tx, done_rx) = channel::<FromWorker>();
+    let mut to_workers: Vec<SyncSender<ToWorker>> = Vec::with_capacity(m);
     let mut handles = Vec::with_capacity(m);
     for j in 0..m {
-        let (tx, rx) = bounded::<ToWorker>(n.max(1));
+        let (tx, rx) = sync_channel::<ToWorker>(n.max(1));
         let done = done_tx.clone();
         handles.push(thread::spawn(move || worker_loop(j, t0, rx, done)));
         to_workers.push(tx);

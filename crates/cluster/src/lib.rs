@@ -3,8 +3,8 @@
 //! The paper's experiments ran on "a small heterogeneous master-slave
 //! platform with five different computers connected by a fast Ethernet
 //! switch", with matrices as tasks and determinant computations as work
-//! (§4.2). This crate is that testbed's stand-in (see DESIGN.md,
-//! substitutions): one OS thread per slave, a literal one-port master that
+//! (§4.2). This crate stands in for that testbed, which is not available
+//! here: one OS thread per slave, a literal one-port master that
 //! blocks while a [`Matrix`] payload ships for `c_j` scaled seconds, and
 //! workers that really LU-factorize what they receive, padded to `p_j`.
 //!

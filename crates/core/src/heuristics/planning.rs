@@ -4,8 +4,8 @@
 //! RR-2005-31) is not available; the constructions below follow the
 //! description in the paper itself — "it calculates, before scheduling the
 //! first task, the assignment of all tasks, starting with the last one" —
-//! and are validated against the exhaustive optimum in `mss-opt`'s tests
-//! (DESIGN.md, ablation A2).
+//! and are compared with the exhaustive optimum of `mss-opt` by ablation A2
+//! (`ms-lab ablation-sljf`; see its row in `docs/PAPER_MAP.md`).
 //!
 //! * [`sljf_dispatch`] ignores communications (the algorithm is designed for
 //!   communication-homogeneous platforms): it first chooses how many tasks

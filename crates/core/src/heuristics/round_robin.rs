@@ -13,7 +13,7 @@
 //! makes the three variants provably identical whenever the ordering key is
 //! constant (e.g. RRC on a communication-homogeneous platform), which
 //! contradicts Figure 1(b) where RRC is clearly the worst. We therefore use
-//! a **buffer-bounded demand-driven** dispatch (see `DESIGN.md`): a slave is
+//! a **buffer-bounded demand-driven** dispatch: a slave is
 //! *eligible* when it has at most `buffer` outstanding tasks, and the master
 //! sends the oldest pending task to the first eligible slave in the
 //! prescribed order. `buffer = 1` keeps one task queued behind the one
@@ -21,9 +21,10 @@
 //! family beats SRPT on homogeneous platforms) while keeping the ordering
 //! decisive (so RRC/RRP degrade exactly where Figure 1 says they do).
 //!
-//! A strict-cyclic mode is provided for the ablation study (`DESIGN.md`
-//! A1): it walks the prescribed ring one slave at a time, skipping
-//! ineligible slaves.
+//! A strict-cyclic mode is provided for ablation A1 (`ms-lab
+//! ablation-buffer`, which sweeps both modes and the buffer bound; see its
+//! row in `docs/PAPER_MAP.md`): it walks the prescribed ring one slave at a
+//! time, skipping ineligible slaves.
 
 use crate::heuristics::util::oldest_pending;
 use mss_sim::{

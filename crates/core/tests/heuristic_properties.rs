@@ -72,7 +72,8 @@ proptest! {
         // the buffer-bounded RR family can pay a one-task end-game penalty
         // on *small* bags (proptest found n = 20, m = 5, where RR trails
         // SRPT by ~1 %), so it gets a matching tolerance — at the paper's
-        // n = 1000 the gap vanishes (see fig1a in EXPERIMENTS.md).
+        // n = 1000 the gap vanishes (`tests/paper_claims.rs::
+        // fig1a_statics_equal_and_beat_srpt` asserts a clear win there).
         let p = c * pmul * m as f64;
         let platform = Platform::homogeneous(m, c, p);
         let tasks = bag_of_tasks(n);

@@ -1,4 +1,5 @@
-//! Ablation studies for the design choices documented in DESIGN.md.
+//! Ablation studies for the reproduction's own design choices, where the
+//! paper leaves a detail open. Each has a row in `docs/PAPER_MAP.md`.
 //!
 //! * **A1 — RR dispatch**: the paper leaves the Round-Robin dispatch rule
 //!   unspecified; we chose buffer-bounded demand-driven dispatch (buffer 1).
@@ -14,7 +15,7 @@
 //!   platforms interpolating from homogeneous to the paper's heterogeneous
 //!   distribution, per axis, measuring how much algorithm choice matters.
 
-use crate::report::{fmt3, fmt4, write_csv, write_json, AsciiTable, ExperimentScale};
+use crate::report::{fmt3, fmt4, AsciiTable, ExperimentScale};
 use mss_core::{
     simulate, Algorithm, InfoTier, Objective, Platform, PlatformClass, RoundRobin, RrDispatch,
     RrOrder, SimConfig,
@@ -128,9 +129,9 @@ impl BufferAblation {
         )
     }
 
-    /// Writes artifacts; returns the CSV path.
-    pub fn write_artifacts(&self) -> std::path::PathBuf {
-        let rows: Vec<Vec<String>> = self
+    /// Header and stringified rows of `ablation_buffer.csv`.
+    pub fn csv_table(&self) -> (&'static [&'static str], Vec<Vec<String>>) {
+        let rows = self
             .rows
             .iter()
             .map(|r| {
@@ -142,12 +143,8 @@ impl BufferAblation {
                 ]
             })
             .collect();
-        write_json("ablation_buffer", self);
-        write_csv(
-            "ablation_buffer",
-            &["mode", "buffer", "comm_homog_norm", "comp_homog_norm"],
-            &rows,
-        )
+        let header = &["mode", "buffer", "comm_homog_norm", "comp_homog_norm"];
+        (header, rows)
     }
 }
 
@@ -268,11 +265,6 @@ impl SljfQuality {
             t.render()
         )
     }
-
-    /// Writes artifacts; returns the JSON path.
-    pub fn write_artifacts(&self) -> std::path::PathBuf {
-        write_json("ablation_sljf", self)
-    }
 }
 
 // ---------------------------------------------------------------- A3 ----
@@ -336,11 +328,6 @@ impl ArrivalAblation {
             t.render()
         )
     }
-
-    /// Writes artifacts; returns the JSON path.
-    pub fn write_artifacts(&self) -> std::path::PathBuf {
-        write_json("ablation_arrivals", self)
-    }
 }
 
 // ---------------------------------------------------------------- A4 ----
@@ -361,7 +348,7 @@ pub struct HeterogeneityImpact {
     pub families: usize,
 }
 
-/// Sweeps the heterogeneity degree along all three axes (DESIGN.md A4,
+/// Sweeps the heterogeneity degree along all three axes (A4,
 /// `examples/heterogeneity_impact.rs`): as heterogeneity grows, the spread
 /// between the best and worst static heuristic widens — the experimental
 /// mirror of the theory section, where heterogeneity raises every lower
@@ -463,11 +450,6 @@ impl HeterogeneityImpact {
             t.render()
         )
     }
-
-    /// Writes artifacts; returns the JSON path.
-    pub fn write_artifacts(&self) -> std::path::PathBuf {
-        write_json("ablation_heterogeneity", self)
-    }
 }
 
 #[cfg(test)]
@@ -549,6 +531,5 @@ mod tests {
         });
         assert_eq!(report.regimes.len(), 4);
         assert!(report.render().contains("bag(t=0)"));
-        assert!(report.write_artifacts().exists());
     }
 }

@@ -56,12 +56,11 @@
 //! any other argument, or a value flag without its value, is an error
 //! (exit 2).
 
-use mss_core::{Algorithm, PlatformClass};
-use mss_lab::report::{fmt3, fmt4, write_csv, write_json, AsciiTable, ExperimentScale};
-use mss_lab::{ablations, fig1, fig2, oblivion, resilience, table1};
+use mss_core::Algorithm;
+use mss_lab::report::{fmt3, fmt4, write_files, Artifact, AsciiTable, ExperimentScale};
+use mss_lab::{resilience, EXPERIMENTS};
 use mss_sweep::{default_threads, SweepConfig};
-use mss_workload::{ArrivalProcess, Perturbation};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Every command with the flags it reads, exactly as `usage()` prints
 /// them. `[--x N]` takes a value, `[--x [N]]` an optional one (taken when
@@ -186,35 +185,55 @@ fn parse_runtime(args: &[String]) -> SweepConfig {
     }
 }
 
-fn run_fig1_panel(class: PlatformClass, scale: ExperimentScale, config: &SweepConfig) {
-    let panel = fig1::run_panel_with(class, scale, ArrivalProcess::AllAtZero, config);
-    println!("{}", panel.render());
-    let path = panel.write_artifacts();
-    println!("artifacts: {}\n", path.display());
+/// The artifact directory, `target/lab/` of this workspace, created up
+/// front: one that cannot be (a regular file, a read-only mount) is a
+/// located error (exit 2) before anything runs.
+fn artifact_dir(cmd: &str) -> PathBuf {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/lab");
+    if let Err(e) = write_files(&dir, &[]) {
+        eprintln!("{cmd}: cannot use artifact directory {e}");
+        std::process::exit(2);
+    }
+    dir
 }
 
-fn run_table1(config: &SweepConfig) {
-    let report = table1::run_with(config);
-    println!("{}", report.render());
-    let path = report.write_artifacts();
-    println!("artifacts: {}\n", path.display());
-    assert!(report.all_verified(), "a bound was violated — see above");
+/// Writes `files` into `dir` and names them; a failed write is a located
+/// error (exit 2).
+fn write_out(cmd: &str, dir: &Path, files: &[Artifact]) {
+    if let Err(e) = write_files(dir, files) {
+        eprintln!("{cmd}: cannot write artifact {e}");
+        std::process::exit(2);
+    }
+    let names: Vec<&str> = files.iter().map(|f| f.name.as_str()).collect();
+    println!("artifacts in {}: {}\n", dir.display(), names.join(", "));
 }
 
-fn run_fig2(scale: ExperimentScale, config: &SweepConfig) {
-    // Physical reading of the paper's "size of the matrix ... by a factor
-    // of up to 10 %": the linear dimension jitters by ±10 %, so shipping
-    // (N² entries) scales quadratically and the determinant (O(N³))
-    // cubically. `Perturbation::linear` is the conservative alternative.
-    let report = fig2::run_with(
-        scale,
-        ArrivalProcess::UniformStream { load: 0.9 },
-        Perturbation::matrix(0.1),
-        config,
-    );
-    println!("{}", report.render());
-    let path = report.write_artifacts();
-    println!("artifacts: {}\n", path.display());
+/// Runs the experiments `names` in order through the one entry point the
+/// digest test pins, printing each table and writing its files. A bad
+/// `--scenario` file or an unusable artifact directory fails before the
+/// first experiment runs.
+fn run_experiments(cmd: &str, names: &[&str], args: &[String]) {
+    let scenario = parse_flag(args, "--scenario").map(|path| {
+        resilience::load_scenario(Path::new(&path)).unwrap_or_else(|e| {
+            eprintln!("{cmd}: {e}");
+            std::process::exit(2);
+        })
+    });
+    let (scale, config) = (parse_scale(args), parse_runtime(args));
+    let dir = artifact_dir(cmd);
+    for &name in names {
+        let out =
+            mss_lab::run_experiment(name, scale, scenario.as_ref(), &config).unwrap_or_else(|e| {
+                eprintln!("{name}: {e}");
+                std::process::exit(2);
+            });
+        println!("{}", out.text);
+        write_out(name, &dir, &out.files);
+        if let Some(failure) = out.failure {
+            eprintln!("{name}: {failure}");
+            std::process::exit(1);
+        }
+    }
 }
 
 /// The result-store directory of `cmd`: `--cache-dir DIR`, or the
@@ -238,17 +257,7 @@ fn open_cache_dir(args: &[String], cmd: &str, spec_name: &str) -> PathBuf {
 }
 
 fn run_sweep(args: &[String]) {
-    let Some(spec_path) = args.first().filter(|a| !a.starts_with("--")) else {
-        eprintln!("sweep: missing spec path");
-        usage();
-    };
-    let spec = match mss_sweep::spec_from_path(std::path::Path::new(spec_path)) {
-        Ok(spec) => spec,
-        Err(e) => {
-            eprintln!("sweep: {e}");
-            std::process::exit(2);
-        }
-    };
+    let (spec, _) = spec_arg(args, "sweep");
 
     let mut config = parse_runtime(args);
     if !args.iter().any(|a| a == "--no-cache") {
@@ -272,6 +281,7 @@ fn run_sweep(args: &[String]) {
             std::process::exit(2);
         }
     };
+    let dir = artifact_dir("sweep");
     println!(
         "sweep `{}`: {} cells on {} threads{}",
         spec.name,
@@ -306,9 +316,17 @@ fn run_sweep(args: &[String]) {
     }
     println!("{}", table.render());
 
-    let name = format!("sweep_{}", spec.name);
-    write_json(&name, &rows);
-    let csv_rows: Vec<Vec<String>> = rows
+    println!(
+        "executed {} cells, {} from cache{}",
+        outcome.executed,
+        outcome.cached,
+        if outcome.dropped > 0 {
+            format!(" ({} torn records re-run)", outcome.dropped)
+        } else {
+            String::new()
+        }
+    );
+    let csv_rows = rows
         .iter()
         .map(|r| {
             vec![
@@ -326,31 +344,22 @@ fn run_sweep(args: &[String]) {
             ]
         })
         .collect();
-    let path = write_csv(
-        &name,
-        &[
-            "scenario",
-            "algorithm",
-            "makespan_mean",
-            "makespan_min",
-            "makespan_max",
-            "makespan_ci95",
-            "ratio_vs_lb_mean",
-            "normalized_mean",
-        ],
-        &csv_rows,
-    );
-    println!(
-        "executed {} cells, {} from cache{}; artifacts: {}",
-        outcome.executed,
-        outcome.cached,
-        if outcome.dropped > 0 {
-            format!(" ({} torn records re-run)", outcome.dropped)
-        } else {
-            String::new()
-        },
-        path.display()
-    );
+    let header: &[&str] = &[
+        "scenario",
+        "algorithm",
+        "makespan_mean",
+        "makespan_min",
+        "makespan_max",
+        "makespan_ci95",
+        "ratio_vs_lb_mean",
+        "normalized_mean",
+    ];
+    let stem = format!("sweep_{}", spec.name);
+    let files = [
+        Artifact::json(&stem, &rows),
+        Artifact::csv(&stem, (header, csv_rows)),
+    ];
+    write_out("sweep", &dir, &files);
 }
 
 fn spec_arg(args: &[String], cmd: &str) -> (mss_sweep::SweepSpec, PathBuf) {
@@ -376,11 +385,15 @@ fn run_metrics_cmd(args: &[String]) {
     if !args.iter().any(|a| a == "--quick" || a == "--no-cache") {
         config.cache_dir = Some(open_cache_dir(args, "metrics", &spec.name));
     }
+    let dir = artifact_dir("metrics");
     match mss_lab::metrics::run_spec_metrics(&spec, &config) {
         Ok(report) => {
             println!("{}", report.render());
-            let path = report.write_artifacts();
-            println!("artifacts: {} (+ metrics.json)", path.display());
+            let files = [
+                Artifact::json("metrics", &report.rows),
+                Artifact::csv("metrics", report.csv_table()),
+            ];
+            write_out("metrics", &dir, &files);
         }
         Err(e) => {
             eprintln!("metrics: {e}");
@@ -395,6 +408,13 @@ fn run_diff(args: &[String]) {
     let index = parse_flag(args, "--cell")
         .map(|v| v.parse().unwrap_or_else(|_| usage()))
         .unwrap_or(0);
+    // `--dump` alone writes into the artifact directory, checked up front.
+    let dump = args.iter().position(|a| a == "--dump").map(|i| {
+        match args.get(i + 1).filter(|v| !v.starts_with("--")) {
+            Some(path) => PathBuf::from(path),
+            None => artifact_dir("diff").join(format!("ledger_{}_cell{index}.jsonl", spec.name)),
+        }
+    });
     let outcome = match diff::audit_cell(&spec, index) {
         Ok(o) => o,
         Err(e) => {
@@ -404,14 +424,11 @@ fn run_diff(args: &[String]) {
     };
     println!("audited {}", outcome.cell);
     println!("{} events, digest {:016x}", outcome.events, outcome.digest);
-    if let Some(i) = args.iter().position(|a| a == "--dump") {
-        let path = args
-            .get(i + 1)
-            .filter(|v| !v.starts_with("--"))
-            .map(PathBuf::from)
-            .unwrap_or_else(|| diff::default_dump_path(&spec.name, index));
-        std::fs::write(&path, diff::ledger_to_jsonl(&outcome.ledger))
-            .unwrap_or_else(|e| panic!("write ledger {}: {e}", path.display()));
+    if let Some(path) = dump {
+        if let Err(e) = std::fs::write(&path, diff::ledger_to_jsonl(&outcome.ledger)) {
+            eprintln!("diff: cannot write ledger {}: {e}", path.display());
+            std::process::exit(2);
+        }
         println!("ledger: {}", path.display());
     }
     if let Some(against) = parse_flag(args, "--against") {
@@ -432,35 +449,42 @@ fn run_diff(args: &[String]) {
     }
 }
 
-fn run_profile(args: &[String], config: &SweepConfig) {
+fn run_profile(args: &[String]) {
+    let dir = artifact_dir("profile");
     let quick = args.iter().any(|a| a == "--quick");
-    let report = mss_lab::profile::run_with(quick, config.threads);
+    let report = mss_lab::profile::run_with(quick, parse_runtime(args).threads);
     println!("{}", report.render());
-    let dir = report.write_artifacts();
-    println!(
-        "\nartifacts: {} (profile.json, profile.csv, profile_workers.json)",
-        dir.display()
-    );
+    let file = |name: &str, body| Artifact {
+        name: name.to_string(),
+        body,
+    };
+    let files = [
+        file("profile.json", report.profile.to_json()),
+        file("profile.csv", report.profile.to_csv()),
+        file(
+            "profile_workers.json",
+            report.stats.to_chrome("profile sweep").render(),
+        ),
+    ];
+    write_out("profile", &dir, &files);
 }
 
 fn run_trace(args: &[String]) {
-    let Some(spec_path) = args.first().filter(|a| !a.starts_with("--")) else {
-        eprintln!("trace: missing spec path");
-        usage();
-    };
-    let spec = match mss_sweep::spec_from_path(std::path::Path::new(spec_path)) {
-        Ok(spec) => spec,
-        Err(e) => {
-            eprintln!("trace: {e}");
-            std::process::exit(2);
-        }
-    };
+    let (spec, _) = spec_arg(args, "trace");
     let index = parse_flag(args, "--cell")
         .map(|v| v.parse().unwrap_or_else(|_| usage()))
         .unwrap_or(0);
-    let out = parse_flag(args, "--out").map(PathBuf::from);
-    match mss_lab::profile::trace_cell(&spec, index, out) {
+    let path = parse_flag(args, "--out")
+        .map(PathBuf::from)
+        .unwrap_or_else(|| {
+            artifact_dir("trace").join(format!("trace_{}_cell{index}.json", spec.name))
+        });
+    match mss_lab::profile::trace_cell(&spec, index) {
         Ok(t) => {
+            if let Err(e) = std::fs::write(&path, &t.json) {
+                eprintln!("trace: cannot write trace {}: {e}", path.display());
+                std::process::exit(2);
+            }
             println!("traced {}", t.cell);
             match &t.result {
                 Ok(m) => println!(
@@ -476,7 +500,7 @@ fn run_trace(args: &[String]) {
             }
             println!(
                 "trace: {} (load it at ui.perfetto.dev or chrome://tracing)",
-                t.path.display()
+                path.display()
             );
         }
         Err(e) => {
@@ -486,126 +510,21 @@ fn run_trace(args: &[String]) {
     }
 }
 
-fn run_oblivion(scale: ExperimentScale, config: &SweepConfig) {
-    let arrival = ArrivalProcess::UniformStream { load: 0.9 };
-    let report = oblivion::run_with(scale, arrival, config);
-    println!("{}", report.render());
-    println!("artifacts: {}\n", report.write_artifacts().display());
-}
-
-fn run_resilience(args: &[String], scale: ExperimentScale, config: &SweepConfig) {
-    let arrival = ArrivalProcess::UniformStream { load: 0.9 };
-    let report = match parse_flag(args, "--scenario") {
-        Some(path) => {
-            let spec = match mss_sweep::scenario_from_path(std::path::Path::new(&path)) {
-                Ok(spec) => spec,
-                Err(e) => {
-                    eprintln!("resilience: {e}");
-                    std::process::exit(2);
-                }
-            };
-            match resilience::run_scenario_file(scale, arrival, &spec, config) {
-                Ok(report) => report,
-                Err(e) => {
-                    eprintln!("resilience: {e}");
-                    std::process::exit(2);
-                }
-            }
-        }
-        None => resilience::run_with(scale, arrival, config),
-    };
-    println!("{}", report.render());
-    println!("artifacts: {}\n", report.write_artifacts().display());
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else { usage() };
     let rest = &args[1..];
     check_args(command, rest);
-    let scale = parse_scale(rest);
-    let runtime = parse_runtime(rest);
 
     match command.as_str() {
-        "table1" => run_table1(&runtime),
-        "fig1a" => run_fig1_panel(PlatformClass::Homogeneous, scale, &runtime),
-        "fig1b" => run_fig1_panel(PlatformClass::CommHomogeneous, scale, &runtime),
-        "fig1c" => run_fig1_panel(PlatformClass::CompHomogeneous, scale, &runtime),
-        "fig1d" => run_fig1_panel(PlatformClass::Heterogeneous, scale, &runtime),
-        "fig1" => {
-            for class in [
-                PlatformClass::Homogeneous,
-                PlatformClass::CommHomogeneous,
-                PlatformClass::CompHomogeneous,
-                PlatformClass::Heterogeneous,
-            ] {
-                run_fig1_panel(class, scale, &runtime);
-            }
-        }
-        "fig2" => run_fig2(scale, &runtime),
+        "fig1" => run_experiments(command, &["fig1a", "fig1b", "fig1c", "fig1d"], rest),
+        "all" => run_experiments(command, &EXPERIMENTS, rest),
         "sweep" => run_sweep(rest),
         "metrics" => run_metrics_cmd(rest),
         "diff" => run_diff(rest),
-        "profile" => run_profile(rest, &runtime),
+        "profile" => run_profile(rest),
         "trace" => run_trace(rest),
-        "ablation-buffer" => {
-            let report = ablations::buffer_sweep_with(scale, &runtime);
-            println!("{}", report.render());
-            println!("artifacts: {}\n", report.write_artifacts().display());
-        }
-        "ablation-sljf" => {
-            let report = ablations::sljf_quality_with(200, scale.seed, &runtime);
-            println!("{}", report.render());
-            println!("artifacts: {}\n", report.write_artifacts().display());
-        }
-        "ablation-arrivals" => {
-            let report = ablations::arrival_sweep_with(scale, &runtime);
-            println!("{}", report.render());
-            println!("artifacts: {}\n", report.write_artifacts().display());
-        }
-        "ablation-heterogeneity" => {
-            let report = ablations::heterogeneity_impact_with(
-                scale.tasks,
-                scale.platforms,
-                scale.seed,
-                &runtime,
-            );
-            println!("{}", report.render());
-            println!("artifacts: {}\n", report.write_artifacts().display());
-        }
-        "resilience" => run_resilience(rest, scale, &runtime),
-        "oblivion" => run_oblivion(scale, &runtime),
-        "all" => {
-            run_table1(&runtime);
-            for class in [
-                PlatformClass::Homogeneous,
-                PlatformClass::CommHomogeneous,
-                PlatformClass::CompHomogeneous,
-                PlatformClass::Heterogeneous,
-            ] {
-                run_fig1_panel(class, scale, &runtime);
-            }
-            run_fig2(scale, &runtime);
-            let a1 = ablations::buffer_sweep_with(scale, &runtime);
-            println!("{}", a1.render());
-            a1.write_artifacts();
-            let a2 = ablations::sljf_quality_with(200, scale.seed, &runtime);
-            println!("{}", a2.render());
-            a2.write_artifacts();
-            let a3 = ablations::arrival_sweep_with(scale, &runtime);
-            println!("{}", a3.render());
-            a3.write_artifacts();
-            let a4 = ablations::heterogeneity_impact_with(
-                scale.tasks,
-                scale.platforms,
-                scale.seed,
-                &runtime,
-            );
-            println!("{}", a4.render());
-            a4.write_artifacts();
-            run_resilience(rest, scale, &runtime);
-            run_oblivion(scale, &runtime);
-        }
+        name if EXPERIMENTS.contains(&name) => run_experiments(name, &[name], rest),
         _ => usage(),
     }
 }

@@ -20,7 +20,7 @@ use mss_core::SimWorkspace;
 use mss_obs::{DigestEvent, DigestProbe};
 use mss_sweep::SweepSpec;
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// A replayed cell's audit trail.
 pub struct AuditOutcome {
@@ -282,11 +282,6 @@ pub fn reference_ledger(
         .map_err(|e| format!("reference binary wrote no ledger: {e}"))?;
     let _ = std::fs::remove_file(&tmp);
     parse_ledger(&body)
-}
-
-/// Default dump path for `--dump` without an argument-provided location.
-pub fn default_dump_path(spec_name: &str, index: usize) -> PathBuf {
-    crate::report::artifact_dir().join(format!("ledger_{spec_name}_cell{index}.jsonl"))
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! random platforms, sends 1000 tasks, and plots each algorithm's average
 //! makespan / sum-flow / max-flow **normalized to SRPT** (SRPT ≡ 1).
 
-use crate::report::{fmt3, write_csv, write_json, AsciiTable, ExperimentScale};
+use crate::report::{fmt3, AsciiTable, ExperimentScale};
 use mss_core::{Algorithm, InfoTier, PlatformClass};
 use mss_sweep::{run_cells, Cell, PlatformCell, SweepConfig};
 use mss_workload::ArrivalProcess;
@@ -17,7 +17,7 @@ pub struct Fig1Row {
     pub algorithm: Algorithm,
     /// Mean normalized [makespan, max-flow, sum-flow] (SRPT ≡ 1).
     pub normalized: [f64; 3],
-    /// Mean absolute values, seconds (for EXPERIMENTS.md).
+    /// Mean absolute values, seconds.
     pub absolute: [f64; 3],
 }
 
@@ -138,19 +138,6 @@ pub fn run_panel(
     run_panel_with(class, scale, arrival, &SweepConfig::default())
 }
 
-/// Runs all four panels (Figure 1 a–d).
-pub fn run_all(scale: ExperimentScale, arrival: ArrivalProcess) -> Vec<Fig1Panel> {
-    [
-        PlatformClass::Homogeneous,
-        PlatformClass::CommHomogeneous,
-        PlatformClass::CompHomogeneous,
-        PlatformClass::Heterogeneous,
-    ]
-    .into_iter()
-    .map(|class| run_panel(class, scale, arrival))
-    .collect()
-}
-
 impl Fig1Panel {
     /// Renders the panel as an ASCII table mirroring the paper's bars.
     pub fn render(&self) -> String {
@@ -207,14 +194,6 @@ impl Fig1Panel {
             "abs_sumflow",
         ];
         (header, rows)
-    }
-
-    /// Writes `fig1<letter>.csv` and `.json`; returns the CSV path.
-    pub fn write_artifacts(&self) -> std::path::PathBuf {
-        let name = format!("fig1{}", panel_letter(self.class));
-        write_json(&name, self);
-        let (header, rows) = self.csv_table();
-        write_csv(&name, header, &rows)
     }
 
     /// The normalized triple for one algorithm.
@@ -306,7 +285,6 @@ mod tests {
         let rendered = panel.render();
         assert!(rendered.contains("Figure 1(a)"));
         assert!(rendered.contains("SLJFWC"));
-        let path = panel.write_artifacts();
-        assert!(path.exists());
+        assert_eq!(panel.csv_table().1.len(), Algorithm::ALL.len());
     }
 }

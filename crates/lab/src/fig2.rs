@@ -9,10 +9,10 @@
 //!
 //! Flow-time robustness is only informative when flows are arrival-bound,
 //! so this experiment defaults to a near-saturated stream (ρ = 0.9); the
-//! bag-of-tasks regime is available for comparison (DESIGN.md,
-//! arrival-process note).
+//! bag-of-tasks regime is available for comparison (see
+//! [`ArrivalProcess`]).
 
-use crate::report::{fmt3, write_csv, write_json, AsciiTable, ExperimentScale};
+use crate::report::{fmt3, AsciiTable, ExperimentScale};
 use mss_core::{Algorithm, InfoTier, PlatformClass};
 use mss_sweep::{run_cells, Cell, PerturbCell, PlatformCell, SweepConfig};
 use mss_workload::{ArrivalProcess, Perturbation};
@@ -184,13 +184,6 @@ impl Fig2Report {
         (header, rows)
     }
 
-    /// Writes `fig2.csv` and `.json`; returns the CSV path.
-    pub fn write_artifacts(&self) -> std::path::PathBuf {
-        write_json("fig2", self);
-        let (header, rows) = self.csv_table();
-        write_csv("fig2", header, &rows)
-    }
-
     /// Ratios for one algorithm.
     pub fn ratio(&self, a: Algorithm) -> [f64; 3] {
         self.rows
@@ -248,7 +241,7 @@ mod tests {
             Perturbation::linear(0.1),
         );
         assert!(report.render().contains("Figure 2"));
-        assert!(report.write_artifacts().exists());
+        assert_eq!(report.csv_table().1.len(), Algorithm::ALL.len());
     }
 
     #[test]

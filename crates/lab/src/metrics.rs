@@ -14,9 +14,8 @@
 //! time, and the lab-side merge runs in expansion order. `metrics.csv` /
 //! `metrics.json` are byte-identical for any `--threads` value.
 
-use crate::report::{fmt3, write_csv, write_json, AsciiTable};
+use crate::report::{fmt3, AsciiTable};
 use mss_sweep::{aggregate_metrics, try_run_cells, MetricsRow, SweepConfig, SweepSpec};
-use std::path::PathBuf;
 
 /// A completed telemetry run over a spec's grid.
 pub struct MetricsReport {
@@ -108,11 +107,10 @@ impl MetricsReport {
         out
     }
 
-    /// Writes `metrics.csv` and `metrics.json` (full-precision row dump)
-    /// to the artifact directory; returns the CSV path.
-    pub fn write_artifacts(&self) -> PathBuf {
-        write_json("metrics", &self.rows);
-        let csv_rows: Vec<Vec<String>> = self
+    /// Header and stringified rows of `metrics.csv`, a full-precision dump
+    /// of [`rows`](Self::rows) (which `metrics.json` serializes).
+    pub fn csv_table(&self) -> (&'static [&'static str], Vec<Vec<String>>) {
+        let rows = self
             .rows
             .iter()
             .map(|r| {
@@ -140,38 +138,35 @@ impl MetricsReport {
                 row
             })
             .collect();
-        write_csv(
-            "metrics",
-            &[
-                "scenario",
-                "algorithm",
-                "cells",
-                "tasks",
-                "flow_p50",
-                "flow_p90",
-                "flow_p99",
-                "flow_max",
-                "wait_p50",
-                "wait_p90",
-                "wait_p99",
-                "wait_max",
-                "transfer_p50",
-                "transfer_p90",
-                "transfer_p99",
-                "transfer_max",
-                "compute_p50",
-                "compute_p90",
-                "compute_p99",
-                "compute_max",
-                "busy_frac",
-                "blocked_frac",
-                "idle_frac",
-                "recv_frac",
-                "queue_mean",
-                "queue_max",
-            ],
-            &csv_rows,
-        )
+        let header = &[
+            "scenario",
+            "algorithm",
+            "cells",
+            "tasks",
+            "flow_p50",
+            "flow_p90",
+            "flow_p99",
+            "flow_max",
+            "wait_p50",
+            "wait_p90",
+            "wait_p99",
+            "wait_max",
+            "transfer_p50",
+            "transfer_p90",
+            "transfer_p99",
+            "transfer_max",
+            "compute_p50",
+            "compute_p90",
+            "compute_p99",
+            "compute_max",
+            "busy_frac",
+            "blocked_frac",
+            "idle_frac",
+            "recv_frac",
+            "queue_mean",
+            "queue_max",
+        ];
+        (header, rows)
     }
 }
 

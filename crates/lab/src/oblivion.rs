@@ -25,7 +25,7 @@
 //! information can therefore help a misinformed planner: confident plans
 //! on wrong beliefs lose to humble reactivity.
 
-use crate::report::{fmt3, write_csv, write_json, AsciiTable, ExperimentScale};
+use crate::report::{fmt3, AsciiTable, ExperimentScale};
 use mss_core::{Algorithm, InfoTier, PlatformClass};
 use mss_sweep::{run_cells, Cell, PlatformCell, SweepConfig};
 use mss_workload::ArrivalProcess;
@@ -199,8 +199,9 @@ impl OblivionReport {
         )
     }
 
-    /// Writes `oblivion.csv` and `.json`; returns the CSV path.
-    pub fn write_artifacts(&self) -> std::path::PathBuf {
+    /// Header and stringified rows of `oblivion.csv`: one row per
+    /// (class, algorithm, tier).
+    pub fn csv_table(&self) -> (&'static [&'static str], Vec<Vec<String>>) {
         let mut rows = Vec::new();
         for row in &self.rows {
             for (ti, tier) in self.tiers.iter().enumerate() {
@@ -215,20 +216,16 @@ impl OblivionReport {
                 ]);
             }
         }
-        write_json("oblivion", self);
-        write_csv(
-            "oblivion",
-            &[
-                "algorithm",
-                "class",
-                "tier",
-                "makespan_mean",
-                "maxflow_mean",
-                "deg_makespan",
-                "deg_maxflow",
-            ],
-            &rows,
-        )
+        let header = &[
+            "algorithm",
+            "class",
+            "tier",
+            "makespan_mean",
+            "maxflow_mean",
+            "deg_makespan",
+            "deg_maxflow",
+        ];
+        (header, rows)
     }
 
     /// Degradation columns for one (class, algorithm) pair:
@@ -343,6 +340,7 @@ mod tests {
         let rendered = report.render();
         assert!(rendered.contains("Oblivion"));
         assert!(rendered.contains("non-clairvoyant"));
-        assert!(report.write_artifacts().exists());
+        let rows = report.rows.len() * report.tiers.len();
+        assert_eq!(report.csv_table().1.len(), rows);
     }
 }

@@ -8,7 +8,7 @@
 //!   share of measured phase time, and `profile.json` / `profile.csv`
 //!   record it machine-readably.
 //! * [`trace_cell`] replays one grid cell with a
-//!   [`TraceRecorder`] attached and writes a
+//!   [`TraceRecorder`] attached and renders a
 //!   Chrome-trace-event JSON (load it at `ui.perfetto.dev` or
 //!   `chrome://tracing`): per-slave tracks of send/compute spans, downtime
 //!   bands, and failure/loss instants.
@@ -17,11 +17,9 @@
 //! the sweep executor performs (bit-identical metrics), just with the
 //! engine narrating what it does.
 
-use crate::report::artifact_dir;
 use mss_core::{Algorithm, SimWorkspace};
 use mss_obs::{PhaseProfile, RunCounters, SweepMetrics, TraceRecorder};
 use mss_sweep::{run_cells, spec_from_toml, CellError, CellMetrics, SweepConfig, SweepSpec};
-use std::path::PathBuf;
 
 /// The representative grid the profiler replays: every algorithm over
 /// heterogeneous platform draws, bag and Poisson arrivals, sized so the
@@ -153,28 +151,12 @@ impl ProfileReport {
         out.push('\n');
         out
     }
-
-    /// Writes `profile.json`, `profile.csv`, and the per-worker sweep
-    /// timeline `profile_workers.json` (Chrome trace) to the artifact
-    /// directory; returns that directory.
-    pub fn write_artifacts(&self) -> PathBuf {
-        let dir = artifact_dir();
-        std::fs::write(dir.join("profile.json"), self.profile.to_json())
-            .expect("write profile.json");
-        std::fs::write(dir.join("profile.csv"), self.profile.to_csv()).expect("write profile.csv");
-        std::fs::write(
-            dir.join("profile_workers.json"),
-            self.stats.to_chrome("profile sweep").render(),
-        )
-        .expect("write profile_workers.json");
-        dir
-    }
 }
 
 /// A completed single-cell trace.
 pub struct TraceOutcome {
-    /// Where the Chrome-trace JSON was written.
-    pub path: PathBuf,
+    /// The Chrome-trace JSON.
+    pub json: String,
     /// Engine event counters of the traced run.
     pub counters: RunCounters,
     /// Spans recorded (sends + computes + downtime bands).
@@ -186,15 +168,10 @@ pub struct TraceOutcome {
 }
 
 /// Replays cell `index` of `spec` with a `(RunCounters, TraceRecorder)`
-/// probe pair and writes the Perfetto-loadable trace to `out` (default:
-/// `trace_<spec>_cell<index>.json` in the artifact directory). The run is
+/// probe pair and renders the Perfetto-loadable trace. The run is
 /// bit-identical to the cell's sweep execution; errors (bad index) are
 /// returned as messages for the CLI to print.
-pub fn trace_cell(
-    spec: &SweepSpec,
-    index: usize,
-    out: Option<PathBuf>,
-) -> Result<TraceOutcome, String> {
+pub fn trace_cell(spec: &SweepSpec, index: usize) -> Result<TraceOutcome, String> {
     let cells = spec.expand().map_err(|e| e.to_string())?;
     let Some(cell) = cells.get(index) else {
         return Err(format!(
@@ -218,12 +195,8 @@ pub fn trace_cell(
         cell.information,
         mat.platform.num_slaves()
     );
-    let chrome = recorder.to_chrome(&label, 1e6);
-    let path =
-        out.unwrap_or_else(|| artifact_dir().join(format!("trace_{}_cell{index}.json", spec.name)));
-    std::fs::write(&path, chrome.render()).map_err(|e| format!("write trace: {e}"))?;
     Ok(TraceOutcome {
-        path,
+        json: recorder.to_chrome(&label, 1e6).render(),
         counters,
         spans: recorder.spans.len(),
         result,
@@ -304,19 +277,14 @@ mod tests {
             "#,
         )
         .unwrap();
-        let dir = std::env::temp_dir().join(format!("mss-trace-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("t.json");
-        let got = trace_cell(&spec, 0, Some(out.clone())).unwrap();
+        let got = trace_cell(&spec, 0).unwrap();
         assert!(got.result.is_ok(), "fault-aware cell completes");
         assert!(got.spans > 0);
         assert!(got.counters.failures > 0, "scenario produced failures");
-        let body = std::fs::read_to_string(&out).unwrap();
-        assert!(body.starts_with("{\"traceEvents\":["));
-        assert!(body.contains("\"fail\""));
-        let _ = std::fs::remove_dir_all(&dir);
+        assert!(got.json.starts_with("{\"traceEvents\":["));
+        assert!(got.json.contains("\"fail\""));
 
         // Out-of-range index is a message, not a panic.
-        assert!(trace_cell(&spec, 99, None).is_err());
+        assert!(trace_cell(&spec, 99).is_err());
     }
 }

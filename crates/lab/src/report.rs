@@ -1,8 +1,8 @@
 //! Report plumbing shared by every experiment: scales, ASCII tables, and
-//! CSV/JSON artifacts under `target/lab/`.
+//! the CSV/JSON artifact files a report renders and `ms-lab` writes.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::Path;
 
 /// How big an experiment run is.
 #[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -94,11 +94,31 @@ impl AsciiTable {
     }
 }
 
-/// Directory where experiment artifacts land (`target/lab/`).
-pub fn artifact_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/lab");
-    std::fs::create_dir_all(&dir).expect("create target/lab");
-    dir
+/// One artifact file: its name in the artifact directory and its text.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Artifact {
+    /// File name, e.g. `fig1a.csv`.
+    pub name: String,
+    /// The file's full contents.
+    pub body: String,
+}
+
+impl Artifact {
+    /// `stem.json`: any report as pretty JSON.
+    pub fn json<T: serde::Serialize>(stem: &str, value: &T) -> Self {
+        Artifact {
+            name: format!("{stem}.json"),
+            body: serde_json::to_string_pretty(value).expect("serialize report"),
+        }
+    }
+
+    /// `stem.csv`: the [`csv_body`] of a report's `csv_table()`.
+    pub fn csv(stem: &str, (header, rows): (&[&str], Vec<Vec<String>>)) -> Self {
+        Artifact {
+            name: format!("{stem}.csv"),
+            body: csv_body(header, &rows),
+        }
+    }
 }
 
 /// The CSV text of a header and stringified rows: fields comma-joined, one
@@ -114,20 +134,19 @@ pub fn csv_body(header: &[&str], rows: &[Vec<String>]) -> String {
     body
 }
 
-/// Writes [`csv_body`] to `name.csv` in the artifact directory; returns the
-/// path.
-pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) -> PathBuf {
-    let path = artifact_dir().join(format!("{name}.csv"));
-    std::fs::write(&path, csv_body(header, rows)).expect("write csv");
-    path
-}
-
-/// Serializes any report as pretty JSON next to the CSVs; returns the path.
-pub fn write_json<T: serde::Serialize>(name: &str, value: &T) -> PathBuf {
-    let path = artifact_dir().join(format!("{name}.json"));
-    let body = serde_json::to_string_pretty(value).expect("serialize report");
-    std::fs::write(&path, body).expect("write json");
-    path
+/// Writes `files` into `dir`, creating the directory first. With no files
+/// this only checks that `dir` is usable. An error names the path it
+/// failed on.
+pub fn write_files(dir: &Path, files: &[Artifact]) -> std::io::Result<()> {
+    let located = |path: &Path, e: std::io::Error| {
+        std::io::Error::new(e.kind(), format!("{}: {e}", path.display()))
+    };
+    std::fs::create_dir_all(dir).map_err(|e| located(dir, e))?;
+    for file in files {
+        let path = dir.join(&file.name);
+        std::fs::write(&path, &file.body).map_err(|e| located(&path, e))?;
+    }
+    Ok(())
 }
 
 /// Rounds for display.
@@ -167,13 +186,24 @@ mod tests {
 
     #[test]
     fn csv_written_to_artifact_dir() {
-        let path = write_csv(
-            "unit_test_artifact",
-            &["x", "y"],
-            &[vec!["1".into(), "2".into()]],
-        );
-        let body = std::fs::read_to_string(path).unwrap();
+        let dir = std::env::temp_dir().join(format!("mss-lab-report-{}", std::process::id()));
+        let file = Artifact::csv("unit", (&["x", "y"], vec![vec!["1".into(), "2".into()]]));
+        assert_eq!(file.name, "unit.csv");
+        write_files(&dir.join("nested"), &[file]).unwrap();
+        let body = std::fs::read_to_string(dir.join("nested/unit.csv")).unwrap();
         assert_eq!(body, "x,y\n1,2\n");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_regular_file_is_no_artifact_dir() {
+        let file = std::env::temp_dir().join(format!("mss-lab-report-file-{}", std::process::id()));
+        std::fs::write(&file, "not a directory").unwrap();
+        for files in [&[][..], &[Artifact::json("unit", &1)]] {
+            let err = write_files(&file, files).unwrap_err();
+            assert!(err.to_string().contains(&*file.to_string_lossy()), "{err}");
+        }
+        let _ = std::fs::remove_file(&file);
     }
 
     #[test]

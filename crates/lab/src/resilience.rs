@@ -13,7 +13,7 @@
 //! path of Figure 1/2 — a regression guard asserts those numbers stay
 //! byte-identical to the static harness.
 
-use crate::report::{fmt3, write_csv, write_json, AsciiTable, ExperimentScale};
+use crate::report::{fmt3, AsciiTable, ExperimentScale};
 use mss_core::{Algorithm, InfoTier, PlatformClass};
 use mss_scenario::{GeneratorSpec, ScenarioError, ScenarioSpec};
 use mss_sweep::{run_cells, Cell, PlatformCell, ScenarioCell, SweepConfig};
@@ -206,6 +206,14 @@ pub fn run_with(
     run_with_levels(scale, arrival, &FailureLevel::default_ladder(scale), config)
 }
 
+/// Reads a scenario file for [`run_scenario_file`] and checks that it fits
+/// the experiment's 5-slave platforms, so a bad file fails before any run.
+pub fn load_scenario(path: &std::path::Path) -> Result<ScenarioSpec, String> {
+    let spec = mss_sweep::scenario_from_path(path).map_err(|e| e.to_string())?;
+    spec.validate_for(SLAVES).map_err(|e| e.to_string())?;
+    Ok(spec)
+}
+
 /// Runs static vs one user-supplied scenario (e.g. parsed from
 /// `examples/failure_scenario.toml`). Each platform draw perturbs the
 /// scenario seed so draws see independent failure patterns. A scenario
@@ -298,8 +306,9 @@ impl ResilienceReport {
         )
     }
 
-    /// Writes `resilience.csv` and `.json`; returns the CSV path.
-    pub fn write_artifacts(&self) -> std::path::PathBuf {
+    /// Header and stringified rows of `resilience.csv`: one row per
+    /// (algorithm, level).
+    pub fn csv_table(&self) -> (&'static [&'static str], Vec<Vec<String>>) {
         let mut rows = Vec::new();
         for row in &self.rows {
             for (li, label) in self.levels.iter().enumerate() {
@@ -313,19 +322,15 @@ impl ResilienceReport {
                 ]);
             }
         }
-        write_json("resilience", self);
-        write_csv(
-            "resilience",
-            &[
-                "algorithm",
-                "level",
-                "makespan_mean",
-                "maxflow_mean",
-                "deg_makespan",
-                "deg_maxflow",
-            ],
-            &rows,
-        )
+        let header = &[
+            "algorithm",
+            "level",
+            "makespan_mean",
+            "maxflow_mean",
+            "deg_makespan",
+            "deg_maxflow",
+        ];
+        (header, rows)
     }
 
     /// Degradation columns for one algorithm: `(makespan, max_flow)`.
@@ -439,6 +444,7 @@ mod tests {
         let rendered = report.render();
         assert!(rendered.contains("Resilience"));
         assert!(rendered.contains("SLJFWC+RD"));
-        assert!(report.write_artifacts().exists());
+        let rows = Algorithm::ALL.len() * report.levels.len();
+        assert_eq!(report.csv_table().1.len(), rows);
     }
 }

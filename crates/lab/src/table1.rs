@@ -9,7 +9,7 @@
 //! the limit theorems) — the harness fails loudly if any algorithm ever
 //! beats its bound.
 
-use crate::report::{fmt4, write_csv, write_json, AsciiTable};
+use crate::report::{fmt4, AsciiTable};
 use mss_adversary::{play, TheoremId};
 use mss_core::{Algorithm, Objective, PlatformClass};
 
@@ -197,13 +197,6 @@ impl Table1Report {
         ];
         (header, rows)
     }
-
-    /// Writes `table1.csv` and `.json`; returns the CSV path.
-    pub fn write_artifacts(&self) -> std::path::PathBuf {
-        write_json("table1", self);
-        let (header, rows) = self.csv_table();
-        write_csv("table1", header, &rows)
-    }
 }
 
 #[cfg(test)]
@@ -233,7 +226,12 @@ mod tests {
 
     #[test]
     fn artifacts_written() {
-        let report = run();
-        assert!(report.write_artifacts().exists());
+        let config = mss_sweep::SweepConfig::default();
+        let out = crate::run_experiment("table1", crate::ExperimentScale::quick(), None, &config);
+        let [json, csv] = &out.unwrap().files[..] else {
+            panic!("table1 writes one JSON and one CSV")
+        };
+        let parsed: Table1Report = serde_json::from_str(&json.body).unwrap();
+        assert_eq!((parsed.cells.len(), csv.name.as_str()), (9, "table1.csv"));
     }
 }

@@ -77,6 +77,30 @@ fn an_unusable_cache_dir_is_a_located_error() {
 }
 
 #[test]
+fn an_unwritable_ledger_is_a_located_error() {
+    // A dump path under a regular file. `diff` prints the audit before it
+    // writes the ledger, so only the exit code and stderr tell a located
+    // error (exit 2, one line naming the path) from a panic (exit 101).
+    let file = std::env::temp_dir().join(format!("mss-cli-ledger-file-{}", std::process::id()));
+    std::fs::write(&file, "not a directory").expect("create the blocking file");
+    let dump = file.join("ledger.jsonl");
+    let dump = dump.to_str().expect("utf-8 temp path");
+    let spec = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/trace_smoke.toml"
+    );
+    let out = ms_lab(&["diff", spec, "--dump", dump]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(
+        stderr.starts_with(&format!("diff: cannot write ledger {dump}: ")),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_file(&file);
+}
+
+#[test]
 fn the_removed_bench_command_is_unknown() {
     // Timing lives in the `benchmark/` package; `bench` is no command.
     let out = ms_lab(&["bench", "--quick"]);

@@ -6,6 +6,7 @@
 //! plausible.
 
 use mss_lab::metrics::run_spec_metrics;
+use mss_lab::Artifact;
 use mss_sweep::{spec_from_toml, MetricsRow, SweepConfig};
 
 #[test]
@@ -22,9 +23,9 @@ fn metrics_json_upholds_the_telemetry_contract() {
         ..SweepConfig::default()
     };
     let report = run_spec_metrics(&spec, &config).unwrap();
-    // The bytes `write_artifacts` puts in metrics.json, read back by field
+    // The bytes `ms-lab metrics` writes to metrics.json, read back by field
     // name.
-    let json = serde_json::to_string_pretty(&report.rows).unwrap();
+    let json = Artifact::json("metrics", &report.rows).body;
     let rows: Vec<MetricsRow> = serde_json::from_str(&json).unwrap();
     assert!(!rows.is_empty(), "metrics.json has no rows");
     for r in &rows {

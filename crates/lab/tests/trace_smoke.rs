@@ -32,10 +32,8 @@ fn chrome_trace_export_is_well_formed() {
         "/../../examples/trace_smoke.toml"
     );
     let spec = spec_from_toml(&std::fs::read_to_string(path).expect("read spec")).unwrap();
-    let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("trace_smoke_cell0.json");
-    let outcome = trace_cell(&spec, 0, Some(out)).unwrap();
-    let text = std::fs::read_to_string(&outcome.path).expect("read exported trace");
-    let doc = serde_json::parse_value(&text).expect("trace JSON parses");
+    let outcome = trace_cell(&spec, 0).unwrap();
+    let doc = serde_json::parse_value(&outcome.json).expect("trace JSON parses");
 
     let Value::Object(root) = &doc else {
         panic!("trace root is not an object");

@@ -1,8 +1,8 @@
 //! Release-date (arrival) processes.
 //!
 //! The paper "sends one thousand tasks" without stating release dates; we
-//! support the two natural readings plus a Poisson stream (DESIGN.md,
-//! arrival-process note):
+//! support the two natural readings plus a Poisson stream (ablation A3,
+//! `ms-lab ablation-arrivals`, compares them on Figure 1(d)):
 //!
 //! * [`ArrivalProcess::AllAtZero`] — a bag of tasks, the regime of the
 //!   bag-of-tasks applications the introduction cites; used for Figure 1;

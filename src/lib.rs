@@ -2,8 +2,9 @@
 //!
 //! Re-exports the full public API of the reproduction of Pineau, Robert &
 //! Vivien, *"The impact of heterogeneity on master-slave on-line scheduling"*
-//! (IPPS 2006 / INRIA RR-5732). See the README for a tour and `DESIGN.md`
-//! for the system inventory.
+//! (IPPS 2006 / INRIA RR-5732). See the README for a tour,
+//! `docs/ARCHITECTURE.md` for the system inventory and `docs/PAPER_MAP.md`
+//! for where each paper element lives and which test pins it.
 //!
 //! The workspace crates, in dependency order:
 //!

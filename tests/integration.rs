@@ -137,10 +137,7 @@ fn lab_artifacts_round_trip_through_json() {
         scale,
         ArrivalProcess::AllAtZero,
     );
-    let path = panel.write_artifacts();
-    assert!(path.exists());
-    let json_path = path.with_extension("json");
-    let body = std::fs::read_to_string(json_path).unwrap();
+    let body = master_slave_sched::lab::Artifact::json("fig1d", &panel).body;
     let parsed: master_slave_sched::lab::fig1::Fig1Panel = serde_json::from_str(&body).unwrap();
     assert_eq!(parsed.rows.len(), 7);
     for (a, b) in parsed.rows.iter().zip(&panel.rows) {
