@@ -60,6 +60,7 @@ use mss_core::Algorithm;
 use mss_lab::report::{fmt3, fmt4, write_files, Artifact, AsciiTable, ExperimentScale};
 use mss_lab::{resilience, EXPERIMENTS};
 use mss_sweep::{default_threads, SweepConfig};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Every command with the flags it reads, exactly as `usage()` prints
@@ -185,16 +186,32 @@ fn parse_runtime(args: &[String]) -> SweepConfig {
     }
 }
 
-/// The artifact directory, `target/lab/` of this workspace, created up
-/// front: one that cannot be (a regular file, a read-only mount) is a
-/// located error (exit 2) before anything runs.
+/// The artifact directory, `target/lab/` under the working directory,
+/// created up front: one that cannot be (a regular file, a read-only
+/// mount) is a located error (exit 2) before anything runs.
 fn artifact_dir(cmd: &str) -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/lab");
+    let dir = PathBuf::from("target/lab");
     if let Err(e) = write_files(&dir, &[]) {
         eprintln!("{cmd}: cannot use artifact directory {e}");
         std::process::exit(2);
     }
     dir
+}
+
+/// Exits 2 with one line naming the output file that cannot be written.
+fn cannot_write(cmd: &str, what: &str, path: &Path, e: std::io::Error) -> ! {
+    eprintln!("{cmd}: cannot write {what} {}: {e}", path.display());
+    std::process::exit(2);
+}
+
+/// Creates (truncates) the output file `path` before any work runs, so a
+/// path that cannot be written fails up front, not after a whole replay.
+/// A replay that then fails removes it again.
+fn create_out(cmd: &str, what: &str, path: PathBuf) -> (PathBuf, std::fs::File) {
+    match std::fs::File::create(&path) {
+        Ok(file) => (path, file),
+        Err(e) => cannot_write(cmd, what, &path, e),
+    }
 }
 
 /// Writes `files` into `dir` and names them; a failed write is a located
@@ -237,18 +254,14 @@ fn run_experiments(cmd: &str, names: &[&str], args: &[String]) {
 }
 
 /// The result-store directory of `cmd`: `--cache-dir DIR`, or the
-/// spec's own directory under `target/sweep-cache`. Opens the store once
-/// up front, so a directory that cannot be created (a regular file, a
-/// read-only or missing mount) is a located error (exit 2), not a panic
-/// inside the sweep.
+/// spec's own directory under `target/sweep-cache` in the working
+/// directory. Opens the store once up front, so a directory that cannot
+/// be created (a regular file, a read-only or missing mount) is a located
+/// error (exit 2), not a panic inside the sweep.
 fn open_cache_dir(args: &[String], cmd: &str, spec_name: &str) -> PathBuf {
     let dir = parse_flag(args, "--cache-dir")
         .map(PathBuf::from)
-        .unwrap_or_else(|| {
-            PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                .join("../../target/sweep-cache")
-                .join(spec_name)
-        });
+        .unwrap_or_else(|| Path::new("target/sweep-cache").join(spec_name));
     if let Err(e) = mss_sweep::ResultStore::open(&dir) {
         eprintln!("{cmd}: cannot use cache directory `{}`: {e}", dir.display());
         std::process::exit(2);
@@ -408,27 +421,29 @@ fn run_diff(args: &[String]) {
     let index = parse_flag(args, "--cell")
         .map(|v| v.parse().unwrap_or_else(|_| usage()))
         .unwrap_or(0);
-    // `--dump` alone writes into the artifact directory, checked up front.
+    // `--dump` alone writes into the artifact directory.
     let dump = args.iter().position(|a| a == "--dump").map(|i| {
-        match args.get(i + 1).filter(|v| !v.starts_with("--")) {
+        let path = match args.get(i + 1).filter(|v| !v.starts_with("--")) {
             Some(path) => PathBuf::from(path),
             None => artifact_dir("diff").join(format!("ledger_{}_cell{index}.jsonl", spec.name)),
-        }
+        };
+        create_out("diff", "ledger", path)
     });
     let outcome = match diff::audit_cell(&spec, index) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("diff: {e}");
+            if let Some((path, _)) = &dump {
+                let _ = std::fs::remove_file(path);
+            }
             std::process::exit(2);
         }
     };
     println!("audited {}", outcome.cell);
     println!("{} events, digest {:016x}", outcome.events, outcome.digest);
-    if let Some(path) = dump {
-        if let Err(e) = std::fs::write(&path, diff::ledger_to_jsonl(&outcome.ledger)) {
-            eprintln!("diff: cannot write ledger {}: {e}", path.display());
-            std::process::exit(2);
-        }
+    if let Some((path, mut file)) = dump {
+        file.write_all(diff::ledger_to_jsonl(&outcome.ledger).as_bytes())
+            .unwrap_or_else(|e| cannot_write("diff", "ledger", &path, e));
         println!("ledger: {}", path.display());
     }
     if let Some(against) = parse_flag(args, "--against") {
@@ -479,12 +494,11 @@ fn run_trace(args: &[String]) {
         .unwrap_or_else(|| {
             artifact_dir("trace").join(format!("trace_{}_cell{index}.json", spec.name))
         });
+    let (path, mut file) = create_out("trace", "trace", path);
     match mss_lab::profile::trace_cell(&spec, index) {
         Ok(t) => {
-            if let Err(e) = std::fs::write(&path, &t.json) {
-                eprintln!("trace: cannot write trace {}: {e}", path.display());
-                std::process::exit(2);
-            }
+            file.write_all(t.json.as_bytes())
+                .unwrap_or_else(|e| cannot_write("trace", "trace", &path, e));
             println!("traced {}", t.cell);
             match &t.result {
                 Ok(m) => println!(
@@ -505,6 +519,7 @@ fn run_trace(args: &[String]) {
         }
         Err(e) => {
             eprintln!("trace: {e}");
+            let _ = std::fs::remove_file(&path);
             std::process::exit(2);
         }
     }

@@ -88,7 +88,8 @@ pub fn ledger_to_jsonl(ledger: &[DigestEvent]) -> String {
 }
 
 /// A parsed ledger line: everything needed to localize a divergence.
-#[derive(Clone, Debug, PartialEq)]
+/// The human-readable `t` of a dumped line is not read back.
+#[derive(Clone, Debug, PartialEq, serde::Deserialize)]
 pub struct LedgerLine {
     /// Event index (0-based fold order).
     pub index: u64,
@@ -137,33 +138,13 @@ impl LedgerLine {
 
 /// Parses a `--dump`-format JSONL ledger.
 pub fn parse_ledger(body: &str) -> Result<Vec<LedgerLine>, String> {
-    let mut out = Vec::new();
-    for (ln, line) in body.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v =
-            serde_json::parse_value(line).map_err(|e| format!("ledger line {}: {e}", ln + 1))?;
-        let field = |name: &str| -> Result<u64, String> {
-            match serde::field(&v, name) {
-                Ok(serde::Value::U64(n)) => Ok(*n),
-                _ => Err(format!("ledger line {}: missing integer `{name}`", ln + 1)),
-            }
-        };
-        let kind = match serde::field(&v, "kind") {
-            Ok(serde::Value::Str(s)) => s.clone(),
-            _ => return Err(format!("ledger line {}: missing `kind`", ln + 1)),
-        };
-        out.push(LedgerLine {
-            index: field("index")?,
-            kind,
-            t_bits: field("t_bits")?,
-            a: field("a")?,
-            b: field("b")?,
-            digest: field("digest")?,
-        });
-    }
-    Ok(out)
+    body.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(ln, line)| {
+            serde_json::from_str(line).map_err(|e| format!("ledger line {}: {e}", ln + 1))
+        })
+        .collect()
 }
 
 /// How two audited runs of the same cell relate.

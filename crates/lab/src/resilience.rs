@@ -210,7 +210,8 @@ pub fn run_with(
 /// the experiment's 5-slave platforms, so a bad file fails before any run.
 pub fn load_scenario(path: &std::path::Path) -> Result<ScenarioSpec, String> {
     let spec = mss_sweep::scenario_from_path(path).map_err(|e| e.to_string())?;
-    spec.validate_for(SLAVES).map_err(|e| e.to_string())?;
+    spec.validate_for(SLAVES)
+        .map_err(|e| ScenarioError(format!("{}: {}", path.display(), e.0)).to_string())?;
     Ok(spec)
 }
 

@@ -76,28 +76,90 @@ fn an_unusable_cache_dir_is_a_located_error() {
     let _ = std::fs::remove_file(&file);
 }
 
-#[test]
-fn an_unwritable_ledger_is_a_located_error() {
-    // A dump path under a regular file. `diff` prints the audit before it
-    // writes the ledger, so only the exit code and stderr tell a located
-    // error (exit 2, one line naming the path) from a panic (exit 101).
-    let file = std::env::temp_dir().join(format!("mss-cli-ledger-file-{}", std::process::id()));
+/// Asserts that `cmd <spec> --cell N <flag> PATH`, with PATH under a
+/// regular file, fails before the replay: exit 2, one line of stderr
+/// naming the path (a panic exits 101). A valid cell shows the order by
+/// an empty stdout, an out-of-range one by the path being reported
+/// instead of the missing cell.
+fn assert_unwritable_output(cmd: &str, flag: &str, what: &str) {
+    let file = std::env::temp_dir().join(format!("mss-cli-{cmd}-file-{}", std::process::id()));
     std::fs::write(&file, "not a directory").expect("create the blocking file");
-    let dump = file.join("ledger.jsonl");
-    let dump = dump.to_str().expect("utf-8 temp path");
+    let path = file.join("out.json");
+    let path = path.to_str().expect("utf-8 temp path");
     let spec = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../examples/trace_smoke.toml"
     );
-    let out = ms_lab(&["diff", spec, "--dump", dump]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert_eq!(stderr.lines().count(), 1, "{stderr}");
-    assert!(
-        stderr.starts_with(&format!("diff: cannot write ledger {dump}: ")),
-        "{stderr}"
-    );
+    for cell in ["0", "99"] {
+        let out = ms_lab(&[cmd, spec, "--cell", cell, flag, path]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+        assert!(
+            stderr.starts_with(&format!("{cmd}: cannot write {what} {path}: ")),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{cmd} ran before checking {path}");
+    }
     let _ = std::fs::remove_file(&file);
+}
+
+#[test]
+fn an_unwritable_ledger_is_a_located_error() {
+    assert_unwritable_output("diff", "--dump", "ledger");
+}
+
+#[test]
+fn an_unwritable_trace_is_a_located_error() {
+    assert_unwritable_output("trace", "--out", "trace");
+}
+
+#[test]
+fn a_failed_replay_leaves_no_output_file() {
+    let dir = std::env::temp_dir().join(format!("mss-cli-no-output-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create the output directory");
+    let spec = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/trace_smoke.toml"
+    );
+    for (cmd, flag) in [("diff", "--dump"), ("trace", "--out")] {
+        let path = dir.join(format!("{cmd}.json"));
+        let out = ms_lab(&[cmd, spec, "--cell", "99", flag, path.to_str().unwrap()]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{cmd}: {stderr}");
+        assert!(stderr.contains("out of range"), "{cmd}: {stderr}");
+        assert!(!path.exists(), "{cmd} left {path:?} behind");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn artifacts_land_under_the_working_directory() {
+    let cwd = std::env::temp_dir().join(format!("mss-cli-cwd-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&cwd);
+    std::fs::create_dir_all(&cwd).expect("create the working directory");
+    let spec = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/trace_smoke.toml"
+    );
+    for args in [&["fig1a", "--quick"][..], &["sweep", spec, "--quiet"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_ms-lab"))
+            .args(args)
+            .current_dir(&cwd)
+            .output()
+            .expect("run ms-lab");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {stderr}");
+    }
+    for file in [
+        "target/lab/fig1a.json",
+        "target/lab/fig1a.csv",
+        "target/lab/sweep_trace-smoke.csv",
+        "target/sweep-cache/trace-smoke",
+    ] {
+        assert!(cwd.join(file).exists(), "{file} is not under {cwd:?}");
+    }
+    let _ = std::fs::remove_dir_all(&cwd);
 }
 
 #[test]

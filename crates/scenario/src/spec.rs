@@ -23,6 +23,7 @@ impl std::error::Error for ScenarioError {}
 
 /// One scripted platform event.
 #[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct EventSpec {
     /// When the event fires (seconds).
     pub at: f64,
@@ -37,6 +38,7 @@ pub struct EventSpec {
 
 /// One event generator, expanded over the scenario horizon.
 #[derive(Clone, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct GeneratorSpec {
     /// `"poisson-failures"`, `"maintenance"`, `"speed-drift"`, or
     /// `"link-drift"`.
@@ -78,6 +80,7 @@ pub struct GeneratorSpec {
 /// The declarative scenario description (TOML/JSON schema of
 /// `examples/failure_scenario.toml`).
 #[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ScenarioSpec {
     /// Optional name, used in report labels.
     pub name: Option<String>,

@@ -94,12 +94,12 @@ pub mod batch;
 pub mod cell;
 pub mod exec;
 pub mod run_metrics;
-pub mod schema;
 pub mod spec;
 pub mod store;
 pub mod toml_lite;
 
-use std::path::PathBuf;
+use mss_scenario::{ScenarioError, ScenarioSpec};
+use std::path::{Path, PathBuf};
 
 pub use agg::{
     aggregate, aggregate_metrics, summarize, AggregateRow, HistSummary, MetricsRow, Summary,
@@ -376,67 +376,52 @@ pub fn run_spec(spec: &SweepSpec, config: &SweepConfig) -> Result<SweepOutcome, 
 }
 
 /// Parses a spec from TOML (see `examples/sweep_grid.toml` for the
-/// schema). Unknown keys are rejected with a located error rather than
-/// silently ignored.
+/// schema). An unknown or repeated key is a located error rather than
+/// silently ignored: the spec types deny unknown fields.
 pub fn spec_from_toml(input: &str) -> Result<SweepSpec, SpecError> {
-    let value = toml_lite::parse(input).map_err(|e| SpecError(e.to_string()))?;
-    schema::validate_sweep_spec(&value)?;
-    serde::Deserialize::from_value(&value).map_err(|e| SpecError(e.to_string()))
+    read(input, false).map_err(SpecError)
 }
 
 /// Parses a spec from JSON (same schema and strict-key rules as TOML).
 pub fn spec_from_json(input: &str) -> Result<SweepSpec, SpecError> {
-    let value = serde_json::parse_value(input).map_err(|e| SpecError(e.to_string()))?;
-    schema::validate_sweep_spec(&value)?;
-    serde::Deserialize::from_value(&value).map_err(|e| SpecError(e.to_string()))
+    read(input, true).map_err(SpecError)
 }
 
-/// Parses a spec from a file path, dispatching on the `.json` / `.toml`
-/// extension (anything that is not `.json` is treated as TOML).
-pub fn spec_from_path(path: &std::path::Path) -> Result<SweepSpec, SpecError> {
-    let body = std::fs::read_to_string(path)
-        .map_err(|e| SpecError(format!("cannot read {}: {e}", path.display())))?;
-    if path
-        .extension()
-        .is_some_and(|e| e.eq_ignore_ascii_case("json"))
-    {
-        spec_from_json(&body)
-    } else {
-        spec_from_toml(&body)
-    }
+/// Parses a spec file (`.json` is JSON, anything else TOML); errors name
+/// the file.
+pub fn spec_from_path(path: &Path) -> Result<SweepSpec, SpecError> {
+    read_path(path).map_err(SpecError)
 }
 
-/// Parses a standalone scenario file from TOML
-/// (see `examples/failure_scenario.toml`), with strict-key validation.
-pub fn scenario_from_toml(input: &str) -> Result<mss_scenario::ScenarioSpec, SpecError> {
-    let value = toml_lite::parse(input).map_err(|e| SpecError(e.to_string()))?;
-    schema::validate_scenario_spec(&value)?;
-    let spec: mss_scenario::ScenarioSpec =
-        serde::Deserialize::from_value(&value).map_err(|e| SpecError(e.to_string()))?;
-    spec.validate().map_err(|e| SpecError(e.to_string()))?;
+/// Parses and validates a standalone scenario file (see
+/// `examples/failure_scenario.toml`; `.json` is JSON, anything else
+/// TOML), with the strict-key rules of a sweep spec; errors name the file.
+pub fn scenario_from_path(path: &Path) -> Result<ScenarioSpec, ScenarioError> {
+    let spec: ScenarioSpec = read_path(path).map_err(ScenarioError)?;
+    spec.validate()
+        .map_err(|e| ScenarioError(format!("{}: {}", path.display(), e.0)))?;
     Ok(spec)
 }
 
-/// Parses a standalone scenario file from JSON, with strict-key validation.
-pub fn scenario_from_json(input: &str) -> Result<mss_scenario::ScenarioSpec, SpecError> {
-    let value = serde_json::parse_value(input).map_err(|e| SpecError(e.to_string()))?;
-    schema::validate_scenario_spec(&value)?;
-    let spec: mss_scenario::ScenarioSpec =
-        serde::Deserialize::from_value(&value).map_err(|e| SpecError(e.to_string()))?;
-    spec.validate().map_err(|e| SpecError(e.to_string()))?;
-    Ok(spec)
+/// The one reader of spec and scenario files: the TOML or JSON value tree,
+/// deserialized by `T`'s derive, which holds the schema.
+fn read<T: serde::Deserialize>(input: &str, json: bool) -> Result<T, String> {
+    let value = if json {
+        serde_json::parse_value(input)
+    } else {
+        toml_lite::parse(input)
+    };
+    value
+        .and_then(|v| T::from_value(&v))
+        .map_err(|e| e.to_string())
 }
 
-/// Parses a scenario file by path (`.json` is JSON, anything else TOML).
-pub fn scenario_from_path(path: &std::path::Path) -> Result<mss_scenario::ScenarioSpec, SpecError> {
+/// [`read`] on a file, dispatching on its `.json` extension.
+fn read_path<T: serde::Deserialize>(path: &Path) -> Result<T, String> {
     let body = std::fs::read_to_string(path)
-        .map_err(|e| SpecError(format!("cannot read {}: {e}", path.display())))?;
-    if path
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let json = path
         .extension()
-        .is_some_and(|e| e.eq_ignore_ascii_case("json"))
-    {
-        scenario_from_json(&body)
-    } else {
-        scenario_from_toml(&body)
-    }
+        .is_some_and(|e| e.eq_ignore_ascii_case("json"));
+    read(&body, json).map_err(|e| format!("{}: {e}", path.display()))
 }

@@ -33,6 +33,7 @@ impl std::error::Error for SpecError {}
 
 /// One platform axis entry.
 #[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct PlatformAxis {
     /// `"class"`, `"heterogeneity"`, or `"explicit"`.
     pub kind: String,
@@ -60,6 +61,7 @@ pub struct PlatformAxis {
 
 /// One arrival-process axis entry.
 #[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ArrivalAxis {
     /// `"bag"` (all at t = 0), `"stream"` (uniform gaps), or `"poisson"`.
     pub kind: String,
@@ -70,6 +72,7 @@ pub struct ArrivalAxis {
 
 /// One perturbation axis entry.
 #[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct PerturbAxis {
     /// `"none"`, `"linear"` (size^1 on both phases), or `"matrix"`
     /// (size² communication, size³ computation).
@@ -82,6 +85,7 @@ pub struct PerturbAxis {
 /// One scenario axis entry: a dynamic-platform script for the cells of
 /// this grid point (see `mss-scenario` for the event model).
 #[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ScenarioAxis {
     /// `"static"` (no platform events) or `"dynamic"`.
     pub kind: String,
@@ -105,6 +109,7 @@ pub struct ScenarioAxis {
 
 /// The declarative sweep description.
 #[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct SweepSpec {
     /// Sweep name (labels artifacts and the cache directory).
     pub name: String,

@@ -289,6 +289,12 @@ fn split_top_level(s: &str) -> Vec<&str> {
 mod tests {
     use super::*;
 
+    /// The value under `key` in the table `v`.
+    fn field<'v>(v: &'v Value, key: &str) -> &'v Value {
+        let entries = v.as_object().expect("a table");
+        &entries.iter().find(|(k, _)| k == key).expect("the key").1
+    }
+
     #[test]
     fn parses_the_documented_subset() {
         let toml = r#"
@@ -320,30 +326,30 @@ load = 0.9
 "#;
         let v = parse(toml).unwrap();
         let obj = v.as_object().unwrap();
-        assert_eq!(serde::field(&v, "name").unwrap().as_str(), Some("demo"));
-        assert_eq!(*serde::field(&v, "seed").unwrap(), Value::U64(42));
+        assert_eq!(field(&v, "name").as_str(), Some("demo"));
+        assert_eq!(*field(&v, "seed"), Value::U64(42));
         assert_eq!(
-            *serde::field(&v, "tasks").unwrap(),
+            *field(&v, "tasks"),
             Value::Array(vec![Value::U64(100), Value::U64(1000)])
         );
-        let platforms = serde::field(&v, "platforms").unwrap().as_array().unwrap();
+        let platforms = field(&v, "platforms").as_array().unwrap();
         assert_eq!(platforms.len(), 2);
         assert_eq!(
-            serde::field(&platforms[1], "p").unwrap(),
+            field(&platforms[1], "p"),
             &Value::Array(vec![Value::F64(1.0), Value::F64(2.0)])
         );
-        let limits = serde::field(&v, "limits").unwrap();
-        assert_eq!(*serde::field(limits, "max").unwrap(), Value::F64(1.5));
+        let limits = field(&v, "limits");
+        assert_eq!(*field(limits, "max"), Value::F64(1.5));
         assert_eq!(obj.len(), 7);
     }
 
     #[test]
     fn inline_tables_and_negatives() {
         let v = parse("point = { x = -1, y = 2.5 }\nflag = false").unwrap();
-        let point = serde::field(&v, "point").unwrap();
-        assert_eq!(*serde::field(point, "x").unwrap(), Value::I64(-1));
-        assert_eq!(*serde::field(point, "y").unwrap(), Value::F64(2.5));
-        assert_eq!(*serde::field(&v, "flag").unwrap(), Value::Bool(false));
+        let point = field(&v, "point");
+        assert_eq!(*field(point, "x"), Value::I64(-1));
+        assert_eq!(*field(point, "y"), Value::F64(2.5));
+        assert_eq!(*field(&v, "flag"), Value::Bool(false));
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //!   the sequence `process.generate(..)` + `perturbation.apply(..)` would
 //!   materialize (same RNG draws, same arithmetic, same order);
 //! * [`TraceSource`] — replays a CSV or JSONL cluster trace from disk with
-//!   strict schema validation (unknown columns/keys are rejected with
-//!   located errors, like the TOML spec parser) and torn-final-line
-//!   recovery (like the sweep result store).
+//!   strict schema validation (an unknown or repeated column or key is a
+//!   `file:line` error; a JSONL line is read as a derived
+//!   `#[serde(deny_unknown_fields)]` record, as spec files are) and
+//!   torn-final-line recovery (like the sweep result store).
 //!
 //! Both are seed-deterministic and resumable: [`TaskSource::reset`]
 //! rewinds to an identical replay, so replaying one instance under several
@@ -190,8 +191,9 @@ const TRACE_FIELDS: [&str; 3] = ["release", "size_c", "size_p"];
 ///
 /// Opening a trace runs one full streaming validation pass (O(1) memory):
 ///
-/// * **strict schema** — unknown columns/keys are rejected with located
-///   errors (`file:line`), the same convention as the TOML spec parser;
+/// * **strict schema** — unknown or repeated columns/keys are rejected
+///   with located errors (`file:line`), the same convention as the spec
+///   parser;
 /// * **sortedness** — releases must be non-decreasing (the trace *is* the
 ///   release order);
 /// * **torn-line recovery** — a final line that fails to *parse* (a write
@@ -273,6 +275,17 @@ fn read_line(
         buf.pop();
     }
     Ok(true)
+}
+
+/// One JSONL trace line: exactly the keys of `TRACE_FIELDS`. Invalid JSON
+/// is a malformed (possibly torn) line; a valid object that does not fit
+/// this record is a schema error.
+#[derive(serde::Deserialize)]
+#[serde(deny_unknown_fields)]
+struct JsonlRecord {
+    release: f64,
+    size_c: f64,
+    size_p: f64,
 }
 
 /// One parsed line: either a record, or a parse failure whose recovery
@@ -380,45 +393,11 @@ impl TraceParser {
             TraceFormat::Jsonl => {
                 let value = match serde_json::parse_value(line) {
                     Ok(v) => v,
-                    Err(e) => return Ok(Parsed::Malformed(format!("invalid JSON: {e:?}"))),
+                    Err(e) => return Ok(Parsed::Malformed(format!("invalid JSON: {e}"))),
                 };
-                let Some(entries) = value.as_object() else {
-                    return Err(self.err(line_no, "expected a JSON object".into()));
-                };
-                let mut fields = [None::<f64>; 3];
-                for (key, v) in entries {
-                    let Some(field) = TRACE_FIELDS.iter().position(|f| f == key) else {
-                        return Err(self.err(
-                            line_no,
-                            format!(
-                                "unknown key `{key}` (allowed: {}) — unknown keys are \
-                                 rejected so typos cannot silently degrade to defaults",
-                                TRACE_FIELDS.join(", ")
-                            ),
-                        ));
-                    };
-                    let num = match v {
-                        serde::Value::U64(n) => *n as f64,
-                        serde::Value::I64(n) => *n as f64,
-                        serde::Value::F64(f) => *f,
-                        other => {
-                            return Err(self.err(
-                                line_no,
-                                format!("key `{key}` must be a number, got {other:?}"),
-                            ))
-                        }
-                    };
-                    if fields[field].is_some() {
-                        return Err(self.err(line_no, format!("duplicate key `{key}`")));
-                    }
-                    fields[field] = Some(num);
-                }
-                let mut out = [0.0f64; 3];
-                for (i, name) in TRACE_FIELDS.iter().enumerate() {
-                    out[i] = fields[i]
-                        .ok_or_else(|| self.err(line_no, format!("missing key `{name}`")))?;
-                }
-                out
+                let r: JsonlRecord = serde::Deserialize::from_value(&value)
+                    .map_err(|e| self.err(line_no, e.to_string()))?;
+                [r.release, r.size_c, r.size_p]
             }
         };
         let [release, size_c, size_p] = fields;
