@@ -43,7 +43,7 @@ mod registry;
 pub use heuristics::{ListScheduling, PlanKind, Planned, RoundRobin, RrDispatch, RrOrder, Srpt};
 pub use objective::Objective;
 pub use redispatch::Redispatch;
-pub use registry::{Algorithm, AlgorithmMeta, META};
+pub use registry::Algorithm;
 
 // Re-export the simulation vocabulary so downstream crates can depend on
 // `mss-core` alone for the common case.

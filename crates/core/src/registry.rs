@@ -1,14 +1,13 @@
 //! The catalogue of the paper's seven on-line algorithms (§4.1).
 //!
-//! All static per-algorithm metadata — display name, paper figure index,
-//! poll-driven contract, minimum information tier — lives in **one**
-//! table, [`static@META`], indexed directly by the algorithm's discriminant
-//! (`figure_index - 1`). Accessors are O(1) lookups; a unit test pins the
-//! table against the built scheduler instances so the two can never
-//! drift apart.
+//! An algorithm's discriminant is its paper figure index minus one, and
+//! its display name is one `match` arm; a unit test pins both against the
+//! built scheduler instances so they can never drift apart. What a
+//! scheduler promises the engine (`poll_driven`, `min_tier`) is asked of
+//! the built instance.
 
 use crate::heuristics::{ListScheduling, Planned, RoundRobin, Srpt};
-use mss_sim::{InfoTier, OnlineScheduler};
+use mss_sim::OnlineScheduler;
 use std::fmt;
 
 /// One of the seven algorithms compared in the paper's experiments, in the
@@ -31,50 +30,6 @@ pub enum Algorithm {
     Sljfwc,
 }
 
-/// Static metadata of one algorithm: everything that used to live in
-/// separate `match` arms and O(n) scans, in one row of [`static@META`].
-#[derive(Clone, Copy, Debug)]
-pub struct AlgorithmMeta {
-    /// The algorithm this row describes (`META[a as usize].algorithm == a`).
-    pub algorithm: Algorithm,
-    /// The display name used in the paper.
-    pub name: &'static str,
-    /// Whether the built scheduler honors the poll-driven contract
-    /// ([`OnlineScheduler::poll_driven`]) — recorded here so harnesses can
-    /// reason about callback elision without building an instance.
-    pub poll_driven: bool,
-    /// The weakest [`InfoTier`] the built scheduler stays live under
-    /// ([`OnlineScheduler::min_tier`]).
-    pub min_tier: InfoTier,
-}
-
-/// The one static metadata table, in the paper's figure order —
-/// `META[i].algorithm.figure_index() == i + 1`, and every accessor on
-/// [`Algorithm`] indexes it directly by discriminant. A unit test asserts
-/// each row against the scheduler instance [`Algorithm::build`] returns.
-pub static META: [AlgorithmMeta; 7] = {
-    const fn row(algorithm: Algorithm, name: &'static str) -> AlgorithmMeta {
-        AlgorithmMeta {
-            algorithm,
-            name,
-            // All seven paper heuristics are poll-driven and live on
-            // believed values at every tier (pinned by `table_matches_
-            // built_schedulers`).
-            poll_driven: true,
-            min_tier: InfoTier::NonClairvoyant,
-        }
-    }
-    [
-        row(Algorithm::Srpt, "SRPT"),
-        row(Algorithm::ListScheduling, "LS"),
-        row(Algorithm::RoundRobin, "RR"),
-        row(Algorithm::RoundRobinComm, "RRC"),
-        row(Algorithm::RoundRobinProc, "RRP"),
-        row(Algorithm::Sljf, "SLJF"),
-        row(Algorithm::Sljfwc, "SLJFWC"),
-    ]
-};
-
 impl Algorithm {
     /// All seven, in the paper's figure order.
     pub const ALL: [Algorithm; 7] = [
@@ -87,31 +42,22 @@ impl Algorithm {
         Algorithm::Sljfwc,
     ];
 
-    /// This algorithm's [`static@META`] row (O(1): the discriminant is the
-    /// index).
-    pub fn meta(self) -> &'static AlgorithmMeta {
-        &META[self as usize]
-    }
-
     /// The algorithm's display name as used in the paper.
     pub fn name(self) -> &'static str {
-        self.meta().name
+        match self {
+            Algorithm::Srpt => "SRPT",
+            Algorithm::ListScheduling => "LS",
+            Algorithm::RoundRobin => "RR",
+            Algorithm::RoundRobinComm => "RRC",
+            Algorithm::RoundRobinProc => "RRP",
+            Algorithm::Sljf => "SLJF",
+            Algorithm::Sljfwc => "SLJFWC",
+        }
     }
 
-    /// Its 1-based index in the paper's figures (`self as usize + 1`; the
-    /// same index addresses [`static@META`]).
+    /// Its 1-based index in the paper's figures (`self as usize + 1`).
     pub fn figure_index(self) -> usize {
         self as usize + 1
-    }
-
-    /// Whether the built scheduler honors the poll-driven contract.
-    pub fn poll_driven(self) -> bool {
-        self.meta().poll_driven
-    }
-
-    /// The weakest [`InfoTier`] the built scheduler stays live under.
-    pub fn min_tier(self) -> InfoTier {
-        self.meta().min_tier
     }
 
     /// Builds a fresh scheduler instance. Every instance is deterministic
@@ -130,9 +76,9 @@ impl Algorithm {
 
     /// Parses a paper name (case-insensitive).
     pub fn from_name(name: &str) -> Option<Algorithm> {
-        META.iter()
-            .find(|m| m.name.eq_ignore_ascii_case(name))
-            .map(|m| m.algorithm)
+        Algorithm::ALL
+            .into_iter()
+            .find(|a| a.name().eq_ignore_ascii_case(name))
     }
 }
 
@@ -164,18 +110,12 @@ mod tests {
 
     #[test]
     fn table_matches_built_schedulers() {
-        // The static table is the single source of truth, so it must agree
-        // with what the built scheduler instances actually declare.
-        for (i, (a, m)) in Algorithm::ALL.iter().zip(META.iter()).enumerate() {
-            assert_eq!(m.algorithm, *a, "row {i} describes the wrong algorithm");
-            assert_eq!(*a as usize, i, "discriminant must index the table");
+        // `ALL` lists the algorithms in figure order, and each name agrees
+        // with what its built scheduler instance declares.
+        for (i, a) in Algorithm::ALL.into_iter().enumerate() {
+            assert_eq!(a as usize, i, "ALL must follow the discriminants");
             assert_eq!(a.figure_index(), i + 1);
-            let sched = a.build();
-            assert_eq!(sched.name(), m.name);
-            assert_eq!(sched.poll_driven(), m.poll_driven, "{a}");
-            assert_eq!(sched.min_tier(), m.min_tier, "{a}");
-            assert_eq!(a.poll_driven(), m.poll_driven);
-            assert_eq!(a.min_tier(), m.min_tier);
+            assert_eq!(a.build().name(), a.name());
         }
     }
 

@@ -1,16 +1,24 @@
-//! The decision-kernel contract, property-tested end to end: every
-//! kernel-backed heuristic produces **bit-identical traces** to its
-//! linear-scan reference, across platform shapes, arrival patterns,
-//! information tiers, fault/drift timelines, Redispatch wrapping, and
-//! scheduler reuse across runs (the sweep regime).
+//! Two contracts of the decision path, property-tested end to end across
+//! platform shapes, arrival patterns, information tiers, fault/drift
+//! timelines and Redispatch wrapping:
 //!
-//! The tree is forced on with `with_tree_threshold(0)` so even tiny
-//! random platforms exercise the incremental path rather than the
-//! small-`m` scan fallback.
+//! * **Kernels.** Every kernel-backed heuristic produces
+//!   **bit-identical traces** to its linear-scan reference, also under
+//!   scheduler reuse across runs (the sweep regime). The tree is forced
+//!   on with `with_tree_threshold(0)` so even tiny random platforms
+//!   exercise the incremental path rather than the small-`m` scan
+//!   fallback.
+//! * **Callback elision.** Every paper heuristic is poll-driven and keeps
+//!   the promise that lets the engine skip callbacks: a run that elides
+//!   them equals, as a whole `Result`, a run that delivers every one
+//!   through [`EveryCallback`], which asserts the promise on each.
+//!
+//! CI runs this file in release too, so both hold in both builds.
 
 use mss_core::{
-    Platform, PlatformEvent, PlatformEventKind, Redispatch, RoundRobin, SimConfig, Simulation,
-    SliceSource, Srpt, TaskArrival, Time, Timeline, Trace,
+    Algorithm, Decision, Platform, PlatformEvent, PlatformEventKind, Redispatch, RoundRobin,
+    SchedulerEvent, SimConfig, SimView, Simulation, SliceSource, Srpt, TaskArrival, Time, Timeline,
+    Trace,
 };
 use mss_sim::{chunked_argmin, scan_argmin, InfoTier, OnlineScheduler, SlaveId};
 use proptest::prelude::*;
@@ -24,8 +32,20 @@ fn arb_platform() -> impl Strategy<Value = Platform> {
     })
 }
 
+/// A release in `[0, 25)`: on the integer grid about half the time, so
+/// several tasks share an instant and their notifications form one batch.
+fn arb_release() -> impl Strategy<Value = f64> {
+    prop_oneof![(0u8..25).prop_map(f64::from), 0.0f64..25.0]
+}
+
+/// A size multiplier: exactly nominal about half the time, so events land
+/// at their predicted instants, otherwise perturbed by up to ±10 %.
+fn arb_size() -> impl Strategy<Value = f64> {
+    prop_oneof![Just(1.0), 0.9f64..1.1]
+}
+
 fn arb_tasks() -> impl Strategy<Value = Vec<TaskArrival>> {
-    proptest::collection::vec((0.0f64..25.0, 0.9f64..1.1, 0.9f64..1.1), 1..30).prop_map(|mut ts| {
+    proptest::collection::vec((arb_release(), arb_size(), arb_size()), 1..30).prop_map(|mut ts| {
         // The engine takes a release-ordered stream: the drawn tasks, in
         // release order.
         ts.sort_by(|a, b| a.0.total_cmp(&b.0));
@@ -117,6 +137,45 @@ fn kernel_scan_pairs() -> Vec<(Box<dyn OnlineScheduler>, Box<dyn OnlineScheduler
             Box::new(RoundRobin::rrp().with_scan_kernel()),
         ),
     ]
+}
+
+/// Delivers every callback to the wrapped scheduler, since it does not
+/// declare itself poll-driven, and asserts the poll-driven promise on each
+/// one: the answer is never a `WakeAt`, and it is `Idle` whenever the port
+/// is busy or nothing is pending. The promise's other half, that those
+/// callbacks change no state, shows as a run through this wrapper
+/// differing from the elided run.
+struct EveryCallback<S>(S);
+
+impl<S: OnlineScheduler> OnlineScheduler for EveryCallback<S> {
+    fn name(&self) -> String {
+        self.0.name()
+    }
+
+    fn init(&mut self, view: &SimView<'_>) {
+        self.0.init(view);
+    }
+
+    fn on_event(&mut self, view: &SimView<'_>, event: SchedulerEvent) -> Decision {
+        let quiet = !view.link_idle() || view.pending_tasks().is_empty();
+        let decision = self.0.on_event(view, event);
+        let at = view.now();
+        assert!(
+            !matches!(decision, Decision::WakeAt(_)),
+            "{}: a poll-driven scheduler answered {decision:?} to {event:?} at {at}",
+            self.0.name()
+        );
+        assert!(
+            !quiet || decision == Decision::Idle,
+            "{}: answered {decision:?} to {event:?} at {at} with the port busy or nothing pending",
+            self.0.name()
+        );
+        decision
+    }
+
+    fn min_tier(&self) -> InfoTier {
+        self.0.min_tier()
+    }
 }
 
 fn run(
@@ -224,6 +283,43 @@ proptest! {
                 .expect("fresh second run completes");
             prop_assert_eq!(first, fresh_first);
             prop_assert_eq!(second, fresh_second, "{} leaked state across runs", reused.name());
+        }
+    }
+
+    /// Static platforms, every information tier: each paper heuristic
+    /// declares itself poll-driven, and its elided run equals its run
+    /// with every callback delivered.
+    #[test]
+    fn elided_callbacks_match_delivered_static(
+        platform in arb_platform(),
+        tasks in arb_tasks(),
+        tier in arb_tier(),
+    ) {
+        for a in Algorithm::ALL {
+            let mut elided = a.build();
+            prop_assert!(elided.poll_driven(), "{} is not poll-driven", a);
+            let e = run(elided.as_mut(), &platform, &tasks, &Timeline::EMPTY, tier);
+            let d = run(&mut EveryCallback(a.build()), &platform, &tasks, &Timeline::EMPTY, tier);
+            prop_assert_eq!(e, d, "{} scheduled differently with every callback delivered", a);
+        }
+    }
+
+    /// Fault + drift timelines, Redispatch-wrapped for liveness: the same
+    /// equality, for each wrapped paper heuristic.
+    #[test]
+    fn elided_callbacks_match_delivered_under_faults(
+        platform in arb_platform(),
+        plan in arb_fault_plan(),
+        tasks in arb_tasks(),
+        tier in arb_tier(),
+    ) {
+        let timeline = build_timeline(&plan, platform.num_slaves());
+        for a in Algorithm::ALL {
+            let mut elided = Redispatch::wrap(a);
+            prop_assert!(elided.poll_driven(), "{} is not poll-driven", elided.name());
+            let e = run(&mut elided, &platform, &tasks, &timeline, tier);
+            let d = run(&mut EveryCallback(Redispatch::wrap(a)), &platform, &tasks, &timeline, tier);
+            prop_assert_eq!(e, d, "{}+RD scheduled differently with every callback delivered", a);
         }
     }
 }

@@ -32,8 +32,8 @@ pub struct RunCounters {
     pub sends_started: u64,
     /// Sends that released the port with the task delivered.
     pub sends_delivered: u64,
-    /// Sends that released the port onto a failed slave (task lost on
-    /// arrival).
+    /// Sends that released the port undelivered: lost on arrival at a
+    /// failed slave, or aborted in flight when their slave failed.
     pub sends_lost: u64,
     /// Computations started.
     pub computes_started: u64,

@@ -14,14 +14,14 @@
 //! order-sensitive by construction: swapping two events changes every
 //! subsequent running digest.
 //!
-//! **Build invariance:** the probe deliberately ignores
+//! **What it ignores:** the probe deliberately skips
 //! [`view_recompute`](crate::Probe::view_recompute),
 //! [`view_refolded`](crate::Probe::view_refolded) and
-//! [`view_expiry_armed`](crate::Probe::view_expiry_armed) (debug builds
-//! recompute views more often than release builds, documented on the
-//! hooks) and the engine never reports its `debug_assertions` elision
-//! oracle through the probe seam — so digests are identical across
-//! debug/release builds and across probe compositions.
+//! [`view_expiry_armed`](crate::Probe::view_expiry_armed). They count how
+//! the engine's view cache did its work, not what the run did, so a change
+//! to the cache that keeps every decision keeps every digest. Every hook
+//! fires the same way in debug and release builds, so digests are
+//! identical across builds and across probe compositions.
 
 use crate::probe::Probe;
 
@@ -175,7 +175,7 @@ impl Probe for DigestProbe {
         self.fold(8, "callback_elided", now, 0, 0);
     }
     // view_recompute, view_refolded and view_expiry_armed deliberately not
-    // folded: debug builds recompute (and so may refold and arm) more.
+    // folded: they measure the view cache, not the run.
     fn estimator_update(&mut self, now: f64, slave: usize) {
         self.fold(9, "estimator_update", now, slave as u64, 0);
     }

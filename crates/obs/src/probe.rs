@@ -47,9 +47,14 @@ pub trait Probe {
     fn task_released(&mut self, now: f64, task: usize) {}
     /// A send of `task` towards `slave` started occupying the port.
     fn send_start(&mut self, now: f64, task: usize, slave: usize) {}
-    /// The send of `task` to `slave` released the port. `delivered` is
-    /// `false` when the task arrived at a failed slave and was lost (it
-    /// re-enters the master's pending queue).
+    /// The send of `task` to `slave` released the port; every
+    /// [`send_start`](Probe::send_start) ends here exactly once. `delivered`
+    /// is `false` when the task arrived at a failed slave and was lost (it
+    /// re-enters the master's pending queue), or when `slave` failed while
+    /// the task was in flight: that send ends before
+    /// [`slave_failed`](Probe::slave_failed), and [`task_lost`] follows.
+    ///
+    /// [`task_lost`]: Probe::task_lost
     fn send_complete(&mut self, now: f64, task: usize, slave: usize, delivered: bool) {}
     /// `slave` started computing `task`.
     fn compute_start(&mut self, now: f64, task: usize, slave: usize) {}
@@ -58,31 +63,26 @@ pub trait Probe {
     /// A scheduler callback is about to be delivered.
     fn callback(&mut self, now: f64) {}
     /// A scheduler callback was elided under the `poll_driven` contract
-    /// (the engine proved its answer would be `Idle` with no state change).
+    /// (the scheduler promised to answer `Idle` with no state change).
     fn callback_elided(&mut self, now: f64) {}
     /// The cached view of `slave` was brought up to date after an event
     /// touched it or the clock passed its anchor. Its ready estimate is
     /// kept across on-time events and refolded from scratch only after
-    /// off-time ones (see [`view_refolded`](Probe::view_refolded)). Debug
-    /// builds may report more recomputations than release builds: the
-    /// `debug_assertions` elision oracle refreshes views on callbacks that
-    /// release builds skip.
+    /// off-time ones (see [`view_refolded`](Probe::view_refolded)). Fires
+    /// the same way in debug and release builds: views are refreshed only
+    /// for delivered callbacks.
     fn view_recompute(&mut self, now: f64, slave: usize) {}
     /// The view of `slave` just recomputed could not keep its cached ready
     /// estimate and folded the slave's whole queue: an arrival or completion
     /// billed away from its predicted instant changed the queue, or the
     /// clock passed the estimate's anchor. Only perturbed sizes and drift
     /// cause either, so it never fires on nominal-size, drift-free runs.
-    /// Like [`view_recompute`](Probe::view_recompute), debug builds may
-    /// report more of these than release builds.
     fn view_refolded(&mut self, now: f64, slave: usize) {}
     /// The view of `slave` just recomputed can go stale on the clock alone:
     /// the event its estimate is anchored on (a computation's end, or an
     /// in-flight send's arrival) is billed later than its nominal time
     /// (perturbed sizes or drift), so the engine armed the view's expiry.
-    /// Never fires on nominal-size, drift-free runs. Like
-    /// [`view_recompute`](Probe::view_recompute), debug builds may report
-    /// more of these than release builds.
+    /// Never fires on nominal-size, drift-free runs.
     fn view_expiry_armed(&mut self, now: f64, slave: usize) {}
     /// A learned rate estimate of `slave` absorbed an observation
     /// (sub-clairvoyant information tiers only).
@@ -106,10 +106,9 @@ pub trait Probe {
     /// | `Send`      | 1     | task   | slave            |
     /// | `WakeAt(t)` | 2     | 0      | `t.to_bits()`    |
     ///
-    /// Fires identically in debug and release builds: the engine's
-    /// `debug_assertions` elision oracle does **not** report its shadow
-    /// answers here, so decision streams (and digests of them) are
-    /// build-invariant.
+    /// An elided callback has no answer and reports none. Fires
+    /// identically in debug and release builds, so decision streams (and
+    /// digests of them) are build-invariant.
     fn decision(&mut self, now: f64, tag: u8, a: usize, b: u64) {}
 }
 

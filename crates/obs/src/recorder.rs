@@ -278,7 +278,10 @@ impl Probe for TraceRecorder {
             let s = std::mem::take(&mut self.open_send[slave]);
             self.push_span(SpanKind::Send, task, slave, s.start, now, delivered);
         }
-        if !delivered {
+        // A send that ends at a slave already down was lost on arrival.
+        // One aborted by its slave's failure ends before `slave_failed`,
+        // and the `task_lost` that follows marks it.
+        if !delivered && self.down_since[slave].open {
             self.markers.push(Marker {
                 kind: MarkerKind::TaskLost,
                 task,
@@ -345,15 +348,11 @@ impl Probe for TraceRecorder {
         self.queue_depth += 1;
         self.sample_queue(now);
         // A failure kills whatever the lost task was doing on the slave:
-        // close its computation (if it was computing) or its in-flight
-        // transfer (if the port gamble was aborted) as incomplete.
+        // close its computation (if it was computing) as incomplete. A
+        // transfer in flight was already closed by its `send_complete`.
         if self.open_compute[slave].open && self.open_compute[slave].task == task {
             let s = std::mem::take(&mut self.open_compute[slave]);
             self.push_span(SpanKind::Compute, task, slave, s.start, now, false);
-        }
-        if self.open_send[slave].open && self.open_send[slave].task == task {
-            let s = std::mem::take(&mut self.open_send[slave]);
-            self.push_span(SpanKind::Send, task, slave, s.start, now, false);
         }
         self.markers.push(Marker {
             kind: MarkerKind::TaskLost,
@@ -418,6 +417,26 @@ mod tests {
             .markers
             .iter()
             .any(|m| m.kind == MarkerKind::TaskLost && m.task == 3));
+    }
+
+    #[test]
+    fn aborted_send_is_closed_and_marked_once() {
+        // The engine's order when a slave fails with a send to it in
+        // flight: the send ends undelivered, then the failure and the loss.
+        let mut r = TraceRecorder::new();
+        r.task_released(0.0, 4);
+        r.send_start(0.0, 4, 1);
+        r.send_complete(0.4, 4, 1, false);
+        r.slave_failed(0.4, 1);
+        r.task_lost(0.4, 4, 1);
+        r.finalize(1.0);
+        let send = r.spans.iter().find(|s| s.kind == SpanKind::Send).unwrap();
+        assert!(!send.completed);
+        assert_eq!(send.end, 0.4);
+        let lost = r.markers.iter().filter(|m| m.kind == MarkerKind::TaskLost);
+        assert_eq!(lost.count(), 1);
+        let sends: Vec<u64> = r.inflight_samples.iter().map(|&(_, n)| n).collect();
+        assert_eq!(sends, [1, 0]);
     }
 
     #[test]

@@ -1053,7 +1053,6 @@ impl<'a, P: Probe, S: TaskSource> Engine<'a, P, S> {
             released_count: self.feed.next_id,
             completed_count: self.completed_count,
             journal: Some(&self.ws.journal),
-            idle_lazy: true,
         }
     }
 
@@ -1175,11 +1174,14 @@ impl<'a, P: Probe, S: TaskSource> Engine<'a, P, S> {
                 }
                 // Abort a transfer in flight towards the failing slave: the
                 // port frees immediately and its completion event is voided.
-                if let Some((_, target, seq)) = self.in_flight {
+                // The send ends undelivered here; its task is lost below.
+                if let Some((t, target, seq)) = self.in_flight {
                     if target == j {
                         self.ws.cancelled.insert(seq);
                         self.link_busy_until = self.clock;
                         self.in_flight = None;
+                        self.probe
+                            .send_complete(self.clock.as_f64(), t.0, j.0, false);
                     }
                 }
                 self.mark_view_dirty(j.0);
@@ -1334,6 +1336,25 @@ impl<'a, P: Probe, S: TaskSource> Engine<'a, P, S> {
         self.in_flight = Some((t, j, seq));
         self.probe.send_start(now.as_f64(), t.0, j.0);
         Ok(())
+    }
+
+    /// Acts on a [`Decision::WakeAt`]: schedules the wake-up and returns
+    /// `true` if `t` is in the future; a wake in the past (or now) is an
+    /// idle answer and returns `false`. A non-finite `t` is an invalid
+    /// decision: the clock would otherwise jump to infinity and every
+    /// later record with it.
+    fn wake_at(&mut self, t: Time) -> Result<bool, SimError> {
+        if !t.as_f64().is_finite() {
+            return Err(SimError::InvalidDecision {
+                at: self.clock,
+                reason: format!("wake-up at non-finite time {t}"),
+            });
+        }
+        let future = t > self.clock;
+        if future {
+            self.push(t, Event::Wake);
+        }
+        Ok(future)
     }
 
     /// Batched form of [`Engine::step_budget`]: charges `k` steps at once.
@@ -1671,9 +1692,8 @@ fn trace_from(ws: &SimWorkspace) -> Trace {
 
 /// Reports a scheduler's callback answer through the probe seam, in the
 /// dependency-free `(tag, a, b)` encoding documented on
-/// [`Probe::decision`]. Called only for decisions the engine actually
-/// acts on — the `debug_assertions` elision oracle never reports its
-/// shadow answers, keeping decision streams build-invariant.
+/// [`Probe::decision`]. Called for every delivered callback; an elided
+/// callback has no answer to report.
 fn probe_decision<P: Probe>(probe: &mut P, now: f64, decision: &Decision) {
     match decision {
         Decision::Idle => probe.decision(now, 0, 0, 0),
@@ -1704,7 +1724,9 @@ fn drive<P: Probe, S: TaskSource>(
     let mut engine = Engine::new(platform, feed, config, timeline, ws, probe);
     // Poll-driven schedulers promise to answer Idle (with no state change)
     // whenever the port is busy or nothing is pending, so those
-    // notification callbacks can be elided without observable effect.
+    // notification callbacks are elided, in every build. The engine takes
+    // the promise on trust; `mss-core`'s `kernel_equivalence.rs` holds the
+    // paper heuristics to it against runs that deliver every callback.
     let poll_driven = scheduler.poll_driven();
 
     engine.refresh_views();
@@ -1721,14 +1743,8 @@ fn drive<P: Probe, S: TaskSource>(
             let decision = scheduler.on_event(&engine.view(), SchedulerEvent::PortIdle);
             probe_decision(&mut *engine.probe, engine.clock.as_f64(), &decision);
             match decision {
-                Decision::Send { task, slave } => {
-                    engine.execute_send(task, slave)?;
-                    continue;
-                }
-                Decision::WakeAt(t) if t > engine.clock => {
-                    engine.push(t, Event::Wake);
-                    continue;
-                }
+                Decision::Send { task, slave } => engine.execute_send(task, slave)?,
+                Decision::WakeAt(t) if engine.wake_at(t)? => {}
                 _ => {
                     return Err(SimError::Stalled {
                         at: engine.clock,
@@ -1739,6 +1755,7 @@ fn drive<P: Probe, S: TaskSource>(
                     });
                 }
             }
+            continue;
         };
 
         // Apply the whole batch of simultaneous events first, so the
@@ -1772,18 +1789,8 @@ fn drive<P: Probe, S: TaskSource>(
             if poll_driven
                 && (engine.link_busy_until > engine.clock || engine.ws.pending.is_empty())
             {
-                // The poll-driven contract makes this callback a no-op; the
-                // debug oracle performs it anyway and holds the promise.
+                // The poll-driven contract makes this callback a no-op.
                 engine.probe.callback_elided(engine.clock.as_f64());
-                #[cfg(debug_assertions)]
-                {
-                    engine.refresh_views();
-                    let decision = scheduler.on_event(&engine.view(), engine.ws.notifications[i]);
-                    assert!(
-                        matches!(decision, Decision::Idle),
-                        "poll_driven scheduler acted on a busy/empty callback: {decision:?}"
-                    );
-                }
                 continue;
             }
             let n = engine.ws.notifications[i];
@@ -1793,10 +1800,10 @@ fn drive<P: Probe, S: TaskSource>(
             probe_decision(&mut *engine.probe, engine.clock.as_f64(), &decision);
             match decision {
                 Decision::Send { task, slave } => engine.execute_send(task, slave)?,
-                Decision::WakeAt(t) if t > engine.clock => {
-                    engine.push(t, Event::Wake);
+                Decision::WakeAt(t) => {
+                    engine.wake_at(t)?;
                 }
-                _ => {}
+                Decision::Idle => {}
             }
         }
 
@@ -1812,11 +1819,11 @@ fn drive<P: Probe, S: TaskSource>(
             probe_decision(&mut *engine.probe, engine.clock.as_f64(), &decision);
             match decision {
                 Decision::Send { task, slave } => engine.execute_send(task, slave)?,
-                Decision::WakeAt(t) if t > engine.clock => {
-                    engine.push(t, Event::Wake);
+                Decision::WakeAt(t) => {
+                    engine.wake_at(t)?;
                     break;
                 }
-                _ => break,
+                Decision::Idle => break,
             }
         }
 
@@ -2094,6 +2101,70 @@ mod tests {
         )
         .unwrap();
         assert_eq!(trace.record(TaskId(0)).send_start, Time::new(3.0));
+    }
+
+    #[test]
+    fn non_finite_wake_is_an_invalid_decision() {
+        /// Idles until its `k`-th callback, answers `WakeAt(wake)` there,
+        /// and once woken sends everything to slave 0.
+        struct Napper {
+            k: usize,
+            calls: usize,
+            wake: Time,
+            woken: bool,
+        }
+        impl OnlineScheduler for Napper {
+            fn name(&self) -> String {
+                "napper".into()
+            }
+            fn on_event(&mut self, view: &SimView<'_>, e: SchedulerEvent) -> Decision {
+                self.calls += 1;
+                self.woken |= e == SchedulerEvent::Wake;
+                if self.woken {
+                    return AllToFirst.on_event(view, e);
+                }
+                if self.calls == self.k {
+                    Decision::WakeAt(self.wake)
+                } else {
+                    Decision::Idle
+                }
+            }
+        }
+        let pf = Platform::from_vectors(&[1.0], &[3.0]);
+        let tasks = bag_of_tasks(3);
+        // Callbacks 1–3 are the release notifications, 4 the poll that
+        // follows them, 5 the stalled engine's last chance: the three arms
+        // of the event loop that act on a `WakeAt`.
+        for k in [1, 4, 5] {
+            for wake in [f64::INFINITY, f64::NEG_INFINITY] {
+                let mut napper = Napper {
+                    k,
+                    calls: 0,
+                    wake: Time::new(wake),
+                    woken: false,
+                };
+                let err = simulate(&pf, &tasks, &SimConfig::default(), &mut napper).unwrap_err();
+                match err {
+                    SimError::InvalidDecision { at, reason } => {
+                        assert_eq!(at, Time::ZERO, "callback {k}, wake {wake}");
+                        assert!(reason.contains("non-finite"), "{reason}");
+                    }
+                    other => panic!("callback {k}, wake {wake}: got {other:?}"),
+                }
+            }
+            // A finite wake in the past is still an idle answer.
+            let mut napper = Napper {
+                k,
+                calls: 0,
+                wake: Time::new(-1.0),
+                woken: false,
+            };
+            let err = simulate(&pf, &tasks, &SimConfig::default(), &mut napper).unwrap_err();
+            assert!(
+                matches!(err, SimError::Stalled { completed: 0, .. }),
+                "callback {k}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -88,11 +88,14 @@ pub trait OnlineScheduler {
     /// promises that whenever the port is busy **or** no task is pending,
     /// [`OnlineScheduler::on_event`] returns [`Decision::Idle`] without any
     /// observable state change — and that the scheduler never returns
-    /// [`Decision::WakeAt`]. Under this contract the engine may elide such
-    /// callbacks entirely (their decision is known), which removes most
-    /// per-event scheduler work without changing a single bit of any trace;
-    /// a `debug_assertions` oracle still performs the elided callbacks and
-    /// asserts they answer `Idle`.
+    /// [`Decision::WakeAt`]. Under this contract the engine elides such
+    /// callbacks entirely, in every build (their decision is known), which
+    /// removes most per-event scheduler work without changing a single bit
+    /// of any trace. The engine takes the promise on trust: a scheduler
+    /// that breaks it schedules differently than it would with every
+    /// callback delivered. `mss-core`'s `kernel_equivalence.rs` property
+    /// test holds the paper heuristics to it, bare and wrapped in
+    /// `Redispatch`, against runs that deliver every callback.
     ///
     /// The default is `false` (every callback is delivered). All seven paper
     /// heuristics satisfy the contract: they act only when the port is idle

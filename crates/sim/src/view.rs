@@ -59,7 +59,8 @@ pub struct SlaveViews {
     /// Tasks sent (or being sent) to each slave and not yet completed.
     pub outstanding: Vec<usize>,
     /// Per-slave ready estimates, in seconds ([`SlaveView::ready_estimate`]
-    /// as its raw `f64`).
+    /// as its raw `f64`). Read only for slaves with outstanding work: a
+    /// view answers an idle slave's estimate with `now`.
     pub ready_estimate: Vec<f64>,
     /// Total tasks completed by each slave so far.
     pub completed: Vec<usize>,
@@ -192,7 +193,6 @@ impl ViewState {
             released_count: self.released_count,
             completed_count: self.completed_count,
             journal: None,
-            idle_lazy: false,
         }
     }
 }
@@ -241,12 +241,6 @@ pub struct SimView<'a> {
     /// from an owned [`ViewState`], where kernels fall back to the exact
     /// chunked scan.
     pub(crate) journal: Option<&'a TouchJournal>,
-    /// Engine-backed views answer an idle slave's ready estimate as `now`
-    /// directly instead of reading the cached column (the fold over an
-    /// empty queue *is* `now`, so this is bit-identical) — which is what
-    /// lets the engine skip per-callback recomputation of idle rows.
-    /// `ViewState`-backed views keep full column authority.
-    pub(crate) idle_lazy: bool,
 }
 
 impl<'a> SimView<'a> {
@@ -331,9 +325,9 @@ impl<'a> SimView<'a> {
         self.releases[t.0 - self.release_base]
     }
 
-    /// Observable state of slave `j`. Below [`InfoTier::Clairvoyant`] the
-    /// `ready_estimate` field carries the estimate-based value of
-    /// [`SimView::ready_estimate`] instead of the nominal one.
+    /// Observable state of slave `j`. Its `ready_estimate` field is
+    /// [`SimView::ready_estimate`]'s answer: the nominal value at
+    /// [`InfoTier::Clairvoyant`], the estimate-based one below it.
     ///
     /// # Examples
     /// ```
@@ -347,18 +341,9 @@ impl<'a> SimView<'a> {
     /// assert!(!view.slave_idle(SlaveId(0)));
     /// ```
     pub fn slave(&self, j: SlaveId) -> SlaveView {
-        match self.tier {
-            InfoTier::Clairvoyant => {
-                let mut v = self.slaves.get(j.0);
-                if self.idle_lazy && v.outstanding == 0 {
-                    v.ready_estimate = self.now;
-                }
-                v
-            }
-            _ => SlaveView {
-                ready_estimate: self.ready_estimate(j),
-                ..self.slaves.get(j.0)
-            },
+        SlaveView {
+            ready_estimate: self.ready_estimate(j),
+            ..self.slaves.get(j.0)
         }
     }
 
@@ -443,16 +428,7 @@ impl<'a> SimView<'a> {
     /// outstanding task adds one `p̂`.
     pub fn ready_estimate(&self, j: SlaveId) -> Time {
         match self.tier {
-            InfoTier::Clairvoyant => {
-                if self.idle_lazy && self.slaves.outstanding[j.0] == 0 {
-                    // An idle slave's fold is `now` itself; answering it
-                    // directly spares the engine the per-callback
-                    // recomputation of every idle row (bit-identical).
-                    self.now
-                } else {
-                    Time::new(self.slaves.ready_estimate[j.0])
-                }
-            }
+            InfoTier::Clairvoyant => self.nominal_ready(j),
             _ => {
                 let outstanding = self.slaves.outstanding[j.0];
                 let now = self.now.as_f64();
@@ -470,6 +446,18 @@ impl<'a> SimView<'a> {
         }
     }
 
+    /// The nominal ready estimate of slave `j`: `now` for an idle slave
+    /// (the fold over an empty queue *is* `now`, so its stored column is
+    /// never read and the engine never recomputes idle rows), the stored
+    /// column otherwise.
+    fn nominal_ready(&self, j: SlaveId) -> Time {
+        if self.slaves.outstanding[j.0] == 0 {
+            self.now
+        } else {
+            Time::new(self.slaves.ready_estimate[j.0])
+        }
+    }
+
     /// Estimated completion time of a *new nominal task* if the master
     /// started sending it to `j` as soon as the port is free:
     /// `start = max(link_free, ready_j_estimate_after_comm)`, i.e.
@@ -482,12 +470,7 @@ impl<'a> SimView<'a> {
         match self.tier {
             InfoTier::Clairvoyant => {
                 let recv = self.link_free_at() + self.platform.c(j);
-                let ready = if self.idle_lazy && self.slaves.outstanding[j.0] == 0 {
-                    self.now
-                } else {
-                    Time::new(self.slaves.ready_estimate[j.0])
-                };
-                let start = recv.max(ready);
+                let start = recv.max(self.nominal_ready(j));
                 start + self.platform.p(j)
             }
             _ => {
@@ -576,6 +559,18 @@ mod tests {
         let mut s = state();
         s.tier = InfoTier::SpeedOblivious;
         let _ = s.view().platform();
+    }
+
+    #[test]
+    fn an_idle_slave_is_ready_now_whatever_its_column_says() {
+        let mut s = state();
+        s.now = Time::new(10.0);
+        s.slaves.ready_estimate[0] = 20.0; // stale: P1 has no work left
+        let v = s.view();
+        assert_eq!(v.ready_estimate(SlaveId(0)), Time::new(10.0));
+        assert_eq!(v.slave(SlaveId(0)).ready_estimate, Time::new(10.0));
+        // Received at 10 + c = 11, started at once, done at 11 + p = 14.
+        assert_eq!(v.completion_estimate(SlaveId(0)), Time::new(14.0));
     }
 
     #[test]

@@ -7,56 +7,14 @@
 //! * perturbing a single scheduler decision changes the digest, and the
 //!   ledger pinpoints that decision as the first divergent event.
 
+mod support;
+
 use mss_sim::{
     Decision, DigestProbe, MetricsProbe, NoopProbe, OnlineScheduler, Platform, SchedulerEvent,
-    SimConfig, SimView, SimWorkspace, Simulation, SlaveId, SliceSource, TaskArrival, Time,
+    SimConfig, SimView, SimWorkspace, Simulation, SlaveId, SliceSource, TaskArrival,
 };
 use proptest::prelude::*;
-
-/// Tape-driven but always-valid scheduler (same shape as the engine
-/// property tests): send some pending task to some slave, occasionally
-/// idle or nap.
-struct TapeScheduler {
-    tape: Vec<u32>,
-    pos: usize,
-    naps: usize,
-}
-
-impl TapeScheduler {
-    fn new(tape: Vec<u32>) -> Self {
-        TapeScheduler {
-            tape,
-            pos: 0,
-            naps: 0,
-        }
-    }
-
-    fn draw(&mut self) -> u32 {
-        let v = self.tape[self.pos % self.tape.len()];
-        self.pos += 1;
-        v
-    }
-}
-
-impl OnlineScheduler for TapeScheduler {
-    fn name(&self) -> String {
-        "tape".into()
-    }
-
-    fn on_event(&mut self, view: &SimView<'_>, _e: SchedulerEvent) -> Decision {
-        if !view.link_idle() || view.pending_tasks().is_empty() {
-            return Decision::Idle;
-        }
-        let choice = self.draw();
-        if choice.is_multiple_of(7) && self.naps < 3 {
-            self.naps += 1;
-            return Decision::WakeAt(view.now() + 0.25);
-        }
-        let task = view.pending_tasks()[choice as usize % view.pending_tasks().len()];
-        let slave = SlaveId(self.draw() as usize % view.num_slaves());
-        Decision::Send { task, slave }
-    }
-}
+use support::{arb_platform, arb_tasks, TapeScheduler};
 
 /// Reroutes the `n`-th Send of the wrapped scheduler to the next slave —
 /// the minimal single-decision perturbation.
@@ -87,29 +45,6 @@ impl OnlineScheduler for PerturbNthSend {
     }
 }
 
-fn arb_platform() -> impl Strategy<Value = Platform> {
-    // At least two slaves, so a rerouted send is a real change.
-    proptest::collection::vec((0.01f64..2.0, 0.1f64..8.0), 2..6).prop_map(|specs| {
-        let (c, p): (Vec<f64>, Vec<f64>) = specs.into_iter().unzip();
-        Platform::from_vectors(&c, &p)
-    })
-}
-
-fn arb_tasks() -> impl Strategy<Value = Vec<TaskArrival>> {
-    proptest::collection::vec((0.0f64..20.0, 0.9f64..1.1, 0.9f64..1.1), 2..20).prop_map(|mut ts| {
-        // The engine takes a release-ordered stream: the drawn tasks, in
-        // release order.
-        ts.sort_by(|a, b| a.0.total_cmp(&b.0));
-        ts.into_iter()
-            .map(|(r, sc, sp)| TaskArrival {
-                release: Time::new(r),
-                size_c: sc,
-                size_p: sp,
-            })
-            .collect()
-    })
-}
-
 fn digest_of<P: mss_sim::Probe>(
     platform: &Platform,
     tasks: &[TaskArrival],
@@ -137,8 +72,8 @@ proptest! {
     /// invisible: same digest, same event count, in every combination.
     #[test]
     fn digest_is_invariant_under_probe_composition(
-        platform in arb_platform(),
-        tasks in arb_tasks(),
+        platform in arb_platform(2..6),
+        tasks in arb_tasks(2..20),
         tape in proptest::collection::vec(0u32..1000, 8..64),
     ) {
         let alone = digest_of(&platform, &tasks, &tape, &mut NoopProbe);
@@ -153,11 +88,12 @@ proptest! {
     }
 
     /// Rerouting one send changes the digest, and the ledgers' first
-    /// divergence is exactly that decision event.
+    /// divergence is exactly that decision event. Platforms have at least
+    /// two slaves, so a rerouted send is a real change.
     #[test]
     fn perturbed_decision_changes_digest_at_the_decision(
-        platform in arb_platform(),
-        tasks in arb_tasks(),
+        platform in arb_platform(2..6),
+        tasks in arb_tasks(2..20),
         tape in proptest::collection::vec(0u32..1000, 8..64),
         nth in 0usize..4,
     ) {

@@ -3,87 +3,15 @@
 //! folds agree with a straightforward recomputation; whatever breaks the
 //! input contract is a located error.
 
+mod support;
+
 use mss_sim::{
-    bag_of_tasks, simulate, validate, Decision, OnlineScheduler, Platform, PlatformEvent,
-    PlatformEventKind, SchedulerEvent, SimConfig, SimError, SimView, SimWorkspace, Simulation,
-    SlaveId, SliceSource, TaskArrival, TaskId, TaskSource, Time, Timeline,
+    bag_of_tasks, simulate, validate, PlatformEvent, PlatformEventKind, SimConfig, SimError,
+    SimWorkspace, Simulation, SlaveId, SliceSource, TaskArrival, TaskId, TaskSource, Time,
+    Timeline,
 };
 use proptest::prelude::*;
-
-/// A scheduler whose choices are driven by a pre-drawn pseudo-random tape,
-/// but which always makes *valid* decisions (send some pending task to some
-/// existing slave whenever the port is idle, sometimes idling or napping).
-struct TapeScheduler {
-    tape: Vec<u32>,
-    pos: usize,
-    naps: usize,
-}
-
-impl TapeScheduler {
-    fn new(tape: Vec<u32>) -> Self {
-        TapeScheduler {
-            tape,
-            pos: 0,
-            naps: 0,
-        }
-    }
-
-    fn draw(&mut self) -> u32 {
-        let v = self.tape[self.pos % self.tape.len()];
-        self.pos += 1;
-        v
-    }
-}
-
-impl OnlineScheduler for TapeScheduler {
-    fn name(&self) -> String {
-        "tape".into()
-    }
-
-    fn on_event(&mut self, view: &SimView<'_>, _e: SchedulerEvent) -> Decision {
-        if !view.link_idle() || view.pending_tasks().is_empty() {
-            return Decision::Idle;
-        }
-        let choice = self.draw();
-        // Nap occasionally (at most a few times, to guarantee progress).
-        if choice.is_multiple_of(7) && self.naps < 3 {
-            self.naps += 1;
-            return Decision::WakeAt(view.now() + 0.25);
-        }
-        let task = view.pending_tasks()[choice as usize % view.pending_tasks().len()];
-        let slave = SlaveId(self.draw() as usize % view.num_slaves());
-        Decision::Send { task, slave }
-    }
-}
-
-fn arb_platform() -> impl Strategy<Value = Platform> {
-    proptest::collection::vec((0.01f64..2.0, 0.1f64..8.0), 1..6).prop_map(|specs| {
-        let (c, p): (Vec<f64>, Vec<f64>) = specs.into_iter().unzip();
-        Platform::from_vectors(&c, &p)
-    })
-}
-
-/// A size multiplier: exactly nominal about half the time, so events are
-/// billed at their predicted instants (unless drift moves them), otherwise
-/// perturbed by up to ±10 %.
-fn arb_size() -> impl Strategy<Value = f64> {
-    prop_oneof![Just(1.0), 0.9f64..1.1]
-}
-
-fn arb_tasks() -> impl Strategy<Value = Vec<TaskArrival>> {
-    proptest::collection::vec((0.0f64..20.0, arb_size(), arb_size()), 1..25).prop_map(|mut ts| {
-        // The engine takes a release-ordered stream: the drawn tasks, in
-        // release order.
-        ts.sort_by(|a, b| a.0.total_cmp(&b.0));
-        ts.into_iter()
-            .map(|(r, sc, sp)| TaskArrival {
-                release: Time::new(r),
-                size_c: sc,
-                size_p: sp,
-            })
-            .collect()
-    })
-}
+use support::{arb_platform, arb_tasks, TapeScheduler};
 
 /// One way to break the engine's input contract at one task.
 #[derive(Clone, Copy, Debug)]
@@ -134,8 +62,8 @@ proptest! {
 
     #[test]
     fn random_schedulers_yield_valid_traces(
-        platform in arb_platform(),
-        tasks in arb_tasks(),
+        platform in arb_platform(1..6),
+        tasks in arb_tasks(1..25),
         tape in proptest::collection::vec(0u32..1000, 8..64),
     ) {
         let mut sched = TapeScheduler::new(tape);
@@ -148,8 +76,8 @@ proptest! {
 
     #[test]
     fn objectives_match_recomputation(
-        platform in arb_platform(),
-        tasks in arb_tasks(),
+        platform in arb_platform(1..6),
+        tasks in arb_tasks(1..25),
         tape in proptest::collection::vec(0u32..1000, 8..64),
     ) {
         let mut sched = TapeScheduler::new(tape);
@@ -170,8 +98,8 @@ proptest! {
 
     #[test]
     fn flow_lower_bound_per_task(
-        platform in arb_platform(),
-        tasks in arb_tasks(),
+        platform in arb_platform(1..6),
+        tasks in arb_tasks(1..25),
         tape in proptest::collection::vec(0u32..1000, 8..64),
     ) {
         // Each task's flow is at least c_j·size_c + p_j·size_p on its slave.
@@ -203,8 +131,8 @@ proptest! {
     /// produce identical results, including identical errors.
     #[test]
     fn incremental_views_and_workspace_reuse_are_exact(
-        platform in arb_platform(),
-        tasks in arb_tasks(),
+        platform in arb_platform(1..6),
+        tasks in arb_tasks(1..25),
         tape in proptest::collection::vec(0u32..1000, 8..64),
         faults in proptest::collection::vec(
             (0usize..8, 0.0f64..25.0, 0.1f64..10.0, 0.25f64..3.0, 0.25f64..3.0), 0..5),
@@ -272,8 +200,8 @@ proptest! {
     /// trace or the objectives alone — never a panic.
     #[test]
     fn invalid_arrivals_are_located_errors(
-        platform in arb_platform(),
-        tasks in arb_tasks(),
+        platform in arb_platform(1..6),
+        tasks in arb_tasks(1..25),
         at in 0usize..25,
         corruption in arb_corruption(),
         tape in proptest::collection::vec(0u32..1000, 8..64),

@@ -141,12 +141,14 @@ fn ten_thousand_slaves_streamed_within_budget() {
     // through the tournament tree (threshold is 64), with exactly one
     // rebuild (first sync of the run) and zero scan fallbacks. The
     // rebuild evaluates every key once and each replayed journal entry
-    // one more. `replayed` itself is not pinned: debug builds refresh
-    // views for the elision oracle, which replays more entries.
+    // one more. Both builds run the same engine path, so the replay
+    // count is exact in either.
     assert!(k.queries > 0, "kernel never queried: {k:?}");
     assert_eq!(k.scans, 0, "scan fallback used at m = 10k: {k:?}");
     assert_eq!(k.rebuilds, 1, "expected exactly one rebuild: {k:?}");
+    assert_eq!(k.replayed, 3_795, "{k:?}");
     assert_eq!(tree_evals, m as u64 + k.replayed, "{k:?}");
+    assert_eq!(tree_evals, 13_795);
 
     // The linear-scan twin: same decisions, same bits, m keys a decision.
     let (scan_stats, s, scan_evals) = run(&platform, n, IncrementalArgmin::scan_reference());

@@ -6,11 +6,9 @@
 //! greedy under scripted slave failures, so every cross-check below is exact:
 //! span counts must equal counter totals, markers must equal
 //! failure/recovery/loss counts, and the send ledger must balance.
-//! (Deliberately *not* asserted: `view_recomputes` — debug builds refresh
-//! views for the elision oracle that release builds skip.)
 
 use mss_sim::{
-    bag_of_tasks, Decision, MarkerKind, OnlineScheduler, Platform, PlatformEvent,
+    bag_of_tasks, Decision, MarkerKind, MetricsProbe, OnlineScheduler, Platform, PlatformEvent,
     PlatformEventKind, RunCounters, SchedulerEvent, SimConfig, SimView, SimWorkspace, Simulation,
     SlaveId, SliceSource, SpanKind, Time, Timeline, TraceRecorder,
 };
@@ -116,15 +114,77 @@ fn trace_spans_match_counter_totals() {
     assert!(c.events() > 3 * n as u64, "outage adds events beyond 3n");
 }
 
+/// One slave (`c = 1`, `p = 3`) fails at t = 0.5 while the only task is
+/// in flight to it and recovers at t = 2, when the task is sent again: it
+/// arrives at 3 and completes at 6. The aborted send ends at the failure
+/// in every probe: the ledger balances, the recorder closes its span once
+/// and marks one loss, and the port counts as free from then on.
+#[test]
+fn a_send_aborted_by_a_failure_ends_in_every_probe() {
+    let platform = Platform::from_vectors(&[1.0], &[3.0]);
+    let tasks = bag_of_tasks(1);
+    let timeline = Timeline::new(vec![
+        PlatformEvent {
+            time: Time::new(0.5),
+            slave: SlaveId(0),
+            kind: PlatformEventKind::Fail,
+        },
+        PlatformEvent {
+            time: Time::new(2.0),
+            slave: SlaveId(0),
+            kind: PlatformEventKind::Recover,
+        },
+    ]);
+    let mut probe = (
+        RunCounters::new(),
+        (TraceRecorder::new(), MetricsProbe::new()),
+    );
+    let trace = Simulation::new(&platform, &SimConfig::default())
+        .timeline(&timeline)
+        .probe(&mut probe)
+        .trace(SliceSource::new(&tasks), &mut Greedy)
+        .expect("outage scenario completes");
+    assert_eq!(trace.makespan(), 6.0);
+    let (c, (mut rec, mut metrics)) = probe;
+
+    assert_eq!(
+        (c.sends_started, c.sends_delivered, c.sends_lost),
+        (2, 1, 1)
+    );
+    assert_eq!((c.failures, c.tasks_lost), (1, 1));
+
+    rec.finalize(6.0);
+    let sends: Vec<(f64, f64, bool)> = rec
+        .spans
+        .iter()
+        .filter(|s| s.kind == SpanKind::Send)
+        .map(|s| (s.start, s.end, s.completed))
+        .collect();
+    assert_eq!(sends, [(0.0, 0.5, false), (2.0, 3.0, true)]);
+    assert_eq!(marker_count(&rec, MarkerKind::TaskLost), 1);
+    let in_flight: Vec<u64> = rec.inflight_samples.iter().map(|&(_, n)| n).collect();
+    assert_eq!(in_flight, [1, 0, 1, 0]);
+
+    // Blocked while its sends occupy the port (0–0.5, 2–3), idle in between.
+    let m = metrics.finish(6.0);
+    assert_eq!(m.busy_secs[0], 3.0);
+    assert_eq!(m.blocked_secs[0], 1.5);
+    assert_eq!(m.idle_secs[0], 1.5);
+    assert_eq!(m.recv_secs[0], 1.5);
+}
+
 /// A static bag on the 5-slave reference platform (`c = 0.1 … 0.9`,
 /// `p = 1 … 5`), where the greedy above is List Scheduling. Every task
 /// crosses four engine boundaries and raises three scheduler events (its
 /// release, its send's delivery, its completion); the engine delivers n
-/// callbacks and elides 2n, so the elided share is exactly 2/3.
+/// callbacks and elides 2n, so the elided share is exactly 2/3. Views are
+/// refreshed only for delivered callbacks, the same in every build, so
+/// their recompute count is exact too; nominal sizes on a static platform
+/// never refold a view or arm its expiry.
 #[test]
 fn static_list_scheduling_counts_are_exact() {
     let platform = Platform::from_vectors(&[0.1, 0.3, 0.5, 0.7, 0.9], &[1.0, 2.0, 3.0, 4.0, 5.0]);
-    for n in [500u64, 2_000] {
+    for (n, view_recomputes) in [(500u64, 816u64), (2_000, 3_272)] {
         let tasks = bag_of_tasks(n as usize);
         let mut c = RunCounters::new();
         let trace = Simulation::new(&platform, &SimConfig::with_horizon(n as usize))
@@ -143,6 +203,9 @@ fn static_list_scheduling_counts_are_exact() {
         }
         assert_eq!(c.events(), 4 * n, "n = {n}: {c:?}");
         assert_eq!(c.callbacks_elided, 2 * n, "n = {n}: {c:?}");
+        assert_eq!(c.view_recomputes, view_recomputes, "n = {n}: {c:?}");
+        assert_eq!(c.view_refolds, 0, "n = {n}: {c:?}");
+        assert_eq!(c.view_expiry_arms, 0, "n = {n}: {c:?}");
     }
 }
 

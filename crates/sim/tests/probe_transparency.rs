@@ -9,77 +9,14 @@
 //! (step-budget aborts), which must abort at the identical step with the
 //! identical message.
 
+mod support;
+
 use mss_sim::{
-    Decision, InfoTier, NoopProbe, OnlineScheduler, Platform, PlatformEvent, PlatformEventKind,
-    RunCounters, SchedulerEvent, SimConfig, SimView, SimWorkspace, Simulation, SlaveId,
-    SliceSource, TaskArrival, Time, Timeline, TraceRecorder,
+    InfoTier, NoopProbe, PlatformEvent, PlatformEventKind, RunCounters, SimConfig, SimWorkspace,
+    Simulation, SlaveId, SliceSource, Time, Timeline, TraceRecorder,
 };
 use proptest::prelude::*;
-
-/// Tape-driven but always-valid scheduler (see `engine_properties.rs`).
-struct TapeScheduler {
-    tape: Vec<u32>,
-    pos: usize,
-    naps: usize,
-}
-
-impl TapeScheduler {
-    fn new(tape: Vec<u32>) -> Self {
-        TapeScheduler {
-            tape,
-            pos: 0,
-            naps: 0,
-        }
-    }
-
-    fn draw(&mut self) -> u32 {
-        let v = self.tape[self.pos % self.tape.len()];
-        self.pos += 1;
-        v
-    }
-}
-
-impl OnlineScheduler for TapeScheduler {
-    fn name(&self) -> String {
-        "tape".into()
-    }
-
-    fn on_event(&mut self, view: &SimView<'_>, _e: SchedulerEvent) -> Decision {
-        if !view.link_idle() || view.pending_tasks().is_empty() {
-            return Decision::Idle;
-        }
-        let choice = self.draw();
-        if choice.is_multiple_of(7) && self.naps < 3 {
-            self.naps += 1;
-            return Decision::WakeAt(view.now() + 0.25);
-        }
-        let task = view.pending_tasks()[choice as usize % view.pending_tasks().len()];
-        let slave = SlaveId(self.draw() as usize % view.num_slaves());
-        Decision::Send { task, slave }
-    }
-}
-
-fn arb_platform() -> impl Strategy<Value = Platform> {
-    proptest::collection::vec((0.01f64..2.0, 0.1f64..8.0), 1..6).prop_map(|specs| {
-        let (c, p): (Vec<f64>, Vec<f64>) = specs.into_iter().unzip();
-        Platform::from_vectors(&c, &p)
-    })
-}
-
-fn arb_tasks() -> impl Strategy<Value = Vec<TaskArrival>> {
-    proptest::collection::vec((0.0f64..20.0, 0.9f64..1.1, 0.9f64..1.1), 1..25).prop_map(|mut ts| {
-        // The engine takes a release-ordered stream: the drawn tasks, in
-        // release order.
-        ts.sort_by(|a, b| a.0.total_cmp(&b.0));
-        ts.into_iter()
-            .map(|(r, sc, sp)| TaskArrival {
-                release: Time::new(r),
-                size_c: sc,
-                size_p: sp,
-            })
-            .collect()
-    })
-}
+use support::{arb_platform, arb_tasks, TapeScheduler};
 
 fn arb_info() -> impl Strategy<Value = InfoTier> {
     prop_oneof![
@@ -97,8 +34,8 @@ proptest! {
     /// errors — across fault/drift timelines and information tiers.
     #[test]
     fn probes_are_observationally_pure(
-        platform in arb_platform(),
-        tasks in arb_tasks(),
+        platform in arb_platform(1..6),
+        tasks in arb_tasks(1..25),
         tape in proptest::collection::vec(0u32..1000, 8..64),
         info in arb_info(),
         faults in proptest::collection::vec(
