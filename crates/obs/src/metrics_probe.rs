@@ -188,6 +188,8 @@ pub struct MetricsProbe {
     peak_slots: usize,
     /// Per-slave state and accumulators.
     computing: Vec<bool>,
+    /// Down between `slave_failed` and `slave_recovered`.
+    down: Vec<bool>,
     busy: Vec<f64>,
     blocked: Vec<f64>,
     idle: Vec<f64>,
@@ -233,6 +235,7 @@ impl MetricsProbe {
         self.dead_prefix = 0;
         self.peak_slots = 0;
         self.computing.clear();
+        self.down.clear();
         self.busy.clear();
         self.blocked.clear();
         self.idle.clear();
@@ -336,6 +339,7 @@ impl MetricsProbe {
         if self.computing.len() <= j {
             let n = j + 1;
             self.computing.resize(n, false);
+            self.down.resize(n, false);
             self.busy.resize(n, 0.0);
             self.blocked.resize(n, 0.0);
             self.idle.resize(n, 0.0);
@@ -368,8 +372,9 @@ impl Probe for MetricsProbe {
         self.depth = self.depth.saturating_sub(1);
     }
 
-    fn send_complete(&mut self, now: f64, task: usize, _slave: usize, delivered: bool) {
+    fn send_complete(&mut self, now: f64, task: usize, slave: usize, delivered: bool) {
         self.advance(now);
+        self.ensure_slave(slave);
         self.port_to = usize::MAX;
         if delivered {
             self.ensure_task(task);
@@ -377,6 +382,12 @@ impl Probe for MetricsProbe {
             if sent != UNSET {
                 self.hists.transfer.observe(now - sent);
             }
+        } else if self.down[slave] {
+            // Lost on arrival at a slave already down: the task re-enters
+            // the master's pending queue with no `task_lost`. A send
+            // aborted by its slave's failure ends before `slave_failed`,
+            // and the `task_lost` that follows counts it back.
+            self.bump_depth();
         }
     }
 
@@ -419,6 +430,7 @@ impl Probe for MetricsProbe {
         self.advance(now);
         self.ensure_slave(slave);
         self.computing[slave] = false;
+        self.down[slave] = true;
     }
 
     fn task_lost(&mut self, now: f64, task: usize, _slave: usize) {
@@ -428,8 +440,10 @@ impl Probe for MetricsProbe {
         self.bump_depth();
     }
 
-    fn slave_recovered(&mut self, now: f64, _slave: usize) {
+    fn slave_recovered(&mut self, now: f64, slave: usize) {
         self.advance(now);
+        self.ensure_slave(slave);
+        self.down[slave] = false;
     }
 
     fn budget_abort(&mut self, now: f64, _steps: u64) {

@@ -278,9 +278,10 @@ impl Probe for TraceRecorder {
             let s = std::mem::take(&mut self.open_send[slave]);
             self.push_span(SpanKind::Send, task, slave, s.start, now, delivered);
         }
-        // A send that ends at a slave already down was lost on arrival.
-        // One aborted by its slave's failure ends before `slave_failed`,
-        // and the `task_lost` that follows marks it.
+        // A send that ends at a slave already down was lost on arrival: its
+        // task re-enters the master's queue with no `task_lost`. One
+        // aborted by its slave's failure ends before `slave_failed`, and
+        // the `task_lost` that follows marks it and counts it back.
         if !delivered && self.down_since[slave].open {
             self.markers.push(Marker {
                 kind: MarkerKind::TaskLost,
@@ -288,6 +289,8 @@ impl Probe for TraceRecorder {
                 slave,
                 at: now,
             });
+            self.queue_depth += 1;
+            self.sample_queue(now);
         }
     }
 

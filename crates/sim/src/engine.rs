@@ -19,7 +19,8 @@
 //! it through [`SliceSource`]. Each pulled arrival is checked once: its
 //! release must be finite, non-negative and no earlier than the previous
 //! one, and both size multipliers finite and positive; a violation is a
-//! [`SimError::InvalidTask`] naming the task, never a panic. Tasks get
+//! [`SimError::InvalidTask`] naming the task, never a panic, and so is a
+//! pull the source itself fails ([`TaskSource::error`]). Tasks get
 //! dense ids in pull order and enter a window of task slots on release;
 //! [`Simulation::objectives`] retires each slot once its record is folded
 //! into the objectives, so a run's memory tracks its in-flight tasks, not
@@ -171,7 +172,9 @@ pub enum SimError {
     },
     /// A pulled arrival broke the input contract: its release is not
     /// finite, is negative or decreases below the previous release, or a
-    /// size multiplier is not finite and positive. Raised when the task is
+    /// size multiplier is not finite and positive. Or the source failed
+    /// the pull and ended early ([`TaskSource::error`]); a trace then
+    /// names the file and line it could not read. Raised when the task is
     /// pulled, before it is released.
     InvalidTask {
         /// The offending task (its index in pull order).
@@ -580,10 +583,15 @@ impl<S: TaskSource> StreamFeed<S> {
     }
 
     /// Pulls the arrival of task `next_id`, checking its input contract.
+    /// A source that ends on a failed pull ([`TaskSource::error`]) ends
+    /// the run.
     #[inline]
     fn pull(&mut self) -> Result<Option<TaskArrival>, SimError> {
         let Some(arr) = self.source.next_task() else {
-            return Ok(None);
+            return match self.source.error() {
+                None => Ok(None),
+                Some(reason) => Err(self.source_failed(reason)),
+            };
         };
         let r = arr.release.as_f64();
         // One fused test for the common case; `NaN` fails every comparison
@@ -599,6 +607,16 @@ impl<S: TaskSource> StreamFeed<S> {
         }
         self.last_release = r;
         Ok(Some(arr))
+    }
+
+    /// The [`SimError::InvalidTask`] of a pull the source failed, with
+    /// the source's located reason.
+    #[cold]
+    fn source_failed(&self, reason: &str) -> SimError {
+        SimError::InvalidTask {
+            task: TaskId(self.next_id),
+            reason: reason.to_owned(),
+        }
     }
 
     /// The [`SimError::InvalidTask`] of an arrival that failed the check

@@ -22,6 +22,13 @@
 //!   run with [`SimError::InvalidTask`](crate::SimError::InvalidTask),
 //!   naming the first offending task, on a violation (a decreasing release
 //!   would silently reorder history, breaking determinism).
+//! * **A failed pull ends the stream.** A source that reads its input as
+//!   it is pulled (a trace file) may meet bad input mid-run. It then
+//!   returns `None` and keeps the reason, located in its input, for
+//!   [`TaskSource::error`]; the engine asks for it whenever `next_task`
+//!   returns `None` and ends the run with `SimError::InvalidTask` naming
+//!   the task it was pulling. A source that cannot fail keeps the
+//!   provided `error`, which always answers `None`.
 //! * **Seed-determinism.** Two sources constructed from the same inputs
 //!   must yield the identical sequence; [`TaskSource::reset`] rewinds so
 //!   the same source replays it. Replaying one instance under several
@@ -73,8 +80,17 @@ pub trait TaskSource {
     fn len_hint(&self) -> Option<usize>;
 
     /// Rewinds to the beginning; the replay must be identical to the
-    /// first pass, element for element.
+    /// first pass, element for element. Clears a stored [`error`].
+    ///
+    /// [`error`]: TaskSource::error
     fn reset(&mut self);
+
+    /// Why the stream ended early, once `next_task` has returned `None`
+    /// for a pull that failed: `None` for a stream that simply ran out.
+    /// The reason locates the bad input (for a trace, its `file:line`).
+    fn error(&self) -> Option<&str> {
+        None
+    }
 }
 
 /// A [`TaskSource`] over a borrowed, in-memory instance: how a task slice
@@ -137,6 +153,9 @@ impl TaskSource for Box<dyn TaskSource + '_> {
     fn reset(&mut self) {
         (**self).reset()
     }
+    fn error(&self) -> Option<&str> {
+        (**self).error()
+    }
 }
 
 /// A mutable reference forwards (so callers keep ownership while the
@@ -150,6 +169,9 @@ impl<S: TaskSource + ?Sized> TaskSource for &mut S {
     }
     fn reset(&mut self) {
         (**self).reset()
+    }
+    fn error(&self) -> Option<&str> {
+        (**self).error()
     }
 }
 
@@ -171,6 +193,21 @@ mod tests {
         }
         fn reset(&mut self) {
             self.0 = 0;
+        }
+    }
+
+    /// A source whose pull fails.
+    struct Broken;
+    impl TaskSource for Broken {
+        fn next_task(&mut self) -> Option<TaskArrival> {
+            None
+        }
+        fn len_hint(&self) -> Option<usize> {
+            Some(1)
+        }
+        fn reset(&mut self) {}
+        fn error(&self) -> Option<&str> {
+            Some("bad record in t.csv:2")
         }
     }
 
@@ -199,5 +236,15 @@ mod tests {
             count += 1;
         }
         assert_eq!(count, 2);
+        // `error` forwards through both wrappers.
+        fn reason(source: impl TaskSource) -> Option<String> {
+            source.error().map(str::to_owned)
+        }
+        assert_eq!(reason(&mut boxed), None);
+        let mut broken: Box<dyn TaskSource> = Box::new(Broken);
+        assert_eq!(
+            reason(&mut broken).as_deref(),
+            Some("bad record in t.csv:2")
+        );
     }
 }

@@ -173,6 +173,78 @@ fn a_send_aborted_by_a_failure_ends_in_every_probe() {
     assert_eq!(m.recv_secs[0], 1.5);
 }
 
+/// Sends the oldest pending task to slave 0 whenever the port is idle,
+/// blind to failures.
+struct Oblivious;
+
+impl OnlineScheduler for Oblivious {
+    fn name(&self) -> String {
+        "oblivious".into()
+    }
+
+    fn on_event(&mut self, view: &SimView<'_>, _e: SchedulerEvent) -> Decision {
+        match view.pending_tasks().first() {
+            Some(&task) if view.link_idle() => Decision::Send {
+                task,
+                slave: SlaveId(0),
+            },
+            _ => Decision::Idle,
+        }
+    }
+}
+
+/// A send that arrives at a slave already down is lost on arrival: the
+/// engine returns its task to the master's queue with no `task_lost`, so
+/// each probe counts it back itself. One slave (`c = 1`, `p = 1`), down
+/// from t = 0 to 1.5, and two tasks released at 0: task 0 is sent at 0 and
+/// lost at 1, task 1 is sent at 1 and delivered at 2, and task 0 is sent
+/// again at 2. The master's queue holds 2 tasks, then 1 from t = 0, 2
+/// again at t = 1 and 1 at once, and none from t = 2: `∫ depth dt = 2`,
+/// with a maximum of 2.
+#[test]
+fn a_send_lost_on_arrival_returns_to_the_queue_in_every_probe() {
+    let platform = Platform::from_vectors(&[1.0], &[1.0]);
+    let tasks = bag_of_tasks(2);
+    let timeline = Timeline::new(vec![
+        PlatformEvent {
+            time: Time::new(0.0),
+            slave: SlaveId(0),
+            kind: PlatformEventKind::Fail,
+        },
+        PlatformEvent {
+            time: Time::new(1.5),
+            slave: SlaveId(0),
+            kind: PlatformEventKind::Recover,
+        },
+    ]);
+    let mut probe = (
+        RunCounters::new(),
+        (TraceRecorder::new(), MetricsProbe::new()),
+    );
+    let trace = Simulation::new(&platform, &SimConfig::default())
+        .timeline(&timeline)
+        .probe(&mut probe)
+        .trace(SliceSource::new(&tasks), &mut Oblivious)
+        .expect("outage scenario completes");
+    assert_eq!(trace.makespan(), 4.0);
+    let (c, (rec, mut metrics)) = probe;
+
+    assert_eq!(
+        (c.sends_started, c.sends_delivered, c.sends_lost),
+        (3, 2, 1)
+    );
+    assert_eq!((c.failures, c.tasks_lost), (1, 0));
+    assert_eq!(marker_count(&rec, MarkerKind::TaskLost), 1);
+    assert_eq!(
+        rec.queue_samples,
+        [(0.0, 1), (0.0, 2), (0.0, 1), (1.0, 2), (1.0, 1), (2.0, 0)]
+    );
+
+    let m = metrics.finish(4.0);
+    assert_eq!(m.queue_depth_secs, 2.0);
+    assert_eq!(m.queue_max, 2);
+}
+
 /// A static bag on the 5-slave reference platform (`c = 0.1 … 0.9`,
 /// `p = 1 … 5`), where the greedy above is List Scheduling. Every task
 /// crosses four engine boundaries and raises three scheduler events (its

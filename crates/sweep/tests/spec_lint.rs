@@ -9,7 +9,7 @@
 //! test renames each example key in turn and expects the reader to name
 //! it, so no key of any example is read leniently.
 
-use mss_workload::{TraceFormat, TraceSource};
+use mss_workload::{TaskSource, TraceFormat, TraceSource};
 use std::path::PathBuf;
 
 fn examples_dir() -> PathBuf {
@@ -266,9 +266,15 @@ fn every_example_key_is_checked() {
             "{}\n{rest}",
             first.replacen(&quoted, &format!("\"{typo}\""), 1)
         );
-        let err = TraceSource::from_str(&body, TraceFormat::Jsonl, "replay_trace.jsonl")
-            .expect_err("renamed trace key is rejected");
-        assert!(err.0.contains(&format!("unknown key `{typo}`")), "{err}");
-        assert!(err.0.contains("replay_trace.jsonl:1"), "{err}");
+        // Only the last record is read at open; the first fails its pull.
+        let mut source = TraceSource::from_str(&body, TraceFormat::Jsonl, "replay_trace.jsonl")
+            .expect("the trace opens");
+        assert!(
+            source.next_task().is_none(),
+            "renamed trace key is rejected"
+        );
+        let err = source.error().expect("the first pull fails");
+        assert!(err.contains(&format!("unknown key `{typo}`")), "{err}");
+        assert!(err.contains("replay_trace.jsonl:1"), "{err}");
     }
 }

@@ -10,11 +10,15 @@
 //!   and [`Perturbation`] samplers in per-task lockstep, yielding exactly
 //!   the sequence `process.generate(..)` + `perturbation.apply(..)` would
 //!   materialize (same RNG draws, same arithmetic, same order);
-//! * [`TraceSource`] — replays a CSV or JSONL cluster trace from disk with
-//!   strict schema validation (an unknown or repeated column or key is a
-//!   `file:line` error; a JSONL line is read as a derived
-//!   `#[serde(deny_unknown_fields)]` record, as spec files are) and
-//!   torn-final-line recovery (like the sweep result store).
+//! * [`TraceSource`] — replays a CSV or JSONL cluster trace from disk,
+//!   parsing each record once, as it is pulled. Opening checks the CSV
+//!   header and counts the records; each pull checks its record: a strict
+//!   schema (an unknown or repeated column or key is a `file:line` error;
+//!   a JSONL line is read as a derived `#[serde(deny_unknown_fields)]`
+//!   record, as spec files are), valid values and sortedness. A pull that
+//!   fails ends the stream with a located [`TaskSource::error`], which the
+//!   engine reports as the run's error. A torn final line is dropped at
+//!   open (like the sweep result store).
 //!
 //! Both are seed-deterministic and resumable: [`TaskSource::reset`]
 //! rewinds to an identical replay, so replaying one instance under several
@@ -27,8 +31,9 @@ use mss_core::{Platform, TaskArrival, TaskSource};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
-use std::io::BufRead;
-use std::path::{Path, PathBuf};
+use std::fs::File;
+use std::io::{BufRead, BufReader, Cursor, Seek, SeekFrom};
+use std::path::Path;
 
 /// A trace file failed validation (strict schema, sortedness, or format).
 ///
@@ -187,94 +192,119 @@ pub enum TraceFormat {
 /// The fields a trace record carries, in canonical order.
 const TRACE_FIELDS: [&str; 3] = ["release", "size_c", "size_p"];
 
+/// Read-buffer size for a trace file: with one line, all a trace source
+/// holds of its file.
+const READ_BUF: usize = 16 * 1024;
+
 /// A [`TaskSource`] replaying a cluster trace from a CSV or JSONL file.
 ///
-/// Opening a trace runs one full streaming validation pass (O(1) memory):
+/// Each record line is parsed once per pass, as it is pulled, and the
+/// source holds only a bounded read buffer and one line of the file:
 ///
-/// * **strict schema** — unknown or repeated columns/keys are rejected
-///   with located errors (`file:line`), the same convention as the spec
-///   parser;
-/// * **sortedness** — releases must be non-decreasing (the trace *is* the
-///   release order);
-/// * **torn-line recovery** — a final line that fails to *parse* (a write
-///   torn by a crash) is dropped and counted, exactly like the sweep's
-///   JSONL result store; a malformed line anywhere earlier is corruption
-///   and a hard error.
+/// * **opening** streams the file without parsing its records. It checks
+///   the format and the CSV header (an unknown, repeated or missing column
+///   is a `file:line` error, the same convention as the spec parser) and
+///   counts the record lines, so [`len`](Self::len) is exact before the
+///   first pull. Of the records it parses only the last, for the
+///   **torn-line rule**: a final line that fails to *parse* (a write torn
+///   by a crash) is dropped and counted in [`dropped`](Self::dropped),
+///   exactly like the sweep's JSONL result store;
+/// * **pulling** parses each record into a buffer the source owns and
+///   checks it: a strict schema (a JSONL line is read as a derived
+///   `#[serde(deny_unknown_fields)]` record, so an unknown or repeated key
+///   is a located error), a finite, non-negative release and finite,
+///   positive sizes, and **sortedness** (releases must be non-decreasing:
+///   the trace *is* the release order).
 ///
-/// Iteration then re-reads the file lazily, so replay memory stays
-/// bounded regardless of trace length; [`TaskSource::reset`] rewinds by
-/// reopening.
+/// A pull that fails ends the stream: a line that breaks a check, a
+/// malformed line before the last (corruption, not a torn write), or a
+/// file that ends before or runs past the records counted at open (it
+/// changed after `open`). `next_task` then returns `None` and
+/// [`TaskSource::error`] gives the reason, located at `file:line`; the
+/// engine ends the run with a `SimError::InvalidTask` naming the task it
+/// was pulling. A line of ASCII whitespace only is blank and skipped.
+/// The file stays open: [`TaskSource::reset`] rewinds it and clears the
+/// error.
 #[derive(Debug)]
 pub struct TraceSource {
-    input: TraceInput,
-    format: TraceFormat,
-    /// Valid records the stream will yield.
+    reader: Box<dyn Lines>,
+    parser: TraceParser,
+    /// Records a pass yields: the record lines counted at open, less a
+    /// dropped torn line.
     tasks: usize,
-    /// Torn trailing lines dropped during validation (0 or 1).
+    /// Torn trailing lines dropped at open (0 or 1).
     dropped: usize,
-    reader: Option<LineReader>,
-    parser: Option<TraceParser>,
+    pass: Pass,
+    /// The current line, without its terminator; reused by every pull.
+    line: Vec<u8>,
     line_no: usize,
     emitted: usize,
+    /// Why the pass ended early, if it did.
+    error: Option<String>,
 }
 
+/// A buffered, seekable reader over a trace: its file, or in-memory text.
+trait Lines: BufRead + Seek + fmt::Debug {}
+
+impl<T: BufRead + Seek + fmt::Debug> Lines for T {}
+
+/// Where a replay pass stands.
 #[derive(Debug)]
-enum TraceInput {
-    Path(PathBuf),
-    Inline { name: String, text: String },
+enum Pass {
+    /// Not started: the next pull rewinds the input.
+    Start,
+    Reading,
+    /// Ran out, or failed (the source's `error` says why).
+    End,
 }
 
-impl TraceInput {
-    fn location(&self) -> String {
-        match self {
-            TraceInput::Path(p) => p.display().to_string(),
-            TraceInput::Inline { name, .. } => name.clone(),
-        }
-    }
+/// Whether `line` holds only ASCII whitespace. Opening and pulling use
+/// this one rule, so both see the same record lines.
+fn is_blank(line: &[u8]) -> bool {
+    line.iter().all(u8::is_ascii_whitespace)
 }
 
-#[derive(Debug)]
-enum LineReader {
-    File(std::io::BufReader<std::fs::File>),
-    /// Byte offset into the inline text.
-    Inline(usize),
-}
-
-/// Reads the next line (without its terminator) into `buf`.
-/// Returns `false` at end of input.
-fn read_line(
-    input: &TraceInput,
-    reader: &mut LineReader,
-    buf: &mut String,
-) -> Result<bool, TraceError> {
+/// Reads the next line into `buf`, without its terminator. Returns the
+/// bytes consumed: 0 at end of input.
+fn read_line(r: &mut dyn Lines, buf: &mut Vec<u8>) -> std::io::Result<usize> {
     buf.clear();
-    match (reader, input) {
-        (LineReader::File(r), _) => {
-            let n = r
-                .read_line(buf)
-                .map_err(|e| TraceError(format!("I/O error reading {}: {e}", input.location())))?;
-            if n == 0 {
-                return Ok(false);
-            }
-        }
-        (LineReader::Inline(pos), TraceInput::Inline { text, .. }) => {
-            if *pos >= text.len() {
-                return Ok(false);
-            }
-            let rest = &text[*pos..];
-            let (line, advance) = match rest.find('\n') {
-                Some(i) => (&rest[..=i], i + 1),
-                None => (rest, rest.len()),
-            };
-            buf.push_str(line);
-            *pos += advance;
-        }
-        _ => unreachable!("inline reader paired with file input"),
-    }
-    while buf.ends_with('\n') || buf.ends_with('\r') {
+    let n = r.read_until(b'\n', buf)?;
+    while matches!(buf.last(), Some(b'\n' | b'\r')) {
         buf.pop();
     }
-    Ok(true)
+    Ok(n)
+}
+
+/// The non-blank lines from the reader's position, at byte `offset` after
+/// line `line_no`, to the end of input: how many, and the offset and
+/// number of the last. A line is skipped in the read buffer, not copied,
+/// once its first byte that is not whitespace shows it is not blank.
+fn count_lines(
+    r: &mut dyn Lines,
+    mut offset: u64,
+    mut line_no: usize,
+) -> std::io::Result<(usize, Option<(u64, usize)>)> {
+    let mut count = 0;
+    let mut last = None;
+    loop {
+        let start = offset;
+        line_no += 1;
+        let first = loop {
+            let Some(&b) = r.fill_buf()?.first() else {
+                return Ok((count, last));
+            };
+            r.consume(1);
+            offset += 1;
+            if b == b'\n' || !b.is_ascii_whitespace() {
+                break b;
+            }
+        };
+        if first != b'\n' {
+            count += 1;
+            last = Some((start, line_no));
+            offset += r.skip_until(b'\n')? as u64;
+        }
+    }
 }
 
 /// One JSONL trace line: exactly the keys of `TRACE_FIELDS`. Invalid JSON
@@ -288,25 +318,25 @@ struct JsonlRecord {
     size_p: f64,
 }
 
-/// One parsed line: either a record, or a parse failure whose recovery
-/// depends on whether it is the final line (torn write) or not
-/// (corruption).
+/// A parsed record line: a task, or a parse failure whose recovery depends
+/// on whether it is the final line (a torn write) or not (corruption).
 enum Parsed {
     Record(TaskArrival),
-    /// Blank/whitespace-only line — skipped.
-    Blank,
-    /// The line does not parse; `detail` says why.
+    /// The line does not parse; the detail says why.
     Malformed(String),
 }
 
-/// Per-pass parsing state (CSV column mapping, sortedness watermark).
+/// Parsing state: the CSV column mapping and, per pass, the header and
+/// the sortedness watermark.
 #[derive(Debug)]
 struct TraceParser {
     format: TraceFormat,
+    /// The file (or inline name) errors are located in.
     location: String,
-    /// CSV: maps column position → index into `TRACE_FIELDS`.
-    columns: Vec<usize>,
-    header_seen: bool,
+    /// CSV: the field (index into `TRACE_FIELDS`) of each column.
+    columns: [usize; 3],
+    /// CSV: the pass has not read its header yet.
+    header_pending: bool,
     last_release: f64,
 }
 
@@ -315,19 +345,32 @@ impl TraceParser {
         TraceParser {
             format,
             location,
-            columns: Vec::new(),
-            header_seen: false,
+            columns: [0, 1, 2],
+            header_pending: false,
             last_release: f64::NEG_INFINITY,
         }
+    }
+
+    fn start_pass(&mut self) {
+        self.header_pending = self.format == TraceFormat::Csv;
+        self.last_release = f64::NEG_INFINITY;
     }
 
     fn err(&self, line_no: usize, msg: String) -> TraceError {
         TraceError(format!("{msg} in {}:{line_no}", self.location))
     }
 
-    /// Parses the CSV header line, building the column mapping.
-    fn parse_header(&mut self, line: &str, line_no: usize) -> Result<(), TraceError> {
-        for name in line.split(',').map(str::trim) {
+    fn io_error(&self, e: std::io::Error) -> TraceError {
+        TraceError(format!("I/O error reading {}: {e}", self.location))
+    }
+
+    /// Parses the CSV header line into the column mapping.
+    fn parse_header(&mut self, line: &[u8], line_no: usize) -> Result<(), TraceError> {
+        let Ok(line) = std::str::from_utf8(line) else {
+            return Err(self.err(line_no, "the header is not valid UTF-8".into()));
+        };
+        let mut seen = [false; 3];
+        for (n, name) in line.split(',').map(str::trim).enumerate() {
             let Some(field) = TRACE_FIELDS.iter().position(|&f| f == name) else {
                 return Err(self.err(
                     line_no,
@@ -338,49 +381,46 @@ impl TraceParser {
                     ),
                 ));
             };
-            if self.columns.contains(&field) {
+            if seen[field] {
                 return Err(self.err(line_no, format!("duplicate column `{name}`")));
             }
-            self.columns.push(field);
+            // At most three names pass: a fourth is unknown or repeated.
+            seen[field] = true;
+            self.columns[n] = field;
         }
-        for (i, name) in TRACE_FIELDS.iter().enumerate() {
-            if !self.columns.contains(&i) {
-                return Err(self.err(
-                    line_no,
-                    format!(
-                        "missing column `{name}` (required: {})",
-                        TRACE_FIELDS.join(", ")
-                    ),
-                ));
-            }
+        if let Some(i) = seen.iter().position(|&s| !s) {
+            return Err(self.err(
+                line_no,
+                format!(
+                    "missing column `{}` (required: {})",
+                    TRACE_FIELDS[i],
+                    TRACE_FIELDS.join(", ")
+                ),
+            ));
         }
-        self.header_seen = true;
+        self.header_pending = false;
         Ok(())
     }
 
-    /// Parses one line. Schema and sortedness violations are hard errors;
-    /// parse failures come back as [`Parsed::Malformed`] so the caller can
-    /// apply the torn-final-line rule.
-    fn parse_line(&mut self, line: &str, line_no: usize) -> Result<Parsed, TraceError> {
-        if line.trim().is_empty() {
-            return Ok(Parsed::Blank);
-        }
-        let fields = match self.format {
+    /// Parses one non-blank record line. Schema, value and sortedness
+    /// violations are errors; a line that does not parse comes back as
+    /// [`Parsed::Malformed`] so the caller can apply the torn-final-line
+    /// rule.
+    fn parse_record(&mut self, line: &[u8], line_no: usize) -> Result<Parsed, TraceError> {
+        let Ok(line) = std::str::from_utf8(line) else {
+            return Ok(Parsed::Malformed("not valid UTF-8".into()));
+        };
+        let [release, size_c, size_p] = match self.format {
             TraceFormat::Csv => {
-                if !self.header_seen {
-                    self.parse_header(line, line_no)?;
-                    return Ok(Parsed::Blank);
-                }
-                let cells: Vec<&str> = line.split(',').map(str::trim).collect();
-                if cells.len() != self.columns.len() {
+                let cells = line.bytes().filter(|&b| b == b',').count() + 1;
+                if cells != TRACE_FIELDS.len() {
                     return Ok(Parsed::Malformed(format!(
-                        "expected {} comma-separated values, got {}",
-                        self.columns.len(),
-                        cells.len()
+                        "expected {} comma-separated values, got {cells}",
+                        TRACE_FIELDS.len()
                     )));
                 }
                 let mut fields = [0.0f64; 3];
-                for (cell, &field) in cells.iter().zip(&self.columns) {
+                for (cell, &field) in line.split(',').map(str::trim).zip(&self.columns) {
                     match cell.parse::<f64>() {
                         Ok(v) => fields[field] = v,
                         Err(_) => {
@@ -400,7 +440,6 @@ impl TraceParser {
                 [r.release, r.size_c, r.size_p]
             }
         };
-        let [release, size_c, size_p] = fields;
         if !release.is_finite() || release < 0.0 {
             return Err(self.err(
                 line_no,
@@ -432,8 +471,8 @@ impl TraceParser {
 }
 
 impl TraceSource {
-    /// Opens and validates a trace file; the format comes from the
-    /// extension (`.csv` or `.jsonl`).
+    /// Opens a trace file and counts its records; the format comes from
+    /// the extension (`.csv` or `.jsonl`).
     pub fn open(path: impl AsRef<Path>) -> Result<Self, TraceError> {
         let path = path.as_ref();
         let format = match path.extension().and_then(|e| e.to_str()) {
@@ -449,133 +488,181 @@ impl TraceSource {
         Self::with_format(path, format)
     }
 
-    /// Opens and validates a trace file with an explicit format.
+    /// Opens a trace file with an explicit format and counts its records.
     pub fn with_format(path: impl AsRef<Path>, format: TraceFormat) -> Result<Self, TraceError> {
-        let input = TraceInput::Path(path.as_ref().to_path_buf());
-        Self::validate(input, format)
+        let path = path.as_ref();
+        let location = path.display().to_string();
+        let file = File::open(path)
+            .map_err(|e| TraceError(format!("cannot open trace {location}: {e}")))?;
+        Self::scan(
+            Box::new(BufReader::with_capacity(READ_BUF, file)),
+            format,
+            location,
+        )
     }
 
-    /// Parses an in-memory trace (`name` appears in error locations).
+    /// An in-memory trace (`name` appears in error locations).
     pub fn from_str(text: &str, format: TraceFormat, name: &str) -> Result<Self, TraceError> {
-        let input = TraceInput::Inline {
-            name: name.into(),
-            text: text.into(),
-        };
-        Self::validate(input, format)
+        let reader = Box::new(Cursor::new(text.as_bytes().to_vec()));
+        Self::scan(reader, format, name.into())
     }
 
-    /// Torn trailing lines dropped during validation (0 or 1).
+    /// Torn trailing lines dropped at open (0 or 1).
     pub fn dropped(&self) -> usize {
         self.dropped
     }
 
-    /// Valid records the stream yields.
+    /// Records a pass yields, counted at open: every non-blank line after
+    /// the CSV header, less a torn final line. A pass that cannot yield
+    /// them all ends with an [`error`](TaskSource::error).
     pub fn len(&self) -> usize {
         self.tasks
     }
 
-    /// Whether the trace holds no valid records.
+    /// Whether the trace holds no records.
     pub fn is_empty(&self) -> bool {
         self.tasks == 0
     }
 
-    fn open_reader(input: &TraceInput) -> Result<LineReader, TraceError> {
-        match input {
-            TraceInput::Path(p) => {
-                let file = std::fs::File::open(p)
-                    .map_err(|e| TraceError(format!("cannot open trace {}: {e}", p.display())))?;
-                Ok(LineReader::File(std::io::BufReader::new(file)))
-            }
-            TraceInput::Inline { .. } => Ok(LineReader::Inline(0)),
-        }
-    }
-
-    /// The single full validation pass: strict schema, sortedness, and
-    /// the torn-final-line rule, in O(1) memory.
-    fn validate(input: TraceInput, format: TraceFormat) -> Result<Self, TraceError> {
-        let mut reader = Self::open_reader(&input)?;
-        let mut parser = TraceParser::new(format, input.location());
-        let mut buf = String::new();
-        let mut line_no = 0usize;
-        let mut tasks = 0usize;
-        // A malformed line is only recoverable if nothing follows it.
-        let mut torn: Option<(usize, String)> = None;
-        while read_line(&input, &mut reader, &mut buf)? {
-            line_no += 1;
-            if let Some((torn_line, detail)) = torn.take() {
-                if !buf.trim().is_empty() {
-                    return Err(parser.err(
-                        torn_line,
-                        format!(
-                            "malformed record ({detail}) followed by more data \
-                                 — only a torn final line is recoverable"
-                        ),
-                    ));
+    /// Checks the CSV header, counts the record lines and parses the last
+    /// one, for the torn-final-line rule.
+    fn scan(
+        mut reader: Box<dyn Lines>,
+        format: TraceFormat,
+        location: String,
+    ) -> Result<Self, TraceError> {
+        let mut parser = TraceParser::new(format, location);
+        let r = &mut *reader;
+        let mut line = Vec::new();
+        let (mut offset, mut line_no) = (0u64, 0usize);
+        if format == TraceFormat::Csv {
+            // The header is the first non-blank line.
+            loop {
+                let n = read_line(r, &mut line).map_err(|e| parser.io_error(e))?;
+                if n == 0 {
+                    return Err(TraceError(format!(
+                        "empty trace {}: a CSV trace needs a `{}` header",
+                        parser.location,
+                        TRACE_FIELDS.join(",")
+                    )));
                 }
-                // Trailing blank after the torn line: keep looking, the
-                // torn line is still final among non-blank lines.
-                torn = Some((torn_line, detail));
-                continue;
+                offset += n as u64;
+                line_no += 1;
+                if !is_blank(&line) {
+                    break;
+                }
             }
-            match parser.parse_line(&buf, line_no)? {
-                Parsed::Record(_) => tasks += 1,
-                Parsed::Blank => {}
-                Parsed::Malformed(detail) => torn = Some((line_no, detail)),
-            }
+            parser.parse_header(&line, line_no)?;
         }
-        if format == TraceFormat::Csv && !parser.header_seen {
-            return Err(TraceError(format!(
-                "empty trace {}: a CSV trace needs a `{}` header",
-                input.location(),
-                TRACE_FIELDS.join(",")
-            )));
+        let (records, last) = count_lines(r, offset, line_no).map_err(|e| parser.io_error(e))?;
+        let mut dropped = 0;
+        if let Some((at, last_no)) = last {
+            r.seek(SeekFrom::Start(at))
+                .map_err(|e| parser.io_error(e))?;
+            read_line(r, &mut line).map_err(|e| parser.io_error(e))?;
+            if let Parsed::Malformed(_) = parser.parse_record(&line, last_no)? {
+                dropped = 1;
+            }
         }
         Ok(TraceSource {
-            input,
-            format,
-            tasks,
-            dropped: usize::from(torn.is_some()),
-            reader: None,
-            parser: None,
+            reader,
+            parser,
+            tasks: records - dropped,
+            dropped,
+            pass: Pass::Start,
+            line,
             line_no: 0,
             emitted: 0,
+            error: None,
         })
+    }
+
+    /// One pull of the current pass: the next record, or `None` once the
+    /// counted records are out and only the dropped torn line, if any, and
+    /// blank lines follow them.
+    fn pull(&mut self) -> Result<Option<TaskArrival>, TraceError> {
+        let r = &mut *self.reader;
+        let parser = &mut self.parser;
+        match self.pass {
+            Pass::Start => {
+                r.rewind().map_err(|e| parser.io_error(e))?;
+                parser.start_pass();
+                self.line_no = 0;
+                self.pass = Pass::Reading;
+            }
+            Pass::Reading => {}
+            Pass::End => return Ok(None),
+        }
+        let mut torn = self.dropped;
+        loop {
+            let n = read_line(r, &mut self.line)
+                .map_err(|e| parser.err(self.line_no + 1, format!("I/O error ({e})")))?;
+            if n == 0 {
+                break;
+            }
+            self.line_no += 1;
+            if is_blank(&self.line) {
+                continue;
+            }
+            if parser.header_pending {
+                parser.parse_header(&self.line, self.line_no)?;
+            } else if self.emitted < self.tasks {
+                return match parser.parse_record(&self.line, self.line_no)? {
+                    Parsed::Record(task) => {
+                        self.emitted += 1;
+                        Ok(Some(task))
+                    }
+                    Parsed::Malformed(detail) => Err(parser.err(
+                        self.line_no,
+                        format!(
+                            "malformed record ({detail}) followed by more data \
+                             — only a torn final line is recoverable"
+                        ),
+                    )),
+                };
+            } else if torn > 0 {
+                torn -= 1;
+            } else {
+                return Err(parser.err(
+                    self.line_no,
+                    format!(
+                        "a line past the {} records counted when the trace was opened \
+                         — the file changed since",
+                        self.tasks
+                    ),
+                ));
+            }
+        }
+        if self.emitted < self.tasks {
+            return Err(parser.err(
+                self.line_no + 1,
+                format!(
+                    "end of file before record {} of the {} counted when the trace was \
+                     opened — the file changed since",
+                    self.emitted + 1,
+                    self.tasks
+                ),
+            ));
+        }
+        self.pass = Pass::End;
+        Ok(None)
+    }
+
+    /// Ends the pass on a failed pull, keeping the reason.
+    #[cold]
+    fn fail(&mut self, e: TraceError) {
+        self.error = Some(e.0);
+        self.pass = Pass::End;
     }
 }
 
 impl TaskSource for TraceSource {
     fn next_task(&mut self) -> Option<TaskArrival> {
-        if self.emitted >= self.tasks {
-            return None;
-        }
-        if self.reader.is_none() {
-            self.reader =
-                Some(Self::open_reader(&self.input).expect("validated trace reopened for replay"));
-            self.parser = Some(TraceParser::new(self.format, self.input.location()));
-            self.line_no = 0;
-        }
-        let reader = self.reader.as_mut().unwrap();
-        let parser = self.parser.as_mut().unwrap();
-        // Reader and parser are stateful across calls, so in steady state
-        // this loop reads exactly one record per call; we trust the
-        // validation pass and re-parse each line as we stream past it.
-        let mut buf = String::new();
-        loop {
-            if !read_line(&self.input, reader, &mut buf)
-                .expect("validated trace readable during replay")
-            {
-                panic!(
-                    "trace {} changed during replay: fewer records than validated",
-                    self.input.location()
-                );
-            }
-            self.line_no += 1;
-            let parsed = parser
-                .parse_line(&buf, self.line_no)
-                .expect("validated trace re-parsed cleanly during replay");
-            if let Parsed::Record(t) = parsed {
-                self.emitted += 1;
-                return Some(t);
+        match self.pull() {
+            Ok(task) => task,
+            Err(e) => {
+                self.fail(e);
+                None
             }
         }
     }
@@ -585,8 +672,13 @@ impl TaskSource for TraceSource {
     }
 
     fn reset(&mut self) {
-        self.reader = None;
+        self.pass = Pass::Start;
         self.emitted = 0;
+        self.error = None;
+    }
+
+    fn error(&self) -> Option<&str> {
+        self.error.as_deref()
     }
 }
 
@@ -709,9 +801,15 @@ mod tests {
     #[test]
     fn unsorted_releases_are_rejected_with_location() {
         let text = "release,size_c,size_p\n2.0,1.0,1.0\n1.0,1.0,1.0\n";
-        let err = TraceSource::from_str(text, TraceFormat::Csv, "t.csv").unwrap_err();
-        assert!(err.0.contains("decreasing release 1 after 2"), "{err}");
-        assert!(err.0.contains("t.csv:3"), "{err}");
+        let mut s = TraceSource::from_str(text, TraceFormat::Csv, "t.csv").unwrap();
+        assert_eq!(
+            drain(&mut s).len(),
+            1,
+            "the stream ends at the unsorted record"
+        );
+        let err = s.error().expect("the unsorted record fails its pull");
+        assert!(err.contains("decreasing release 1 after 2"), "{err}");
+        assert!(err.contains("t.csv:3"), "{err}");
     }
 
     #[test]
@@ -737,12 +835,54 @@ mod tests {
     #[test]
     fn mid_file_corruption_is_fatal() {
         let text = "release,size_c,size_p\n0.0,1.0\n1.5,0.9,1.1\n";
-        let err = TraceSource::from_str(text, TraceFormat::Csv, "t.csv").unwrap_err();
+        let mut s = TraceSource::from_str(text, TraceFormat::Csv, "t.csv").unwrap();
         assert!(
-            err.0.contains("only a torn final line is recoverable"),
+            drain(&mut s).is_empty(),
+            "the stream ends at the corrupt line"
+        );
+        let err = s.error().expect("the corrupt line fails its pull");
+        assert!(
+            err.contains("only a torn final line is recoverable"),
             "{err}"
         );
-        assert!(err.0.contains("t.csv:2"), "{err}");
+        assert!(err.contains("t.csv:2"), "{err}");
+    }
+
+    #[test]
+    fn a_failed_pull_ends_the_stream_until_reset() {
+        let text = "{\"release\": 0.0, \"size_c\": 1.0, \"size_p\": 1.0}\n\
+                    {\"release\": 1.0, \"size_c\": 1.0, \"sise_p\": 1.0}\n\
+                    {\"release\": 2.0, \"size_c\": 1.0, \"size_p\": 1.0}\n";
+        let mut s = TraceSource::from_str(text, TraceFormat::Jsonl, "t.jsonl").unwrap();
+        assert_eq!(s.len(), 3);
+        assert!(s.next_task().is_some());
+        assert!(s.error().is_none());
+        assert!(s.next_task().is_none());
+        let first = s.error().expect("the bad key fails its pull").to_owned();
+        assert!(first.contains("unknown key `sise_p`"), "{first}");
+        assert!(first.contains("t.jsonl:2"), "{first}");
+        // Sticky: the stream stays ended and keeps its reason.
+        assert!(s.next_task().is_none());
+        assert_eq!(s.error(), Some(first.as_str()));
+        // `reset` clears it; the replay fails the same way again.
+        s.reset();
+        assert!(s.error().is_none());
+        assert_eq!(drain(&mut s).len(), 1);
+        assert_eq!(s.error(), Some(first.as_str()));
+    }
+
+    #[test]
+    fn blank_lines_and_crlf_are_skipped_alike_at_open_and_at_pull() {
+        let text =
+            "\r\n  \nsize_p,release,size_c\r\n\r\n1.0,0.0,1.0\r\n \t\r\n2.0,1.0,3.0\r\n\n1.5,0.9";
+        let mut s = TraceSource::from_str(text, TraceFormat::Csv, "t.csv").unwrap();
+        assert_eq!((s.len(), s.dropped()), (2, 1));
+        let tasks = drain(&mut s);
+        assert!(s.error().is_none(), "{:?}", s.error());
+        assert_eq!(tasks.len(), 2);
+        assert_eq!(tasks[1].release.as_f64(), 1.0);
+        assert_eq!(tasks[1].size_c, 3.0);
+        assert_eq!(tasks[1].size_p, 2.0);
     }
 
     #[test]

@@ -4,10 +4,13 @@
 //! fixtures (the README's "Streaming workloads" section replays them);
 //! both encodings must parse to the identical task stream, drive a full
 //! streamed simulation, and reject schema violations with located errors
-//! matching the repo's strict-key convention.
+//! matching the repo's strict-key convention. A record is checked when it
+//! is pulled, so a bad record, or a file that changed after `open`, ends
+//! the run with a `SimError::InvalidTask` naming the task, file and line.
 
-use mss_core::{Algorithm, Platform, SimConfig, Simulation};
+use mss_core::{Algorithm, Platform, SimConfig, SimError, Simulation, TaskId};
 use mss_workload::{TaskSource, TraceFormat, TraceSource};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 fn fixture(name: &str) -> PathBuf {
@@ -31,6 +34,32 @@ fn drain(source: &mut TraceSource) -> Vec<(f64, f64, f64)> {
         .map(|t| (t.release.as_f64(), t.size_c, t.size_p))
         .collect()
 }
+
+/// A fresh per-test file path under the system temp directory.
+fn scratch_file(test: &str, name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("mss-trace-replay-{test}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir.join(name)
+}
+
+/// Runs `source` to its end under List Scheduling, streamed.
+fn run(source: &mut TraceSource) -> Result<usize, SimError> {
+    let platform = Platform::from_vectors(&[0.2, 0.4], &[1.0, 2.0]);
+    let mut scheduler = Algorithm::ListScheduling.build();
+    Simulation::new(&platform, &SimConfig::with_horizon(source.len()))
+        .objectives(source, scheduler.as_mut())
+        .map(|stats| stats.tasks)
+}
+
+/// The task and reason of a run that failed a pull.
+fn invalid_task(result: Result<usize, SimError>) -> (TaskId, String) {
+    match result {
+        Err(SimError::InvalidTask { task, reason }) => (task, reason),
+        other => panic!("expected SimError::InvalidTask, got {other:?}"),
+    }
+}
+
+const THREE_ROWS: &str = "release,size_c,size_p\n0.0,1.0,1.0\n0.5,1.0,1.0\n1.0,1.0,1.0\n";
 
 #[test]
 fn golden_fixtures_parse_to_the_same_stream() {
@@ -88,15 +117,88 @@ fn unknown_column_is_rejected_with_a_located_error() {
 
 #[test]
 fn unsorted_releases_are_rejected() {
-    let err = TraceSource::from_str(
+    let mut source = TraceSource::from_str(
         "release,size_c,size_p\n2.0,1.0,1.0\n1.0,1.0,1.0\n",
         TraceFormat::Csv,
         "unsorted.csv",
     )
-    .unwrap_err();
-    let msg = err.to_string();
+    .unwrap();
+    assert_eq!(drain(&mut source).len(), 1, "the stream ends at line 3");
+    let msg = source.error().expect("the unsorted record fails its pull");
     assert!(msg.contains("releases must be non-decreasing"), "{msg}");
     assert!(msg.contains("unsorted.csv:3"), "{msg}");
+    // A run pulling the same trace ends with the same reason, at task 1.
+    source.reset();
+    let (task, msg) = invalid_task(run(&mut source));
+    assert_eq!(task, TaskId(1));
+    assert!(msg.contains("releases must be non-decreasing"), "{msg}");
+    assert!(msg.contains("unsorted.csv:3"), "{msg}");
+}
+
+#[test]
+fn a_trace_truncated_after_open_ends_the_run_with_a_located_error() {
+    let path = scratch_file("truncated", "trace.csv");
+    std::fs::write(&path, THREE_ROWS).unwrap();
+    let mut source = TraceSource::open(&path).unwrap();
+    assert_eq!(source.len(), 3);
+    std::fs::write(&path, "release,size_c,size_p\n0.0,1.0,1.0\n").unwrap();
+    let (task, reason) = invalid_task(run(&mut source));
+    let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    assert_eq!(task, TaskId(1), "{reason}");
+    assert!(
+        reason.contains(&format!("{}:3", path.display())),
+        "{reason}"
+    );
+    assert!(
+        reason.contains("end of file before record 2 of the 3"),
+        "{reason}"
+    );
+}
+
+#[test]
+fn a_record_appended_after_open_ends_the_run_with_a_located_error() {
+    let path = scratch_file("appended", "trace.csv");
+    std::fs::write(&path, THREE_ROWS).unwrap();
+    let mut source = TraceSource::open(&path).unwrap();
+    assert_eq!(source.len(), 3);
+    let mut file = std::fs::OpenOptions::new()
+        .append(true)
+        .open(&path)
+        .unwrap();
+    file.write_all(b"2.0,1.0,1.0\n").unwrap();
+    drop(file);
+    let (task, reason) = invalid_task(run(&mut source));
+    let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    assert_eq!(task, TaskId(3), "{reason}");
+    assert!(
+        reason.contains(&format!("{}:5", path.display())),
+        "{reason}"
+    );
+    assert!(reason.contains("past the 3 records counted"), "{reason}");
+}
+
+#[test]
+fn a_malformed_line_mid_file_ends_the_run_with_a_located_error() {
+    let path = scratch_file("malformed", "trace.csv");
+    std::fs::write(
+        &path,
+        "release,size_c,size_p\n0.0,1.0,1.0\n0.5,oops,1.0\n1.0,1.0,1.0\n",
+    )
+    .unwrap();
+    let mut source = TraceSource::open(&path).unwrap();
+    assert_eq!((source.len(), source.dropped()), (3, 0));
+    let (task, reason) = invalid_task(run(&mut source));
+    let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    assert_eq!(task, TaskId(1), "{reason}");
+    assert!(
+        reason.contains(&format!("{}:3", path.display())),
+        "{reason}"
+    );
+    assert!(reason.contains("`oops` is not a number"), "{reason}");
+    assert!(
+        reason.contains("only a torn final line is recoverable"),
+        "{reason}"
+    );
 }
 
 #[test]
