@@ -11,14 +11,15 @@
 //! this is the provably optimal FIFO strategy of the paper's introduction
 //! (verified against the exhaustive optimum in `mss-opt`'s tests).
 
-use crate::heuristics::util::{argmin_slave, oldest_pending};
+use crate::heuristics::util::oldest_pending;
 use mss_sim::{Decision, InfoTier, OnlineScheduler, SchedulerEvent, SimView};
 
 /// The List Scheduling heuristic. Stateless.
 ///
-/// Tier-portable: [`SimView::completion_estimate`] already dispatches on
-/// the view's information tier, so below `Clairvoyant` LS minimizes the
-/// same formula over learned per-slave rates instead of nominal values.
+/// Tier-portable: [`SimView::earliest_completion`] minimizes
+/// [`SimView::completion_estimate`], which dispatches on the view's
+/// information tier, so below `Clairvoyant` LS minimizes the same formula
+/// over learned per-slave rates instead of nominal values.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ListScheduling;
 
@@ -34,8 +35,10 @@ impl OnlineScheduler for ListScheduling {
         let Some(task) = oldest_pending(view) else {
             return Decision::Idle;
         };
-        let slave = argmin_slave(view, |j| view.completion_estimate(j).as_f64());
-        Decision::Send { task, slave }
+        Decision::Send {
+            task,
+            slave: view.earliest_completion(),
+        }
     }
 
     fn poll_driven(&self) -> bool {

@@ -165,7 +165,7 @@ impl RoundRobin {
     }
 
     fn eligible(&self, view: &SimView<'_>, j: SlaveId) -> bool {
-        view.slave(j).outstanding <= self.buffer
+        view.outstanding(j) <= self.buffer
     }
 
     fn pick(&mut self, view: &SimView<'_>) -> Option<SlaveId> {
@@ -180,7 +180,7 @@ impl RoundRobin {
                 let ring_pos = &self.ring_pos;
                 let buffer = self.buffer;
                 let winner = self.kernel.argmin(view, |j| {
-                    if view.slave(SlaveId(j)).outstanding <= buffer {
+                    if view.outstanding(SlaveId(j)) <= buffer {
                         ring_pos[j]
                     } else {
                         f64::INFINITY

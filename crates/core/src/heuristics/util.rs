@@ -1,22 +1,6 @@
 //! Small shared helpers for heuristic implementations.
 
-use mss_sim::{chunked_argmin, SimView, SlaveId};
-
-/// Returns the slave minimizing `key(j)`, ties broken by the lowest index.
-/// Keys must not be NaN (debug-asserted inside the kernel; a
-/// contract-violating NaN key can only be skipped in release builds,
-/// never propagated as the winner — strict `<` comparisons).
-///
-/// This is the closure-key entry point of the decision-kernel layer: it
-/// answers through [`mss_sim::chunked_argmin`], the exact 8-lane scan
-/// whose winner is bit-identical to the historical sequential pass
-/// ([`mss_sim::scan_argmin`]). Heuristics whose keys are journal-stable
-/// (SRPT, RR eligibility) hold an [`mss_sim::IncrementalArgmin`] instead
-/// and go sublinear in the slave count.
-pub(crate) fn argmin_slave<F: FnMut(SlaveId) -> f64>(view: &SimView<'_>, mut key: F) -> SlaveId {
-    debug_assert!(view.num_slaves() > 0, "platform has at least one slave");
-    SlaveId(chunked_argmin(view.num_slaves(), |j| key(SlaveId(j))))
-}
+use mss_sim::SimView;
 
 /// The oldest pending task (FIFO by release then id), if any.
 pub(crate) fn oldest_pending(view: &SimView<'_>) -> Option<mss_sim::TaskId> {
@@ -28,10 +12,10 @@ mod tests {
     use super::*;
     use mss_sim::{
         bag_of_tasks, simulate, Decision, OnlineScheduler, Platform, SchedulerEvent, SimConfig,
-        SimView,
+        SimView, SlaveId, TaskId,
     };
 
-    /// Exercises the helpers from inside a scheduler callback.
+    /// Exercises the helper from inside a scheduler callback.
     struct HelperProbe;
 
     impl OnlineScheduler for HelperProbe {
@@ -39,15 +23,14 @@ mod tests {
             "probe".into()
         }
         fn on_event(&mut self, view: &SimView<'_>, _e: SchedulerEvent) -> Decision {
-            let fastest = argmin_slave(view, |j| view.believed_p(j));
-            assert_eq!(fastest, SlaveId(0), "P1 has the smallest p");
-            let cheapest = argmin_slave(view, |j| view.believed_c(j));
-            assert_eq!(cheapest, SlaveId(1), "P2 has the smallest c");
             match (view.link_idle(), oldest_pending(view)) {
-                (true, Some(task)) => Decision::Send {
-                    task,
-                    slave: fastest,
-                },
+                (true, Some(task)) => {
+                    assert_eq!(Some(&task), view.pending_tasks().first(), "FIFO head");
+                    Decision::Send {
+                        task,
+                        slave: SlaveId(0),
+                    }
+                }
                 _ => Decision::Idle,
             }
         }
@@ -64,5 +47,6 @@ mod tests {
         )
         .expect("probe completes");
         assert_eq!(trace.counts_per_slave(2), vec![2, 0]);
+        assert!(trace.record(TaskId(0)).send_start < trace.record(TaskId(1)).send_start);
     }
 }

@@ -12,52 +12,21 @@
 //!   the promise that lets the engine skip callbacks: a run that elides
 //!   them equals, as a whole `Result`, a run that delivers every one
 //!   through [`EveryCallback`], which asserts the promise on each.
+//! * **One-pass argmin.** List Scheduling's `SimView::earliest_completion`
+//!   (also the tail of SLJF and SLJFWC) picks the `scan_argmin` winner
+//!   over `SimView::completion_estimate` on every view, at every tier.
 //!
 //! CI runs this file in release too, so both hold in both builds.
 
+mod support;
+
 use mss_core::{
-    Algorithm, Decision, Platform, PlatformEvent, PlatformEventKind, Redispatch, RoundRobin,
-    SchedulerEvent, SimConfig, SimView, Simulation, SliceSource, Srpt, TaskArrival, Time, Timeline,
-    Trace,
+    Algorithm, Decision, Platform, Redispatch, RoundRobin, SchedulerEvent, SimConfig, SimView,
+    Simulation, SliceSource, Srpt, TaskArrival, Time, Timeline, Trace,
 };
-use mss_sim::{chunked_argmin, scan_argmin, InfoTier, OnlineScheduler, SlaveId};
+use mss_sim::{chunked_argmin, scan_argmin, InfoTier, OnlineScheduler, SlaveId, ViewState};
 use proptest::prelude::*;
-
-fn arb_platform() -> impl Strategy<Value = Platform> {
-    // 1..40 slaves spans both sides of every chunk boundary (8 lanes) and
-    // forces non-trivial trees (padding leaves, single-leaf trees).
-    proptest::collection::vec((0.01f64..2.0, 0.1f64..8.0), 1..40).prop_map(|specs| {
-        let (c, p): (Vec<f64>, Vec<f64>) = specs.into_iter().unzip();
-        Platform::from_vectors(&c, &p)
-    })
-}
-
-/// A release in `[0, 25)`: on the integer grid about half the time, so
-/// several tasks share an instant and their notifications form one batch.
-fn arb_release() -> impl Strategy<Value = f64> {
-    prop_oneof![(0u8..25).prop_map(f64::from), 0.0f64..25.0]
-}
-
-/// A size multiplier: exactly nominal about half the time, so events land
-/// at their predicted instants, otherwise perturbed by up to ±10 %.
-fn arb_size() -> impl Strategy<Value = f64> {
-    prop_oneof![Just(1.0), 0.9f64..1.1]
-}
-
-fn arb_tasks() -> impl Strategy<Value = Vec<TaskArrival>> {
-    proptest::collection::vec((arb_release(), arb_size(), arb_size()), 1..30).prop_map(|mut ts| {
-        // The engine takes a release-ordered stream: the drawn tasks, in
-        // release order.
-        ts.sort_by(|a, b| a.0.total_cmp(&b.0));
-        ts.into_iter()
-            .map(|(r, sc, sp)| TaskArrival {
-                release: Time::new(r),
-                size_c: sc,
-                size_p: sp,
-            })
-            .collect()
-    })
-}
+use support::{arb_fault_plan, arb_platform, arb_tasks, build_timeline};
 
 fn arb_tier() -> impl Strategy<Value = InfoTier> {
     prop_oneof![
@@ -67,56 +36,9 @@ fn arb_tier() -> impl Strategy<Value = InfoTier> {
     ]
 }
 
-/// One raw entry of a fault/drift plan; `kind_sel % 3` picks
-/// crash-and-recover, link drift, or speed drift. The slave index is a
-/// free selector, reduced modulo the platform size when the timeline is
-/// materialized (the vendored proptest has no `prop_flat_map`, so the
-/// plan cannot depend on the drawn platform).
-type FaultPlanEntry = (u8, usize, f64, f64);
-
-fn arb_fault_plan() -> impl Strategy<Value = Vec<FaultPlanEntry>> {
-    proptest::collection::vec((0u8..3, 0usize..64, 0.0f64..30.0, 0.5f64..8.0), 0..4)
-}
-
-/// Materializes a plan against a concrete platform size. Crashes never
-/// target slave 0 and always recover, so Redispatch-wrapped runs stay
-/// live on any platform.
-fn build_timeline(plan: &[FaultPlanEntry], m: usize) -> Timeline {
-    let mut events = Vec::new();
-    for &(kind_sel, slave_sel, t, x) in plan {
-        match kind_sel % 3 {
-            0 if m >= 2 => {
-                let j = SlaveId(1 + slave_sel % (m - 1));
-                events.push(PlatformEvent {
-                    time: Time::new(t),
-                    slave: j,
-                    kind: PlatformEventKind::Fail,
-                });
-                events.push(PlatformEvent {
-                    time: Time::new(t + x),
-                    slave: j,
-                    kind: PlatformEventKind::Recover,
-                });
-            }
-            1 => events.push(PlatformEvent {
-                time: Time::new(t),
-                slave: SlaveId(slave_sel % m),
-                kind: PlatformEventKind::SetLinkFactor(0.25 * x), // 0.125..2.0
-            }),
-            2 => events.push(PlatformEvent {
-                time: Time::new(t),
-                slave: SlaveId(slave_sel % m),
-                kind: PlatformEventKind::SetSpeedFactor(0.25 * x),
-            }),
-            _ => {}
-        }
-    }
-    Timeline::new(events)
-}
-
 /// The kernel-backed / scan-reference scheduler pairs under test. The
-/// tree-indexable heuristics are forced onto the tree; the closure-key
-/// heuristics (LS, SLJF, SLJFWC) share `chunked_argmin`, whose scan
+/// tree-indexable heuristics are forced onto the tree. LS, SLJF and
+/// SLJFWC decide by `SimView::earliest_completion`, whose scan
 /// equivalence is proven separately below.
 fn kernel_scan_pairs() -> Vec<(Box<dyn OnlineScheduler>, Box<dyn OnlineScheduler>)> {
     vec![
@@ -178,6 +100,70 @@ impl<S: OnlineScheduler> OnlineScheduler for EveryCallback<S> {
     }
 }
 
+/// A platform on a coarse grid (`c ∈ {0.5, 1, 1.5}`, `p ∈ {1, …, 4}`), so
+/// slaves often tie on their completion keys.
+fn arb_grid_platform() -> impl Strategy<Value = Platform> {
+    proptest::collection::vec((1u8..4, 1u8..5), 1..20).prop_map(|specs| {
+        let c: Vec<f64> = specs.iter().map(|&(c, _)| 0.5 * f64::from(c)).collect();
+        let p: Vec<f64> = specs.iter().map(|&(_, p)| f64::from(p)).collect();
+        Platform::from_vectors(&c, &p)
+    })
+}
+
+/// One slave's row of an owned view: outstanding count, ready column (on
+/// the half-integer grid, read only when busy), availability, and the
+/// learned per-task times and computing start the lower tiers read.
+type OwnedRow = (usize, u8, bool, (u8, u8, Option<u8>));
+
+fn arb_owned_rows() -> impl Strategy<Value = Vec<OwnedRow>> {
+    proptest::collection::vec(
+        (
+            0usize..3,
+            0u8..40,
+            prop_oneof![Just(true), Just(true), Just(false)],
+            (1u8..4, 1u8..5, proptest::option::of(0u8..20)),
+        ),
+        1..20,
+    )
+}
+
+/// The `scan_argmin` winner over `completion_estimate`: the reference
+/// `SimView::earliest_completion` must match.
+fn scan_earliest_completion(view: &SimView<'_>) -> SlaveId {
+    SlaveId(scan_argmin(view.num_slaves(), |j| {
+        view.completion_estimate(SlaveId(j)).as_f64()
+    }))
+}
+
+/// Asserts, at every callback and before deferring to the wrapped
+/// scheduler, that `earliest_completion` is the scan winner. It does not
+/// declare itself poll-driven, so it checks every view of the run.
+struct EarliestCompletionCheck<S>(S);
+
+impl<S: OnlineScheduler> OnlineScheduler for EarliestCompletionCheck<S> {
+    fn name(&self) -> String {
+        self.0.name()
+    }
+
+    fn init(&mut self, view: &SimView<'_>) {
+        self.0.init(view);
+    }
+
+    fn on_event(&mut self, view: &SimView<'_>, event: SchedulerEvent) -> Decision {
+        assert_eq!(
+            view.earliest_completion(),
+            scan_earliest_completion(view),
+            "at {} ({event:?})",
+            view.now()
+        );
+        self.0.on_event(view, event)
+    }
+
+    fn min_tier(&self) -> InfoTier {
+        self.0.min_tier()
+    }
+}
+
 fn run(
     sched: &mut dyn OnlineScheduler,
     platform: &Platform,
@@ -193,6 +179,29 @@ fn run(
     Simulation::new(platform, &cfg)
         .timeline(timeline)
         .trace(SliceSource::new(tasks), sched)
+}
+
+/// A NaN ready estimate makes `earliest_completion` panic in every build,
+/// as `completion_estimate` does (`Time::new` rejects NaN); a NaN key
+/// never silently loses the race.
+#[test]
+#[should_panic(expected = "NaN")]
+fn a_nan_ready_estimate_panics() {
+    let mut state = ViewState::new(Platform::from_vectors(&[1.0, 1.0], &[2.0, 2.0]), 0, None);
+    state.slaves.outstanding[1] = 1;
+    state.slaves.ready_estimate[1] = f64::NAN;
+    state.view().earliest_completion();
+}
+
+/// Below `Clairvoyant`, a NaN learned link time makes the key itself NaN,
+/// and the pass panics too.
+#[test]
+#[should_panic(expected = "NaN")]
+fn a_nan_learned_rate_panics() {
+    let mut state = ViewState::new(Platform::from_vectors(&[1.0, 1.0], &[2.0, 2.0]), 0, None);
+    state.tier = InfoTier::SpeedOblivious;
+    state.estimates.observe_send(1, f64::NAN);
+    state.view().earliest_completion();
 }
 
 proptest! {
@@ -241,7 +250,7 @@ proptest! {
     #[test]
     fn kernel_matches_scan_under_faults(
         platform in arb_platform(),
-        plan in arb_fault_plan(),
+        plan in arb_fault_plan(0..3),
         tasks in arb_tasks(),
         tier in arb_tier(),
     ) {
@@ -309,7 +318,7 @@ proptest! {
     #[test]
     fn elided_callbacks_match_delivered_under_faults(
         platform in arb_platform(),
-        plan in arb_fault_plan(),
+        plan in arb_fault_plan(0..3),
         tasks in arb_tasks(),
         tier in arb_tier(),
     ) {
@@ -320,6 +329,58 @@ proptest! {
             let e = run(&mut elided, &platform, &tasks, &timeline, tier);
             let d = run(&mut EveryCallback(Redispatch::wrap(a)), &platform, &tasks, &timeline, tier);
             prop_assert_eq!(e, d, "{}+RD scheduled differently with every callback delivered", a);
+        }
+    }
+
+    /// LS's one-pass argmin is the scan winner over `completion_estimate`
+    /// at every tier: on every view of Redispatch-wrapped LS runs on grid
+    /// platforms (ties), with failures (down rows), idle slaves, and
+    /// perturbed sizes and drift (busy rows on time and overdue; the runs
+    /// at `Clairvoyant`, the tier whose views answer overdue rows, and on
+    /// the tasks released as one bag, for long queues); and on owned views
+    /// drawn row by row, whose idle rows carry stale columns.
+    #[test]
+    fn earliest_completion_is_scan_argmin(
+        platform in arb_grid_platform(),
+        plan in arb_fault_plan(0..3),
+        tasks in arb_tasks(),
+        tier in arb_tier(),
+        rows in arb_owned_rows(),
+        clock in (0u8..40, 0u8..4),
+    ) {
+        let timeline = build_timeline(&plan, platform.num_slaves());
+        let bag: Vec<TaskArrival> = tasks
+            .iter()
+            .map(|&t| TaskArrival { release: Time::ZERO, ..t })
+            .collect();
+        for tasks in [&tasks, &bag] {
+            for tier in [InfoTier::Clairvoyant, tier] {
+                let mut checked =
+                    EarliestCompletionCheck(Redispatch::wrap(Algorithm::ListScheduling));
+                run(&mut checked, &platform, tasks, &timeline, tier)
+                    .expect("checked run completes");
+            }
+        }
+
+        let c: Vec<f64> = rows.iter().map(|r| 0.5 * f64::from(r.3 .0)).collect();
+        let p: Vec<f64> = rows.iter().map(|r| f64::from(r.3 .1)).collect();
+        let mut state = ViewState::new(Platform::from_vectors(&c, &p), 0, None);
+        state.now = Time::new(0.5 * f64::from(clock.0));
+        state.link_busy_until = Time::new(0.5 * f64::from(clock.0 + clock.1));
+        for (j, &(outstanding, ready, up, (cj, pj, start))) in rows.iter().enumerate() {
+            state.slaves.outstanding[j] = outstanding;
+            state.slaves.ready_estimate[j] = 0.5 * f64::from(ready);
+            state.slaves.available[j] = up;
+            state.estimates.observe_send(j, 0.5 * f64::from(cj));
+            state.estimates.observe_compute(j, f64::from(pj));
+            if let Some(at) = start {
+                state.estimates.begin_compute(j, 0.5 * f64::from(at));
+            }
+        }
+        for tier in [InfoTier::Clairvoyant, InfoTier::SpeedOblivious, InfoTier::NonClairvoyant] {
+            state.tier = tier;
+            let view = state.view();
+            prop_assert_eq!(view.earliest_completion(), scan_earliest_completion(&view));
         }
     }
 }

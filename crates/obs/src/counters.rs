@@ -43,16 +43,13 @@ pub struct RunCounters {
     pub callbacks: u64,
     /// Scheduler callbacks elided under the `poll_driven` contract.
     pub callbacks_elided: u64,
-    /// Cached slave views brought up to date (one per touched or expired
-    /// view at a refresh; most keep their cached ready estimate).
+    /// Cached slave views brought up to date (one per touched view at a
+    /// refresh; most keep their cached ready estimate).
     pub view_recomputes: u64,
     /// Recomputed views that folded the slave's whole queue because an
-    /// off-time event or the clock moved their estimate (perturbed sizes or
-    /// drift only).
+    /// off-time event moved their estimate (perturbed sizes or drift
+    /// only).
     pub view_refolds: u64,
-    /// Recomputed views entered in the engine's expiry heap because their
-    /// anchor event is billed late (perturbed sizes or drift only).
-    pub view_expiry_arms: u64,
     /// Learned-estimate observations absorbed (sub-clairvoyant tiers only).
     pub estimator_updates: u64,
     /// Slave failures applied.
@@ -107,7 +104,6 @@ impl RunCounters {
         self.callbacks_elided += other.callbacks_elided;
         self.view_recomputes += other.view_recomputes;
         self.view_refolds += other.view_refolds;
-        self.view_expiry_arms += other.view_expiry_arms;
         self.estimator_updates += other.estimator_updates;
         self.failures += other.failures;
         self.recoveries += other.recoveries;
@@ -144,9 +140,6 @@ impl Probe for RunCounters {
     }
     fn view_refolded(&mut self, _now: f64, _slave: usize) {
         self.view_refolds += 1;
-    }
-    fn view_expiry_armed(&mut self, _now: f64, _slave: usize) {
-        self.view_expiry_arms += 1;
     }
     fn estimator_update(&mut self, _now: f64, _slave: usize) {
         self.estimator_updates += 1;
@@ -200,7 +193,6 @@ mod tests {
         b.callback_elided(0.0);
         b.view_recompute(0.0, 2);
         b.view_refolded(0.0, 2);
-        b.view_expiry_armed(0.0, 2);
 
         let mut ab = a.clone();
         ab.merge(&b);
@@ -211,7 +203,6 @@ mod tests {
         assert_eq!(ab.callbacks_elided, 1);
         assert_eq!(ab.view_recomputes, 1);
         assert_eq!(ab.view_refolds, 1);
-        assert_eq!(ab.view_expiry_arms, 1);
     }
 
     #[test]

@@ -15,9 +15,8 @@
 //! subsequent running digest.
 //!
 //! **What it ignores:** the probe deliberately skips
-//! [`view_recompute`](crate::Probe::view_recompute),
-//! [`view_refolded`](crate::Probe::view_refolded) and
-//! [`view_expiry_armed`](crate::Probe::view_expiry_armed). They count how
+//! [`view_recompute`](crate::Probe::view_recompute) and
+//! [`view_refolded`](crate::Probe::view_refolded). They count how
 //! the engine's view cache did its work, not what the run did, so a change
 //! to the cache that keeps every decision keeps every digest. Every hook
 //! fires the same way in debug and release builds, so digests are
@@ -174,8 +173,8 @@ impl Probe for DigestProbe {
     fn callback_elided(&mut self, now: f64) {
         self.fold(8, "callback_elided", now, 0, 0);
     }
-    // view_recompute, view_refolded and view_expiry_armed deliberately not
-    // folded: they measure the view cache, not the run.
+    // view_recompute and view_refolded deliberately not folded: they
+    // measure the view cache, not the run.
     fn estimator_update(&mut self, now: f64, slave: usize) {
         self.fold(9, "estimator_update", now, slave as u64, 0);
     }
@@ -280,7 +279,6 @@ mod tests {
         b.callback(1.0);
         b.view_recompute(1.0, 0);
         b.view_refolded(1.0, 0);
-        b.view_expiry_armed(1.0, 0);
         assert_eq!(a.digest(), b.digest());
     }
 }

@@ -66,24 +66,19 @@ pub trait Probe {
     /// (the scheduler promised to answer `Idle` with no state change).
     fn callback_elided(&mut self, now: f64) {}
     /// The cached view of `slave` was brought up to date after an event
-    /// touched it or the clock passed its anchor. Its ready estimate is
-    /// kept across on-time events and refolded from scratch only after
-    /// off-time ones (see [`view_refolded`](Probe::view_refolded)). Fires
-    /// the same way in debug and release builds: views are refreshed only
-    /// for delivered callbacks.
+    /// touched it. Its ready estimate is kept across on-time events and
+    /// refolded from scratch only after off-time ones (see
+    /// [`view_refolded`](Probe::view_refolded)); a row whose anchor the
+    /// clock has passed is answered by the view, not recomputed. Fires the
+    /// same way in debug and release builds: views are refreshed only for
+    /// delivered callbacks.
     fn view_recompute(&mut self, now: f64, slave: usize) {}
     /// The view of `slave` just recomputed could not keep its cached ready
     /// estimate and folded the slave's whole queue: an arrival or completion
-    /// billed away from its predicted instant changed the queue, or the
-    /// clock passed the estimate's anchor. Only perturbed sizes and drift
-    /// cause either, so it never fires on nominal-size, drift-free runs.
+    /// billed away from its predicted instant changed the queue. Only
+    /// perturbed sizes and drift cause that, so it never fires on
+    /// nominal-size, drift-free runs.
     fn view_refolded(&mut self, now: f64, slave: usize) {}
-    /// The view of `slave` just recomputed can go stale on the clock alone:
-    /// the event its estimate is anchored on (a computation's end, or an
-    /// in-flight send's arrival) is billed later than its nominal time
-    /// (perturbed sizes or drift), so the engine armed the view's expiry.
-    /// Never fires on nominal-size, drift-free runs.
-    fn view_expiry_armed(&mut self, now: f64, slave: usize) {}
     /// A learned rate estimate of `slave` absorbed an observation
     /// (sub-clairvoyant information tiers only).
     fn estimator_update(&mut self, now: f64, slave: usize) {}
@@ -160,10 +155,6 @@ impl<A: Probe, B: Probe> Probe for (A, B) {
         self.0.view_refolded(now, slave);
         self.1.view_refolded(now, slave);
     }
-    fn view_expiry_armed(&mut self, now: f64, slave: usize) {
-        self.0.view_expiry_armed(now, slave);
-        self.1.view_expiry_armed(now, slave);
-    }
     fn estimator_update(&mut self, now: f64, slave: usize) {
         self.0.estimator_update(now, slave);
         self.1.estimator_update(now, slave);
@@ -220,9 +211,6 @@ impl<P: Probe> Probe for &mut P {
     fn view_refolded(&mut self, now: f64, slave: usize) {
         (**self).view_refolded(now, slave);
     }
-    fn view_expiry_armed(&mut self, now: f64, slave: usize) {
-        (**self).view_expiry_armed(now, slave);
-    }
     fn estimator_update(&mut self, now: f64, slave: usize) {
         (**self).estimator_update(now, slave);
     }
@@ -270,7 +258,6 @@ mod tests {
         p.callback_elided(2.0);
         p.view_recompute(2.0, 0);
         p.view_refolded(2.0, 0);
-        p.view_expiry_armed(2.0, 0);
         p.estimator_update(2.0, 0);
         p.slave_failed(3.0, 0);
         p.slave_recovered(4.0, 0);

@@ -47,30 +47,29 @@
 //! workspace per worker thread). Three mechanisms make this possible:
 //!
 //! * **incrementally maintained slave views** — the [`SlaveView`] handed to
-//!   the scheduler is cached per slave and recomputed only when stale — an
-//!   event touched that slave, or the clock passed the instant up to which
-//!   the cached nominal estimate is provably exact. One touch log serves
-//!   both the views and the decision kernels: every touch is one entry in
-//!   the workspace's [`TouchJournal`] ring (the `NEG_INFINITY`
-//!   `view_valid_until` sentinel deduplicates them), and a refresh walks
-//!   the entries since the previous refresh. Clock expiry is tracked in a
-//!   lazy-deletion min-heap that is armed only where a view *can* expire:
-//!   a computation billed past its nominal end, or a send arriving after
-//!   its nominal arrival (perturbed sizes or drift). On nominal-size,
-//!   drift-free runs every anchor's own event fires on time and the heap
-//!   stays empty. A recompute keeps the cached ready estimate unless an
-//!   off-time event moved it: a send extends it in O(1) by the fold's last
-//!   step, an on-time arrival or completion leaves it unchanged, and only
-//!   an early or late one (or the clock passing the anchor) refolds the
-//!   slave's queue — so on those runs no queue is ever refolded. Idle
-//!   slaves — whose fold is `now` itself — are answered lazily by the view
-//!   and never recomputed at all, so a refresh touches only the slaves
-//!   that actually changed: O(touched · log m) per callback, not O(m).
-//!   Kept, extended or refolded, the estimate is the *same sequential
-//!   float arithmetic* as a from-scratch evaluation, so cached and fresh
-//!   views are bit-identical — a `debug_assertions` oracle re-derives
-//!   every view from scratch after each refresh and asserts bitwise
-//!   equality;
+//!   the scheduler is cached per slave and recomputed only when an event
+//!   touched that slave. One touch log serves both the views and the
+//!   decision kernels: every touch is one entry in the workspace's
+//!   [`TouchJournal`] ring (a per-slave dirty flag deduplicates them), and
+//!   a refresh walks the entries since the previous refresh. A recompute
+//!   keeps the cached ready estimate unless an off-time event moved it: a
+//!   send extends it in O(1) by the fold's last step, an on-time arrival or
+//!   completion leaves it unchanged, and only an early or late one refolds
+//!   the slave's queue — so on nominal-size, drift-free runs no queue is
+//!   ever refolded. The estimate depends on the clock only once the clock
+//!   has passed the row's anchor (the computing task's nominal end, or the
+//!   in-flight head's nominal arrival), which only an event billed late
+//!   allows; the view answers such an *overdue* row itself, by the fold
+//!   from `now` over facts each recompute records
+//!   (`Engine::recompute_view`), and an on-time row by its cached column
+//!   after one compare. Idle slaves — whose fold is `now` itself — are
+//!   answered lazily too, so a refresh touches only the slaves that
+//!   actually changed: O(touched · log m) per callback, not O(m). Kept,
+//!   extended, refolded or answered from `now`, the estimate is the *same
+//!   sequential float arithmetic* as a from-scratch evaluation, so cached
+//!   and fresh views are bit-identical — a `debug_assertions` oracle
+//!   re-derives every view from scratch after each refresh and asserts
+//!   bitwise equality;
 //! * **an indexed task-slot window** — pending-membership checks in
 //!   [`Decision::Send`] validation are O(1) lookups of the task's slot
 //!   instead of a scan of the pending queue, and the pending queue itself
@@ -93,7 +92,7 @@ use crate::source::{SliceSource, TaskSource};
 use crate::task::{TaskArrival, TaskId};
 use crate::time::Time;
 use crate::trace::{TaskRecord, Trace};
-use crate::view::{SimView, SlaveViews};
+use crate::view::{nominal_ready_row, ReadyAnchors, SimView, SlaveViews};
 use mss_obs::{NoopProbe, Probe};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet, VecDeque};
@@ -342,10 +341,10 @@ enum TaskPhase {
 ///
 /// A workspace owns every growable structure the event loop touches: the
 /// event heap, per-slave runtime queues, the pending ring buffer, the task
-/// slot window, the incrementally maintained [`SlaveViews`] column cache,
-/// and the [`TouchJournal`] ring that is both the views' dirty list and
-/// the decision kernels' change log (plus the expiry heap, armed only for
-/// views that can outlive their nominal anchor). A run re-initializes it
+/// slot window, the incrementally maintained [`SlaveViews`] column cache
+/// with the anchors its busy rows are answered by, and the
+/// [`TouchJournal`] ring that is both the views' dirty list and the
+/// decision kernels' change log. A run re-initializes it
 /// and the loop then runs allocation-free in steady state; reusing one
 /// workspace across runs ([`Simulation::workspace`], as the `mss-sweep`
 /// executor does per worker thread) also skips the sizing.
@@ -409,32 +408,24 @@ pub struct SimWorkspace {
     /// column-major ([`SlaveViews`]), so scheduler-side argmin scans read
     /// dense same-typed columns.
     views: SlaveViews,
-    /// Instant up to which `views.ready_estimate[j]` is exact without
-    /// recomputation (see [`Engine::recompute_view`]); `NEG_INFINITY` is
-    /// the "dirty" sentinel (an event touched the slave since its view was
-    /// cached, and its touch sits in `journal` past the engine's
-    /// `refreshed` cursor),
-    /// `INFINITY` marks an idle slave (its view is answered lazily and
-    /// never expires).
-    view_valid_until: Vec<f64>,
+    /// Per-slave anchors, queued counts and in-flight arrivals, written at
+    /// every recompute: what lets a view answer a busy row whose anchor the
+    /// clock has passed without the engine refolding it (see
+    /// [`Engine::recompute_view`]).
+    anchors: ReadyAnchors,
+    /// Set when an event touched the slave since its view was cached: its
+    /// touch sits in `journal` past the engine's `refreshed` cursor.
+    view_dirty: Vec<bool>,
     /// Set when an off-time event changed the slave's queue: an arrival or
     /// completion billed away from its predicted instant, or a task lost on
     /// arrival. The next recompute then folds the queue from scratch instead
     /// of keeping `views.ready_estimate[j]` (see [`Engine::recompute_view`]).
     view_refold: Vec<bool>,
-    /// Lazy-deletion min-heap of `(view_valid_until bits, slave)`, so the
-    /// refresh finds clock-expired views without scanning. Only views
-    /// that can expire are entered: a computation billed past its nominal
-    /// end, or a send arriving after its nominal arrival. Entries are
-    /// validated against `view_valid_until` on pop; stale ones are
-    /// discarded. `f64::to_bits` is order-preserving on the non-negative
-    /// times stored here.
-    view_expiry: BinaryHeap<Reverse<(u64, u32)>>,
-    /// The one touch log: every `valid → dirty` transition of a slave's
+    /// The one touch log: every `clean → dirty` transition of a slave's
     /// view appends its index. `refresh_views` recomputes the entries
     /// appended since its previous call; the scheduler-side decision
     /// kernels (see [`crate::kernel`]) replay the same entries through
-    /// [`SimView::touch_journal`]. The dirty sentinel deduplicates, so at
+    /// [`SimView::touch_journal`]. The dirty flag deduplicates, so at
     /// most `m` entries build up between refreshes — well within the
     /// ring's capacity.
     journal: TouchJournal,
@@ -503,12 +494,11 @@ impl SimWorkspace {
         self.cancelled.clear();
         self.pending.clear();
         self.views.reset(m);
-        self.view_valid_until.clear();
-        self.view_valid_until.resize(m, f64::NEG_INFINITY);
+        self.anchors.reset(m);
+        self.view_dirty.clear();
+        self.view_dirty.resize(m, true);
         self.view_refold.clear();
         self.view_refold.resize(m, false);
-        self.view_expiry.clear();
-        self.view_expiry.reserve(m + 8);
         // Every view starts dirty, so the log opens with one touch per
         // slave; the first refresh recomputes them all.
         self.journal.reset(m);
@@ -878,8 +868,8 @@ impl<'a, P: Probe, S: TaskSource> Engine<'a, P, S> {
         self.ws.pending.push_back(t);
     }
 
-    /// Brings the cached view of slave `j` up to date at the current clock
-    /// and records how long its estimate stays exact.
+    /// Brings the cached view of slave `j` up to date after an event
+    /// touched it.
     ///
     /// The nominal ready estimate is the sequential fold
     /// `t ← max(t, avail_k) + p` over the outstanding tasks, anchored at
@@ -889,8 +879,7 @@ impl<'a, P: Probe, S: TaskSource> Engine<'a, P, S> {
     /// first `max`: as long as the clock has not passed that anchor (the
     /// predicted end of the current computation, or the arrival instant of
     /// the in-flight head), the folded value is independent of `now`; an
-    /// idle slave's estimate is `now` itself and is only valid at the
-    /// instant it was computed.
+    /// idle slave's estimate is `now` itself.
     ///
     /// So the cached estimate is kept, not refolded, while the clock has not
     /// passed the anchor: the events that change the queue maintain it. A
@@ -898,43 +887,48 @@ impl<'a, P: Probe, S: TaskSource> Engine<'a, P, S> {
     /// an arrival at its predicted `avail`, or a completion at its
     /// `cur_pred_end`, leaves every float operation of the fold unchanged.
     /// Only an off-time arrival or completion, or a task lost on arrival,
-    /// flags the slave in `view_refold` for one full fold here, as does the
-    /// clock passing the anchor.
+    /// flags the slave in `view_refold` for one full fold here.
     ///
-    /// The anchor's own event — the computation's completion, or the head's
-    /// arrival — touches the slave when it fires. So the clock can pass the
-    /// anchor untouched only when that event is billed *later* than the
-    /// anchor, and only then is the view entered in the expiry heap.
+    /// The clock passes an anchor untouched only when the anchor's event is
+    /// billed later than its nominal instant (perturbed sizes or drift).
+    /// Such an *overdue* row is not refolded at all: the recompute records
+    /// the anchor, the received tasks queued behind the computing head and
+    /// the in-flight arrival ([`ReadyAnchors`]), and the view answers the
+    /// row by the fold from `now` until the late event fires — which is
+    /// off-time, so it refolds.
     fn recompute_view(&mut self, j: usize) {
         let now = self.clock.as_f64();
         self.probe.view_recompute(now, j);
+        self.ws.view_dirty[j] = false;
         let refold = std::mem::take(&mut self.ws.view_refold[j]);
-        let rt = &self.ws.slaves[j];
-        if rt.outstanding.is_empty() {
-            // Idle: the fold is `now` itself and the view answers it
-            // lazily (`SimView` substitutes `now` for idle rows, so the
-            // stored column is never read), the cache never expires, and
-            // idle slaves cost nothing per callback.
-            self.ws.view_valid_until[j] = f64::INFINITY;
-        } else {
-            let (anchor, late) = if rt.computing.is_some() {
-                (rt.cur_pred_end, rt.cur_end > rt.cur_pred_end)
-            } else {
-                // Not computing yet still busy: the head is the send now
-                // occupying the port, arriving at `link_busy_until`.
-                let head = rt.outstanding.front().expect("non-empty queue");
-                debug_assert!(
-                    matches!(self.in_flight, Some((t, s, _)) if t == head.id && s.0 == j),
-                    "slave {j}: a busy, non-computing slave's head is in flight"
-                );
-                (head.avail, self.link_busy_until.as_f64() > head.avail)
+        let ws = &mut *self.ws;
+        let rt = &ws.slaves[j];
+        if let Some(head) = rt.outstanding.front() {
+            let computing = rt.computing.is_some();
+            // The send in flight to this slave, if any, is its last
+            // outstanding task; a busy slave that is not computing has
+            // nothing else.
+            let in_flight = match self.in_flight {
+                Some((t, s, _)) if s.0 == j => rt.outstanding.back().filter(|o| o.id == t),
+                _ => None,
             };
-            if refold || now > anchor {
+            debug_assert!(
+                computing || (rt.outstanding.len() == 1 && in_flight.is_some()),
+                "slave {j}: a busy, non-computing slave's head is in flight"
+            );
+            ws.anchors.anchor[j] = if computing {
+                rt.cur_pred_end
+            } else {
+                head.avail
+            };
+            ws.anchors.queued[j] = rt.queue.len();
+            ws.anchors.in_flight[j] = in_flight.map(|o| o.avail);
+            if refold {
                 self.probe.view_refolded(now, j);
                 let p = self.platform.p(SlaveId(j));
                 let mut t = now;
                 for (k, ot) in rt.outstanding.iter().enumerate() {
-                    if k == 0 && rt.computing.is_some() {
+                    if k == 0 && computing {
                         // Master's best guess for the current task: its
                         // predicted end, but never before "now".
                         t = rt.cur_pred_end.max(now);
@@ -942,39 +936,37 @@ impl<'a, P: Probe, S: TaskSource> Engine<'a, P, S> {
                         t = t.max(ot.avail) + p;
                     }
                 }
-                self.ws.views.ready_estimate[j] = t;
+                ws.views.ready_estimate[j] = t;
             }
-            let valid_until = anchor.max(now);
-            self.ws.view_valid_until[j] = valid_until;
-            if late {
-                self.probe.view_expiry_armed(now, j);
-                self.ws
-                    .view_expiry
-                    .push(Reverse((valid_until.to_bits(), j as u32)));
-            }
+        } else {
+            // Idle: the fold is `now` itself and the view answers it
+            // lazily (`SimView` substitutes `now` for idle rows, so the
+            // stored column is never read), and the row is never overdue.
+            ws.anchors.anchor[j] = f64::INFINITY;
         }
-        self.ws.views.outstanding[j] = rt.outstanding.len();
-        self.ws.views.completed[j] = rt.completed;
-        self.ws.views.available[j] = !rt.down;
+        ws.views.outstanding[j] = rt.outstanding.len();
+        ws.views.completed[j] = rt.completed;
+        ws.views.available[j] = !rt.down;
     }
 
     /// Marks slave `j`'s cached view stale after an event touched it: one
     /// journal entry, read by the next refresh and by the scheduler-side
-    /// decision kernels. The sentinel check makes re-marking within one
+    /// decision kernels. The dirty flag makes re-marking within one
     /// refresh cycle free (and keeps the journal deduplicated per cycle,
     /// which is sound because kernels only sync at scheduler callbacks,
     /// which only run on fully refreshed views).
     #[inline]
     fn mark_view_dirty(&mut self, j: usize) {
-        if self.ws.view_valid_until[j] != f64::NEG_INFINITY {
-            self.ws.view_valid_until[j] = f64::NEG_INFINITY;
+        if !self.ws.view_dirty[j] {
+            self.ws.view_dirty[j] = true;
             self.ws.journal.touch(j as u32);
         }
     }
 
-    /// Brings every cached slave view up to date with the current clock and
-    /// makes the pending ring contiguous, so [`Engine::view`] is a pure
-    /// borrow. Called before every scheduler callback.
+    /// Brings every cached slave view up to date and makes the pending ring
+    /// contiguous, so [`Engine::view`] is a pure borrow. Called before every
+    /// scheduler callback. Only the slaves an event touched are
+    /// recomputed: a row the clock has made overdue is answered by the view.
     fn refresh_views(&mut self) {
         if !self.ws.pending.as_slices().1.is_empty() {
             self.ws.pending.make_contiguous();
@@ -988,31 +980,17 @@ impl<'a, P: Probe, S: TaskSource> Engine<'a, P, S> {
             self.recompute_view(j as usize);
         }
         self.refreshed = touched;
-        // Busy slaves whose cached estimate the clock has passed (only
-        // possible when a computation or send outlives its nominal
-        // prediction — perturbed sizes or drift). Heap entries are
-        // validated against the live `view_valid_until`; a recompute at the
-        // current instant re-anchors at `now`, whose entry no longer
-        // satisfies the strict `<`, so this loop terminates.
-        let now_bits = self.clock.as_f64().to_bits();
-        while let Some(&Reverse((bits, j))) = self.ws.view_expiry.peek() {
-            if bits >= now_bits {
-                break;
-            }
-            self.ws.view_expiry.pop();
-            if self.ws.view_valid_until[j as usize].to_bits() == bits {
-                self.recompute_view(j as usize);
-            }
-        }
         #[cfg(debug_assertions)]
         self.assert_views_match_fresh();
     }
 
-    /// Debug oracle: every cached view must be bit-identical to a
-    /// from-scratch recomputation (the contract `recompute_view` documents).
+    /// Debug oracle: every slave's ready estimate, as the view answers it,
+    /// must be bit-identical to a from-scratch fold (the contract
+    /// `recompute_view` documents), and no view may be left dirty.
     #[cfg(debug_assertions)]
     fn assert_views_match_fresh(&self) {
         let now = self.clock.as_f64();
+        let view = self.view();
         for (j, rt) in self.ws.slaves.iter().enumerate() {
             let p = self.platform.p(SlaveId(j));
             let mut t = now;
@@ -1023,30 +1001,16 @@ impl<'a, P: Probe, S: TaskSource> Engine<'a, P, S> {
                     t = t.max(ot.avail) + p;
                 }
             }
-            let v = &self.ws.views;
-            // Idle rows are answered lazily by the view (`now`, which is
-            // the fold over an empty queue by construction); their stored
-            // column may be stale, but the *effective* value must match.
-            let effective = if rt.outstanding.is_empty() {
-                assert!(
-                    self.ws.view_valid_until[j].is_infinite()
-                        || self.ws.view_valid_until[j] == f64::NEG_INFINITY,
-                    "idle slave {j} must be lazily valid or dirty"
-                );
-                now
-            } else {
-                assert!(
-                    self.ws.view_valid_until[j] >= now,
-                    "busy slave {j}: view overdue (valid until {} < now {now})",
-                    self.ws.view_valid_until[j]
-                );
-                v.ready_estimate[j]
-            };
+            assert!(!self.ws.view_dirty[j], "slave {j}: view left dirty");
+            // Idle rows are answered with `now` and overdue rows by the fold
+            // from `now`; the *effective* value must match either way.
+            let effective = view.nominal_ready(SlaveId(j)).as_f64();
             assert_eq!(
                 effective.to_bits(),
                 t.to_bits(),
-                "slave {j}: cached estimate {effective} != fresh {t} at t={now}"
+                "slave {j}: view estimate {effective} != fresh {t} at t={now}"
             );
+            let v = &self.ws.views;
             assert_eq!(v.outstanding[j], rt.outstanding.len(), "slave {j} count");
             assert_eq!(v.completed[j], rt.completed, "slave {j} completed");
             assert_eq!(v.available[j], !rt.down, "slave {j} availability");
@@ -1071,6 +1035,7 @@ impl<'a, P: Probe, S: TaskSource> Engine<'a, P, S> {
             released_count: self.feed.next_id,
             completed_count: self.completed_count,
             journal: Some(&self.ws.journal),
+            anchors: Some(&self.ws.anchors),
         }
     }
 
@@ -1337,18 +1302,23 @@ impl<'a, P: Probe, S: TaskSource> Engine<'a, P, S> {
         r.slave = j.0;
         self.link_busy_until = now + actual_c;
         self.mark_view_dirty(j.0);
-        // Extend the cached estimate by the fold's last step. The scheduler
-        // has just read this slave's refreshed view, so the cached value is
-        // exact at `now` (an idle slave's is `now` itself).
+        // Extend the estimate by the fold's last step, from the value the
+        // scheduler has just read in this slave's refreshed view: `now` for
+        // an idle slave, the fold from `now` for an overdue one, the cached
+        // column otherwise.
         let avail = now.as_f64() + nominal_c;
+        let p = self.platform.p(j);
         let ws = &mut *self.ws;
         let rt = &mut ws.slaves[j.0];
-        let ready = if rt.outstanding.is_empty() {
-            now.as_f64()
-        } else {
-            ws.views.ready_estimate[j.0]
-        };
-        ws.views.ready_estimate[j.0] = ready.max(avail) + self.platform.p(j);
+        let ready = nominal_ready_row(
+            Some(&ws.anchors),
+            j.0,
+            rt.outstanding.len(),
+            ws.views.ready_estimate[j.0],
+            now.as_f64(),
+            p,
+        );
+        ws.views.ready_estimate[j.0] = ready.max(avail) + p;
         rt.outstanding.push_back(OutTask { id: t, avail });
         let seq = self.push(self.link_busy_until, Event::SendComplete(t, j));
         self.in_flight = Some((t, j, seq));

@@ -45,8 +45,12 @@
 //! The tree caches keys, so a key must be a pure function of state whose
 //! changes are journaled — per-slave believed rates, queue lengths,
 //! availability (SRPT, RR eligibility). Keys that depend on `now` or the
-//! shared port (List Scheduling's completion estimate) change for *all*
-//! slaves between decisions and must use the chunked scan instead.
+//! shared port change for *all* slaves between decisions and must not be
+//! cached: List Scheduling's completion estimate is minimized in one dense
+//! pass over the view's columns
+//! ([`SimView::earliest_completion`](crate::SimView::earliest_completion),
+//! the same winner as [`scan_argmin`]), and other such keys (Redispatch's
+//! availability-filtered completion estimate) use the chunked scan.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -118,6 +118,12 @@ impl Platform {
         self.slaves[j.0]
     }
 
+    /// Every slave's spec, in index order (the dense column one-pass
+    /// decisions read).
+    pub(crate) fn specs(&self) -> &[SlaveSpec] {
+        &self.slaves
+    }
+
     /// Iterates over `(SlaveId, SlaveSpec)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (SlaveId, SlaveSpec)> + '_ {
         self.slaves

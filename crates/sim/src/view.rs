@@ -17,10 +17,15 @@
 //!
 //! Unreleased tasks and actual (perturbed) sizes of unfinished work are
 //! invisible at *every* tier.
+//!
+//! An engine-backed view answers each busy row's nominal ready estimate
+//! from the cached column while the clock has not passed the row's anchor,
+//! and from the fold from `now` once it has ([`ReadyAnchors`]): reading an
+//! estimate costs one compare, never a refold.
 
 use crate::info::{InfoTier, SlaveEstimate, SlaveEstimates};
 use crate::kernel::TouchJournal;
-use crate::platform::{Platform, SlaveId};
+use crate::platform::{Platform, SlaveId, SlaveSpec};
 use crate::task::TaskId;
 use crate::time::Time;
 
@@ -60,7 +65,8 @@ pub struct SlaveViews {
     pub outstanding: Vec<usize>,
     /// Per-slave ready estimates, in seconds ([`SlaveView::ready_estimate`]
     /// as its raw `f64`). Read only for slaves with outstanding work: a
-    /// view answers an idle slave's estimate with `now`.
+    /// view answers an idle slave's estimate with `now`, and an
+    /// engine-backed view answers an overdue row by the fold from `now`.
     pub ready_estimate: Vec<f64>,
     /// Total tasks completed by each slave so far.
     pub completed: Vec<usize>,
@@ -116,6 +122,117 @@ impl SlaveViews {
         self.completed[j] = v.completed;
         self.available[j] = v.available;
     }
+}
+
+/// The engine's per-slave facts for answering a busy row whose anchor the
+/// clock has passed, written at every recompute of the row and handed to
+/// engine-backed views (views borrowed from a [`ViewState`] have none, and
+/// their columns are authoritative).
+///
+/// A busy slave's nominal ready estimate is the fold
+/// `t ← max(t, avail_k) + p` over its outstanding tasks, from
+/// `max(anchor, now)` when it computes and from `now` otherwise. The
+/// *anchor* is the computing task's nominal end, or, for a busy slave that
+/// is not computing, the nominal arrival of its one in-flight task. While
+/// `now <= anchor` the fold does not depend on `now`, and the engine keeps
+/// it in [`SlaveViews::ready_estimate`]. Once the clock passes the anchor
+/// (an event billed later than its nominal instant: perturbed sizes or
+/// drift) the row is *overdue*, and [`ReadyAnchors::overdue_ready`]
+/// replays the fold from `now` with the fold's own operations, so the
+/// answer is bit-identical to a full refold.
+#[derive(Debug, Default)]
+pub(crate) struct ReadyAnchors {
+    /// The row's anchor; `+∞` for an idle slave, which is never overdue.
+    pub(crate) anchor: Vec<f64>,
+    /// Received tasks queued behind the computing head. Each has arrived,
+    /// so the fold's `max` is a no-op on it once the row is overdue.
+    pub(crate) queued: Vec<usize>,
+    /// Nominal arrival of the send in flight to the slave, if any. There is
+    /// at most one (the port is serial), and it is the last outstanding
+    /// task.
+    pub(crate) in_flight: Vec<Option<f64>>,
+}
+
+impl ReadyAnchors {
+    /// Fresh facts for `m` idle slaves, keeping capacity.
+    pub(crate) fn reset(&mut self, m: usize) {
+        self.anchor.clear();
+        self.anchor.resize(m, f64::INFINITY);
+        self.queued.clear();
+        self.queued.resize(m, 0);
+        self.in_flight.clear();
+        self.in_flight.resize(m, None);
+    }
+
+    /// The fold from `now` of overdue slave `j`, whose per-task time is
+    /// `p`: `now` for the head, `+ p` per queued task, then
+    /// `max(t, in-flight arrival) + p`.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn overdue_ready(&self, j: usize, now: f64, p: f64) -> f64 {
+        let mut t = now;
+        for _ in 0..self.queued[j] {
+            t += p;
+        }
+        if let Some(avail) = self.in_flight[j] {
+            t = t.max(avail) + p;
+        }
+        t
+    }
+}
+
+/// Slave `j`'s nominal ready estimate at `now` from its row: `now` when it
+/// has no outstanding task, otherwise its cached `column`, or the fold from
+/// `now` once the engine's `anchors` say the row is overdue. The one rule
+/// the view's estimates, [`SimView::earliest_completion`] and the engine's
+/// O(1) extension of an estimate on a send share.
+#[inline(always)]
+pub(crate) fn nominal_ready_row(
+    anchors: Option<&ReadyAnchors>,
+    j: usize,
+    outstanding: usize,
+    column: f64,
+    now: f64,
+    p: f64,
+) -> f64 {
+    if outstanding == 0 {
+        return now;
+    }
+    match anchors {
+        Some(a) if now > a.anchor[j] => a.overdue_ready(j, now, p),
+        _ => column,
+    }
+}
+
+/// The completion key `max(link_free + c, ready) + p` of a new task on a
+/// slave with per-task times `c`, `p` and ready estimate `ready` — the one
+/// copy of the arithmetic [`SimView::completion_estimate`] and
+/// [`SimView::earliest_completion`] share. A NaN `link_free + c` or `p`
+/// makes the key NaN; a NaN `ready` is its callers' to check.
+#[inline(always)]
+fn completion_key(link_free: f64, c: f64, ready: f64, p: f64) -> f64 {
+    let recv = link_free + c;
+    (if recv < ready { ready } else { recv }) + p
+}
+
+/// The pass of [`SimView::earliest_completion`] over `row(j) = (ready,
+/// key)`: strict `<` keeps the lowest index on ties and never takes a NaN
+/// key, as [`scan_argmin`](crate::scan_argmin) does. Also reports whether
+/// any ready estimate or key was NaN.
+#[inline(always)]
+fn argmin_completion(m: usize, mut row: impl FnMut(usize) -> (f64, f64)) -> (usize, bool) {
+    let mut best = f64::INFINITY;
+    let mut arg = 0;
+    let mut nan = false;
+    for j in 0..m {
+        let (ready, key) = row(j);
+        nan |= ready.is_nan() | key.is_nan();
+        if key < best {
+            best = key;
+            arg = j;
+        }
+    }
+    (arg, nan)
 }
 
 /// Owned observable state from which a [`SimView`] can be borrowed.
@@ -193,6 +310,7 @@ impl ViewState {
             released_count: self.released_count,
             completed_count: self.completed_count,
             journal: None,
+            anchors: None,
         }
     }
 }
@@ -241,6 +359,11 @@ pub struct SimView<'a> {
     /// from an owned [`ViewState`], where kernels fall back to the exact
     /// chunked scan.
     pub(crate) journal: Option<&'a TouchJournal>,
+    /// The engine's anchors of the busy rows, when this view is
+    /// engine-backed: an overdue row is answered by the fold from `now`
+    /// instead of its cached column. `None` for views borrowed from an
+    /// owned [`ViewState`], whose columns are authoritative.
+    pub(crate) anchors: Option<&'a ReadyAnchors>,
 }
 
 impl<'a> SimView<'a> {
@@ -363,6 +486,12 @@ impl<'a> SimView<'a> {
         self.estimate_version
     }
 
+    /// Tasks sent (or being sent) to slave `j` and not yet completed: the
+    /// [`SlaveView::outstanding`] field alone, without building the row.
+    pub fn outstanding(&self, j: SlaveId) -> usize {
+        self.slaves.outstanding[j.0]
+    }
+
     /// `true` iff slave `j` has no outstanding work at all (SRPT's notion of
     /// a *free* slave).
     pub fn slave_idle(&self, j: SlaveId) -> bool {
@@ -429,33 +558,41 @@ impl<'a> SimView<'a> {
     pub fn ready_estimate(&self, j: SlaveId) -> Time {
         match self.tier {
             InfoTier::Clairvoyant => self.nominal_ready(j),
-            _ => {
-                let outstanding = self.slaves.outstanding[j.0];
-                let now = self.now.as_f64();
-                let p = self.estimates.p_hats()[j.0];
-                let (base, tail) = if self.estimates.is_computing(j.0) {
-                    (
-                        (self.estimates.cur_start(j.0) + p).max(now),
-                        outstanding.saturating_sub(1),
-                    )
-                } else {
-                    (now, outstanding)
-                };
-                Time::new(base + tail as f64 * p)
-            }
+            _ => Time::new(self.learned_ready(j.0)),
         }
     }
 
     /// The nominal ready estimate of slave `j`: `now` for an idle slave
     /// (the fold over an empty queue *is* `now`, so its stored column is
-    /// never read and the engine never recomputes idle rows), the stored
-    /// column otherwise.
-    fn nominal_ready(&self, j: SlaveId) -> Time {
-        if self.slaves.outstanding[j.0] == 0 {
-            self.now
+    /// never read and the engine never refolds idle rows); for a busy
+    /// slave, the stored column, or the fold from `now` once an
+    /// engine-backed row is overdue ([`ReadyAnchors`]).
+    pub(crate) fn nominal_ready(&self, j: SlaveId) -> Time {
+        Time::new(nominal_ready_row(
+            self.anchors,
+            j.0,
+            self.slaves.outstanding[j.0],
+            self.slaves.ready_estimate[j.0],
+            self.now.as_f64(),
+            self.platform.p(j),
+        ))
+    }
+
+    /// The ready estimate of slave `j` from the learned rates (the tiers
+    /// below [`InfoTier::Clairvoyant`]).
+    fn learned_ready(&self, j: usize) -> f64 {
+        let outstanding = self.slaves.outstanding[j];
+        let now = self.now.as_f64();
+        let p = self.estimates.p_hats()[j];
+        let (base, tail) = if self.estimates.is_computing(j) {
+            (
+                (self.estimates.cur_start(j) + p).max(now),
+                outstanding.saturating_sub(1),
+            )
         } else {
-            Time::new(self.slaves.ready_estimate[j.0])
-        }
+            (now, outstanding)
+        };
+        base + tail as f64 * p
     }
 
     /// Estimated completion time of a *new nominal task* if the master
@@ -467,18 +604,60 @@ impl<'a> SimView<'a> {
     /// minimizes. Below [`InfoTier::Clairvoyant`] the same formula is
     /// evaluated over believed values and the estimate-based ready time.
     pub fn completion_estimate(&self, j: SlaveId) -> Time {
-        match self.tier {
+        let ready = self.ready_estimate(j).as_f64();
+        let key = completion_key(
+            self.link_free_at().as_f64(),
+            self.believed_c(j),
+            ready,
+            self.believed_p(j),
+        );
+        Time::new(key)
+    }
+
+    /// The slave on which a new nominal task would complete first: the
+    /// minimizer of [`SimView::completion_estimate`], lowest index on
+    /// ties — exactly the [`scan_argmin`](crate::scan_argmin) winner over
+    /// it at every tier (slave 0 when every key is `+∞`). List
+    /// Scheduling's decision, and the tail of SLJF and SLJFWC.
+    ///
+    /// One pass over the dense columns: the tier's inputs are chosen once,
+    /// and a row costs the shared key arithmetic plus one compare against
+    /// its anchor (an overdue row is read through a cold call).
+    ///
+    /// # Panics
+    /// If a ready estimate or key is NaN, as
+    /// [`SimView::completion_estimate`] does.
+    pub fn earliest_completion(&self) -> SlaveId {
+        let m = self.num_slaves();
+        let now = self.now.as_f64();
+        let link_free = self.link_free_at().as_f64();
+        let outstanding = &self.slaves.outstanding[..m];
+        let (winner, nan) = match self.tier {
             InfoTier::Clairvoyant => {
-                let recv = self.link_free_at() + self.platform.c(j);
-                let start = recv.max(self.nominal_ready(j));
-                start + self.platform.p(j)
+                let specs = &self.platform.specs()[..m];
+                let column = &self.slaves.ready_estimate[..m];
+                argmin_completion(m, |j| {
+                    let SlaveSpec { c, p } = specs[j];
+                    let ready =
+                        nominal_ready_row(self.anchors, j, outstanding[j], column[j], now, p);
+                    (ready, completion_key(link_free, c, ready, p))
+                })
             }
             _ => {
-                let recv = self.link_free_at() + self.believed_c(j);
-                let start = recv.max(self.ready_estimate(j));
-                start + self.believed_p(j)
+                let c = &self.estimates.c_hats()[..m];
+                let p = &self.estimates.p_hats()[..m];
+                argmin_completion(m, |j| {
+                    let ready = self.learned_ready(j);
+                    (ready, completion_key(link_free, c[j], ready, p[j]))
+                })
             }
-        }
+        };
+        assert!(
+            !nan,
+            "SimView::earliest_completion: NaN completion key at {}",
+            self.now
+        );
+        SlaveId(winner)
     }
 
     /// Total number of tasks the instance will ever contain, when the
@@ -571,6 +750,53 @@ mod tests {
         assert_eq!(v.slave(SlaveId(0)).ready_estimate, Time::new(10.0));
         // Received at 10 + c = 11, started at once, done at 11 + p = 14.
         assert_eq!(v.completion_estimate(SlaveId(0)), Time::new(14.0));
+    }
+
+    /// Rows of every kind under one engine-backed view at `now = 10`,
+    /// `c = 1`, `p = 2`, the port free: slave 0 idle with a stale column,
+    /// slave 1 on time (anchor ahead, column kept), slave 2 overdue while
+    /// computing with two received tasks queued and one in flight, slave 3
+    /// overdue with its one task in flight, slave 4 down and idle.
+    #[test]
+    fn overdue_rows_are_answered_by_the_fold_from_now() {
+        let platform = Platform::homogeneous(5, 1.0, 2.0);
+        let mut s = ViewState::new(platform, 0, None);
+        s.now = Time::new(10.0);
+        s.slaves.outstanding = vec![0, 2, 4, 1, 0];
+        s.slaves.ready_estimate = vec![3.0, 13.0, 7.0, 5.0, 1.0];
+        s.slaves.available[4] = false;
+        let anchors = ReadyAnchors {
+            anchor: vec![f64::INFINITY, 11.0, 9.0, 9.0, f64::INFINITY],
+            queued: vec![0, 1, 2, 0, 0],
+            in_flight: vec![None, None, Some(15.0), Some(9.0), None],
+        };
+        let mut view = s.view();
+        view.anchors = Some(&anchors);
+        let ready = |j| view.ready_estimate(SlaveId(j)).as_f64();
+        assert_eq!(ready(0), 10.0, "idle: now");
+        assert_eq!(ready(1), 13.0, "on time: the column");
+        assert_eq!(ready(2), 17.0, "10 + 2 + 2, then max(14, 15) + 2");
+        assert_eq!(ready(3), 12.0, "max(10, 9) + 2");
+        assert_eq!(ready(4), 10.0, "down and idle: now");
+        assert_eq!(view.slave(SlaveId(2)).ready_estimate, Time::new(17.0));
+        // Keys max(11, ready) + 2: 13, 15, 19, 14, 13; slaves 0 and 4 tie.
+        let keys: Vec<f64> = (0..5)
+            .map(|j| view.completion_estimate(SlaveId(j)).as_f64())
+            .collect();
+        assert_eq!(keys, [13.0, 15.0, 19.0, 14.0, 13.0]);
+        assert_eq!(view.earliest_completion(), SlaveId(0));
+        // Without slave 0 in the race, the overdue slave 3 ties slave 1's
+        // kept column once slave 1's anchor is an instant later.
+        s.slaves.outstanding[0] = 3;
+        s.slaves.ready_estimate[0] = 20.0;
+        s.slaves.ready_estimate[1] = 12.0;
+        s.slaves.outstanding[4] = 1;
+        s.slaves.ready_estimate[4] = 30.0;
+        let mut view = s.view();
+        view.anchors = Some(&anchors);
+        assert_eq!(view.completion_estimate(SlaveId(1)), Time::new(14.0));
+        assert_eq!(view.completion_estimate(SlaveId(3)), Time::new(14.0));
+        assert_eq!(view.earliest_completion(), SlaveId(1));
     }
 
     #[test]

@@ -252,7 +252,7 @@ fn a_send_lost_on_arrival_returns_to_the_queue_in_every_probe() {
 /// callbacks and elides 2n, so the elided share is exactly 2/3. Views are
 /// refreshed only for delivered callbacks, the same in every build, so
 /// their recompute count is exact too; nominal sizes on a static platform
-/// never refold a view or arm its expiry.
+/// never refold a view.
 #[test]
 fn static_list_scheduling_counts_are_exact() {
     let platform = Platform::from_vectors(&[0.1, 0.3, 0.5, 0.7, 0.9], &[1.0, 2.0, 3.0, 4.0, 5.0]);
@@ -277,7 +277,6 @@ fn static_list_scheduling_counts_are_exact() {
         assert_eq!(c.callbacks_elided, 2 * n, "n = {n}: {c:?}");
         assert_eq!(c.view_recomputes, view_recomputes, "n = {n}: {c:?}");
         assert_eq!(c.view_refolds, 0, "n = {n}: {c:?}");
-        assert_eq!(c.view_expiry_arms, 0, "n = {n}: {c:?}");
     }
 }
 
