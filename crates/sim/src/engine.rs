@@ -7,7 +7,9 @@
 //! resources of the model and enforces them *by construction*:
 //!
 //! * the master's **one port** — a single link state; a send can only
-//!   start when the port is idle, and occupies it for `c_j · size_c` seconds;
+//!   start when the port is idle, and occupies it for `c_j · size_c` seconds
+//!   (at least one representable instant, even where the clock absorbs a
+//!   tiny transfer), so at most one send is ever in flight;
 //! * each slave's **serial execution** — a slave computes the tasks it has
 //!   received one at a time, FIFO, each for `p_j · size_p` seconds.
 //!
@@ -75,8 +77,14 @@
 //!   instead of a scan of the pending queue, and the pending queue itself
 //!   is a ring buffer (front pops — the common case for every paper
 //!   heuristic — are O(1) and move no memory);
-//! * **pre-sized, reused event heap and notification buffers** — pushes in
-//!   steady state never grow capacity.
+//! * **a lean one-port event queue** — the runtime heap holds 24-byte
+//!   `(time, seq, slot)` entries for computation ends and wake-ups. An
+//!   entry names a slave (or a marker), never a task: the engine's own
+//!   state names the task and decides whether the entry is still live, so a
+//!   failure voids entries without any side set. The port's one live send
+//!   never enters the heap; it sits in its own slot, due when the port
+//!   frees. The heap and the notification buffers are pre-sized and
+//!   reused, so pushes in steady state never grow capacity.
 //!
 //! The determinism contract above is unaffected: this module's refactor is
 //! observationally transparent (fig1a–d/fig2/table1 artifacts are
@@ -95,7 +103,7 @@ use crate::trace::{TaskRecord, Trace};
 use crate::view::{nominal_ready_row, ReadyAnchors, SimView, SlaveViews};
 use mss_obs::{NoopProbe, Probe};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Engine configuration.
 #[derive(Clone, Debug)]
@@ -221,12 +229,24 @@ enum Event {
     Wake,
 }
 
+/// One entry of the runtime event heap. It names no task: the engine's
+/// state does, and decides whether the entry is still live when it pops
+/// ([`Engine::pop_next`]). `slot` is `j` for slave `j`'s computation end,
+/// [`WAKE`] for a wake-up, or [`VOID`] for a send a failure aborted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct HeapItem {
     time: Time,
     seq: u64,
-    event: Event,
+    slot: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<HeapItem>() <= 24);
+
+/// [`HeapItem::slot`] of a wake-up: always live.
+const WAKE: u32 = u32::MAX;
+/// [`HeapItem::slot`] of a send aborted by its slave's failure: never live,
+/// but it still pops at the send's old end.
+const VOID: u32 = u32::MAX - 1;
 
 impl Ord for HeapItem {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
@@ -257,8 +277,9 @@ struct SlaveRt {
     queue: VecDeque<TaskId>,
     /// Task currently computing, if any.
     computing: Option<TaskId>,
-    /// Heap sequence of the pending `ComputeComplete` (for cancellation on
-    /// failure); meaningful only while `computing` is `Some`.
+    /// Sequence number of the current computation's heap entry. A popped
+    /// entry `(j, seq)` is live iff `computing` is `Some` and this equals
+    /// `seq`: a failure or a later computation leaves the entry dead.
     compute_seq: u64,
     /// Predicted end of the current computation (nominal size).
     cur_pred_end: f64,
@@ -340,14 +361,15 @@ enum TaskPhase {
 /// Reusable simulation buffers — the allocation arena of the engine.
 ///
 /// A workspace owns every growable structure the event loop touches: the
-/// event heap, per-slave runtime queues, the pending ring buffer, the task
-/// slot window, the incrementally maintained [`SlaveViews`] column cache
-/// with the anchors its busy rows are answered by, and the
-/// [`TouchJournal`] ring that is both the views' dirty list and the
-/// decision kernels' change log. A run re-initializes it
-/// and the loop then runs allocation-free in steady state; reusing one
-/// workspace across runs ([`Simulation::workspace`], as the `mss-sweep`
-/// executor does per worker thread) also skips the sizing.
+/// runtime event heap (computation ends, wake-ups and aborted sends; the
+/// port's one live send is kept by the engine, not here), per-slave
+/// runtime queues, the pending ring buffer, the task slot window, the
+/// incrementally maintained [`SlaveViews`] column cache with the anchors
+/// its busy rows are answered by, and the [`TouchJournal`] ring that is
+/// both the views' dirty list and the decision kernels' change log. A run
+/// re-initializes it and the loop then runs allocation-free in steady
+/// state; reusing one workspace across runs ([`Simulation::workspace`], as
+/// the `mss-sweep` executor does per worker thread) also skips the sizing.
 ///
 /// Results are bit-identical whether a workspace is fresh or reused — every
 /// field is re-initialized per run.
@@ -386,9 +408,6 @@ pub struct SimWorkspace {
     /// Current drift factors; effective `c_j`/`p_j` is nominal × factor.
     link_factor: Vec<f64>,
     speed_factor: Vec<f64>,
-    /// Heap sequences of events voided by a failure (aborted transfers,
-    /// computations of lost tasks); popped items with these seqs are skipped.
-    cancelled: HashSet<u64>,
     /// Released, unassigned tasks in FIFO order. A ring buffer so that the
     /// dominant removal pattern (the oldest task) is O(1); kept contiguous
     /// so `SimView::pending_tasks` can hand out a plain slice.
@@ -463,10 +482,16 @@ impl SimWorkspace {
     /// as tasks are released.
     fn reset(&mut self, platform: &Platform, timeline: &Timeline) {
         let m = platform.num_slaves();
+        // Heap entries name a slave by a `u32` slot below the two markers.
+        assert!(
+            m <= VOID as usize,
+            "{m} slaves do not fit the event heap's slave slots"
+        );
         self.heap.clear();
         // Releases and timeline events are streamed from their sorted
-        // sources; the live heap only holds runtime events: at most one
-        // compute per slave, one send in flight, and a few wakes.
+        // sources, and the port's live send has its own slot; the heap only
+        // holds computation ends (one live per slave, plus those a failure
+        // voided), aborted sends and a few wakes.
         self.heap.reserve(m + 8);
         self.timeline_order.clear();
         self.timeline_order
@@ -491,7 +516,6 @@ impl SimWorkspace {
         self.link_factor.resize(m, 1.0);
         self.speed_factor.clear();
         self.speed_factor.resize(m, 1.0);
-        self.cancelled.clear();
         self.pending.clear();
         self.views.reset(m);
         self.anchors.reset(m);
@@ -734,9 +758,12 @@ struct Engine<'a, P: Probe, S: TaskSource> {
     /// exactly the unprobed code (contract #11).
     probe: &'a mut P,
     clock: Time,
+    /// Next sequence number of a runtime event (heap entry or send).
     seq: u64,
     link_busy_until: Time,
-    /// The send currently occupying the port, with its heap sequence.
+    /// The send currently occupying the port, with its sequence number:
+    /// the event queue's send slot, due at `link_busy_until`. The one port
+    /// holds at most one send, so it never enters the heap.
     in_flight: Option<(TaskId, SlaveId, u64)>,
     completed_count: usize,
     steps: usize,
@@ -761,10 +788,10 @@ impl<'a, P: Probe, S: TaskSource> Engine<'a, P, S> {
         probe: &'a mut P,
     ) -> Self {
         ws.reset(platform, timeline);
-        // Releases never enter the heap and own no sequence numbers; only
-        // the relative order of runtime seqs is observable (the release >
-        // timeline > runtime tie priority is resolved structurally by
-        // `pop_next`), so runtime events count on from the timeline's.
+        // Releases own no sequence numbers; only the relative order of
+        // runtime seqs is observable (the release > timeline > runtime tie
+        // priority is resolved structurally by `pop_next`), so runtime
+        // events — heap entries and sends — count on from the timeline's.
         let seq = timeline.events().len() as u64;
         Engine {
             platform,
@@ -787,19 +814,25 @@ impl<'a, P: Probe, S: TaskSource> Engine<'a, P, S> {
     }
 
     /// Pops the next event across the three sources (release stream,
-    /// timeline stream, runtime heap) in `(time, seq)` order; `None` when
+    /// timeline stream, runtime events) in `(time, seq)` order; `None` when
     /// all are exhausted. With `at = Some(t)`, only an event at exactly `t`
-    /// is popped (the batch-draining mode). Returns
-    /// `(event, heap_seq, from_heap, time)`; `heap_seq` is meaningful only
-    /// for heap events (the only ones cancellation can target). Cancelled
-    /// heap entries are still popped and counted here — exactly as they
-    /// were when they occupied the heap — and skipped by the caller.
+    /// is popped (the batch-draining mode). Returns `(event, time)`.
+    ///
+    /// The runtime events are the port's live send, kept in its own slot
+    /// (`in_flight`, due at `link_busy_until`), and the heap, whichever is
+    /// first in `(time, seq)` order. A heap entry names no task, and the
+    /// engine's state decides whether it is live: a computation entry
+    /// `(j, seq)` is iff slave `j` is still computing under that `seq`, a
+    /// wake-up always is, and a send a failure aborted never is. A dead
+    /// entry still pops at its instant, as `None` — it opens a batch there,
+    /// so the scheduler is polled then — and the caller skips it.
     ///
     /// Time ties resolve by the historical sequence layout without any seq
     /// arithmetic: releases beat timeline events, which beat runtime
-    /// events; within each source the stream/heap order is already the seq
-    /// order. Fails when the next pulled arrival breaks the input contract.
-    fn pop_next(&mut self, at: Option<Time>) -> Result<Option<(Event, u64, bool, Time)>, SimError> {
+    /// events; within the streams their order is already the seq order, and
+    /// the runtime events compare `(time, seq)`. Fails when the next pulled
+    /// arrival breaks the input contract.
+    fn pop_next(&mut self, at: Option<Time>) -> Result<Option<(Option<Event>, Time)>, SimError> {
         let release_t = self.feed.next_release();
         // Batch-drain fast path: while draining the batch at time `a`, no
         // source can hold anything earlier than `a`, and a release at `a`
@@ -809,7 +842,7 @@ impl<'a, P: Probe, S: TaskSource> Engine<'a, P, S> {
         if let (Some(a), Some(rt)) = (at, release_t) {
             if rt == a {
                 let t = self.feed.pop_release(self.ws)?;
-                return Ok(Some((Event::Release(t), 0, false, rt)));
+                return Ok(Some((Some(Event::Release(t)), rt)));
             }
         }
         let timeline_t = self
@@ -817,41 +850,75 @@ impl<'a, P: Probe, S: TaskSource> Engine<'a, P, S> {
             .timeline_order
             .get(self.timeline_cursor)
             .map(|&i| self.timeline.events()[i as usize].time);
-        let heap_t = self.ws.heap.peek().map(|&Reverse(item)| item.time);
+        let top = self
+            .ws
+            .heap
+            .peek()
+            .map(|&Reverse(item)| (item.time, item.seq));
+        let send = self
+            .in_flight
+            .map(|(_, _, seq)| (self.link_busy_until, seq));
+        let (runtime_t, send_first) = match (send, top) {
+            (Some(s), Some(h)) if h < s => (Some(h.0), false),
+            (Some(s), _) => (Some(s.0), true),
+            (None, h) => (h.map(|h| h.0), false),
+        };
 
         if let Some(rt) = release_t {
-            if timeline_t.is_none_or(|t| rt <= t) && heap_t.is_none_or(|t| rt <= t) {
+            if timeline_t.is_none_or(|t| rt <= t) && runtime_t.is_none_or(|t| rt <= t) {
                 if at.is_some_and(|a| rt != a) {
                     return Ok(None);
                 }
                 let t = self.feed.pop_release(self.ws)?;
-                return Ok(Some((Event::Release(t), 0, false, rt)));
+                return Ok(Some((Some(Event::Release(t)), rt)));
             }
         }
         if let Some(tt) = timeline_t {
-            if heap_t.is_none_or(|t| tt <= t) {
+            if runtime_t.is_none_or(|t| tt <= t) {
                 if at.is_some_and(|a| tt != a) {
                     return Ok(None);
                 }
                 let i = self.ws.timeline_order[self.timeline_cursor];
                 self.timeline_cursor += 1;
-                return Ok(Some((Event::Platform(i as usize), 0, false, tt)));
+                return Ok(Some((Some(Event::Platform(i as usize)), tt)));
             }
         }
-        let Some(ht) = heap_t else {
+        let Some(ht) = runtime_t else {
             return Ok(None);
         };
         if at.is_some_and(|a| ht != a) {
             return Ok(None);
         }
+        if send_first {
+            let (t, j, _) = self.in_flight.take().expect("the send slot was just read");
+            return Ok(Some((Some(Event::SendComplete(t, j)), ht)));
+        }
         let Reverse(item) = self.ws.heap.pop().expect("heap top just peeked");
-        Ok(Some((item.event, item.seq, true, item.time)))
+        let event = match item.slot {
+            WAKE => Some(Event::Wake),
+            VOID => None,
+            j => {
+                let rt = &self.ws.slaves[j as usize];
+                rt.computing
+                    .filter(|_| rt.compute_seq == item.seq)
+                    .map(|t| Event::ComputeComplete(t, SlaveId(j as usize)))
+            }
+        };
+        Ok(Some((event, ht)))
     }
 
-    fn push(&mut self, time: Time, event: Event) -> u64 {
+    /// Draws the next runtime sequence number.
+    fn next_seq(&mut self) -> u64 {
         let seq = self.seq;
-        self.ws.heap.push(Reverse(HeapItem { time, seq, event }));
         self.seq += 1;
+        seq
+    }
+
+    /// Pushes a heap entry for `slot` at `time` under a fresh sequence
+    /// number, and returns that number.
+    fn push(&mut self, time: Time, slot: u32) -> u64 {
+        let seq = self.next_seq();
+        self.ws.heap.push(Reverse(HeapItem { time, seq, slot }));
         seq
     }
 
@@ -1049,7 +1116,7 @@ impl<'a, P: Probe, S: TaskSource> Engine<'a, P, S> {
                 Some(SchedulerEvent::Released(t))
             }
             Event::SendComplete(t, j) => {
-                self.in_flight = None;
+                // `pop_next` took the send out of its slot: the port is free.
                 let slot = self.ws.slot(t);
                 self.mark_view_dirty(j.0);
                 if self.learning {
@@ -1120,7 +1187,6 @@ impl<'a, P: Probe, S: TaskSource> Engine<'a, P, S> {
                 }
                 self.mark_view_dirty(j.0);
                 let rt = &mut self.ws.slaves[j.0];
-                debug_assert_eq!(rt.computing, Some(t));
                 // Completing at the predicted end leaves the remaining fold
                 // steps as they were; early or late, the fold moves.
                 if rt.cur_end != rt.cur_pred_end {
@@ -1156,11 +1222,16 @@ impl<'a, P: Probe, S: TaskSource> Engine<'a, P, S> {
                     return None;
                 }
                 // Abort a transfer in flight towards the failing slave: the
-                // port frees immediately and its completion event is voided.
+                // port frees immediately and its completion is voided — a
+                // dead heap entry at its old end, which still pops there.
                 // The send ends undelivered here; its task is lost below.
                 if let Some((t, target, seq)) = self.in_flight {
                     if target == j {
-                        self.ws.cancelled.insert(seq);
+                        self.ws.heap.push(Reverse(HeapItem {
+                            time: self.link_busy_until,
+                            seq,
+                            slot: VOID,
+                        }));
                         self.link_busy_until = self.clock;
                         self.in_flight = None;
                         self.probe
@@ -1176,13 +1247,11 @@ impl<'a, P: Probe, S: TaskSource> Engine<'a, P, S> {
                 let ws = &mut *self.ws;
                 let rt = &mut ws.slaves[j.0];
                 rt.down = true;
-                let cancel_seq = rt.computing.take().map(|_| rt.compute_seq);
+                // No longer computing: the computation's heap entry is dead.
+                rt.computing = None;
                 rt.queue.clear();
                 ws.lost.clear();
                 ws.lost.extend(rt.outstanding.drain(..).map(|o| o.id));
-                if let Some(seq) = cancel_seq {
-                    self.ws.cancelled.insert(seq);
-                }
                 self.probe.slave_failed(self.clock.as_f64(), j.0);
                 // Lost tasks re-enter `pending` in their send order, so the
                 // re-release order is deterministic and observable.
@@ -1229,7 +1298,7 @@ impl<'a, P: Probe, S: TaskSource> Engine<'a, P, S> {
         self.ws.records[slot].compute_start = now;
         self.ws.records[slot].billed_p = billed_p;
         let end = Time::new(now + actual);
-        let seq = self.push(end, Event::ComputeComplete(t, j));
+        let seq = self.push(end, j.0 as u32);
         self.mark_view_dirty(j.0);
         if self.learning {
             // Observable: with FIFO computes, a computation starts exactly
@@ -1300,7 +1369,16 @@ impl<'a, P: Probe, S: TaskSource> Engine<'a, P, S> {
         r.send_start = now.as_f64();
         r.billed_c = billed_c;
         r.slave = j.0;
-        self.link_busy_until = now + actual_c;
+        // A send holds the port for at least one representable instant:
+        // where the clock absorbs the transfer (`now + actual_c == now`),
+        // the port would otherwise read idle at once and a second send
+        // start while this one is still in flight.
+        let end = now + actual_c;
+        self.link_busy_until = if end == now {
+            Time::new(end.as_f64().next_up())
+        } else {
+            end
+        };
         self.mark_view_dirty(j.0);
         // Extend the estimate by the fold's last step, from the value the
         // scheduler has just read in this slave's refreshed view: `now` for
@@ -1320,7 +1398,9 @@ impl<'a, P: Probe, S: TaskSource> Engine<'a, P, S> {
         );
         ws.views.ready_estimate[j.0] = ready.max(avail) + p;
         rt.outstanding.push_back(OutTask { id: t, avail });
-        let seq = self.push(self.link_busy_until, Event::SendComplete(t, j));
+        // The send takes the port's slot, not a heap entry, under a
+        // sequence number from the same counter, so ties keep their order.
+        let seq = self.next_seq();
         self.in_flight = Some((t, j, seq));
         self.probe.send_start(now.as_f64(), t.0, j.0);
         Ok(())
@@ -1340,7 +1420,7 @@ impl<'a, P: Probe, S: TaskSource> Engine<'a, P, S> {
         }
         let future = t > self.clock;
         if future {
-            self.push(t, Event::Wake);
+            self.push(t, WAKE);
         }
         Ok(future)
     }
@@ -1723,8 +1803,7 @@ fn drive<P: Probe, S: TaskSource>(
     while !engine.feed.is_complete(engine.completed_count) {
         engine.step_budget()?;
 
-        let Some((first_event, first_seq, first_from_heap, first_time)) = engine.pop_next(None)?
-        else {
+        let Some((first_event, first_time)) = engine.pop_next(None)? else {
             // Nothing scheduled: give the scheduler one last chance to act.
             engine.refresh_views();
             engine.probe.callback(engine.clock.as_f64());
@@ -1751,18 +1830,17 @@ fn drive<P: Probe, S: TaskSource>(
         // the batch is already popped; drain the rest at the same time).
         engine.clock = first_time;
         engine.ws.notifications.clear();
-        let mut next = Some((first_event, first_seq, first_from_heap));
+        let mut next = Some(first_event);
         let mut batch_steps = 0usize;
-        while let Some((event, seq, from_heap)) = next {
-            if !(from_heap && !engine.ws.cancelled.is_empty() && engine.ws.cancelled.remove(&seq)) {
+        while let Some(event) = next {
+            // A voided entry (`None`) opens the batch but applies nothing.
+            if let Some(event) = event {
                 batch_steps += 1;
                 if let Some(n) = engine.apply(event) {
                     engine.ws.notifications.push(n);
                 }
             }
-            next = engine
-                .pop_next(Some(first_time))?
-                .map(|(e, s, f, _)| (e, s, f));
+            next = engine.pop_next(Some(first_time))?.map(|(e, _)| e);
         }
         // Budget accounting is batched: one add + one check per batch
         // instead of per event. A budget crossing mid-batch surfaces as the

@@ -20,11 +20,13 @@
 //!   absolute, not compounding: a random-walk drift emits the walk's current
 //!   position each step.
 //!
-//! Determinism: timeline events enter the engine's event heap after all task
-//! releases, so the `(time, insertion-seq)` processing order — and therefore
-//! every trace — is a pure function of `(platform, tasks, timeline,
-//! scheduler)`. An empty timeline leaves the engine's behaviour bit-for-bit
-//! identical to the static model.
+//! Determinism: the engine streams timeline events in `(time, index)` order
+//! and never puts them in its event heap; at an equal time they come after
+//! task releases and before the engine's runtime events (send and
+//! computation ends, wake-ups). So the `(time, insertion-seq)` processing
+//! order — and therefore every trace — is a pure function of `(platform,
+//! tasks, timeline, scheduler)`. An empty timeline leaves the engine's
+//! behaviour bit-for-bit identical to the static model.
 
 use crate::platform::SlaveId;
 use crate::time::Time;

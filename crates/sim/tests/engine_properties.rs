@@ -5,10 +5,11 @@
 
 mod support;
 
+use mss_core::Algorithm;
 use mss_sim::{
-    bag_of_tasks, simulate, validate, PlatformEvent, PlatformEventKind, SimConfig, SimError,
-    SimWorkspace, Simulation, SlaveId, SliceSource, TaskArrival, TaskId, TaskSource, Time,
-    Timeline,
+    bag_of_tasks, simulate, validate, Decision, OnlineScheduler, Platform, PlatformEvent,
+    PlatformEventKind, SchedulerEvent, SimConfig, SimError, SimView, SimWorkspace, Simulation,
+    SlaveId, SliceSource, TaskArrival, TaskId, TaskSource, Time, Timeline,
 };
 use proptest::prelude::*;
 use support::{arb_platform, arb_tasks, TapeScheduler};
@@ -243,6 +244,145 @@ proptest! {
                 }
                 other => prop_assert!(false, "run {}: expected InvalidTask at T{}, got {:?}", i, k, other),
             }
+        }
+    }
+}
+
+/// Sends the oldest pending task to the lowest-index slave that is idle
+/// and up, and logs every callback with its answer.
+#[derive(Default)]
+struct FirstIdle {
+    log: Vec<String>,
+}
+
+impl OnlineScheduler for FirstIdle {
+    fn name(&self) -> String {
+        "first-idle".into()
+    }
+
+    fn on_event(&mut self, view: &SimView<'_>, e: SchedulerEvent) -> Decision {
+        let idle = view
+            .slave_ids()
+            .find(|&j| view.slave_idle(j) && view.slave_available(j));
+        let decision = match (view.link_idle(), view.pending_tasks().first(), idle) {
+            (true, Some(&task), Some(slave)) => Decision::Send { task, slave },
+            _ => Decision::Idle,
+        };
+        self.log
+            .push(format!("{} {e:?} -> {decision:?}", view.now()));
+        decision
+    }
+}
+
+/// The callback log of [`FirstIdle`] on c = (1, 1), p = (10, 10), three
+/// tasks at 0, with `slave` failing at 1.5 and recovering at 20.
+fn failure_log(slave: usize) -> Vec<String> {
+    let platform = Platform::from_vectors(&[1.0, 1.0], &[10.0, 10.0]);
+    let at = |time: f64, kind| PlatformEvent {
+        time: Time::new(time),
+        slave: SlaveId(slave),
+        kind,
+    };
+    let timeline = Timeline::new(vec![
+        at(1.5, PlatformEventKind::Fail),
+        at(20.0, PlatformEventKind::Recover),
+    ]);
+    let tasks = bag_of_tasks(3);
+    let mut sched = FirstIdle::default();
+    let trace = Simulation::new(&platform, &SimConfig::default())
+        .timeline(&timeline)
+        .trace(SliceSource::new(&tasks), &mut sched)
+        .expect("every task completes once the slave recovers");
+    assert!(validate(&trace, &platform).is_empty());
+    sched.log
+}
+
+/// An event voided by a failure still pops at its instant and opens a
+/// batch there, so the scheduler is polled then. P1 fails while computing
+/// T0 (due at 11): the voided computation still yields `PortIdle` at 11.
+/// P2 fails while T1 is in flight to it (due at 2): the aborted send still
+/// yields `PortIdle` at 2.
+#[test]
+fn voided_events_still_pop_at_their_instant() {
+    assert_eq!(
+        failure_log(0),
+        [
+            "0.000000 Released(T0) -> Send { task: T0, slave: P1 }",
+            "0.000000 Released(T1) -> Idle",
+            "0.000000 Released(T2) -> Idle",
+            "1.000000 SendCompleted(T0, P1) -> Send { task: T1, slave: P2 }",
+            "1.500000 SlaveFailed(P1) -> Idle",
+            "2.000000 SendCompleted(T1, P2) -> Idle",
+            "2.000000 PortIdle -> Idle",
+            "11.000000 PortIdle -> Idle",
+            "12.000000 ComputeCompleted(T1, P2) -> Send { task: T2, slave: P2 }",
+            "13.000000 SendCompleted(T2, P2) -> Idle",
+            "13.000000 PortIdle -> Idle",
+            "20.000000 SlaveRecovered(P1) -> Send { task: T0, slave: P1 }",
+            "21.000000 SendCompleted(T0, P1) -> Idle",
+            "23.000000 ComputeCompleted(T2, P2) -> Idle",
+            "31.000000 ComputeCompleted(T0, P1) -> Idle",
+        ]
+    );
+    assert_eq!(
+        failure_log(1),
+        [
+            "0.000000 Released(T0) -> Send { task: T0, slave: P1 }",
+            "0.000000 Released(T1) -> Idle",
+            "0.000000 Released(T2) -> Idle",
+            "1.000000 SendCompleted(T0, P1) -> Send { task: T1, slave: P2 }",
+            "1.500000 SlaveFailed(P2) -> Idle",
+            "1.500000 PortIdle -> Idle",
+            "2.000000 PortIdle -> Idle",
+            "11.000000 ComputeCompleted(T0, P1) -> Send { task: T2, slave: P1 }",
+            "12.000000 SendCompleted(T2, P1) -> Idle",
+            "12.000000 PortIdle -> Idle",
+            "20.000000 SlaveRecovered(P2) -> Send { task: T1, slave: P2 }",
+            "21.000000 SendCompleted(T1, P2) -> Idle",
+            "22.000000 ComputeCompleted(T2, P1) -> Idle",
+            "31.000000 ComputeCompleted(T1, P2) -> Idle",
+        ]
+    );
+}
+
+/// A send holds the port for at least one representable instant, even
+/// when the clock absorbs the transfer (`now + c·size == now`): on
+/// c = (1e-20, 1e-20), p = (1, 1) with three tasks released at t = 1,
+/// every paper heuristic completes, the trace validates, and the sends
+/// are serial, each ending strictly after it starts.
+#[test]
+fn absorbed_transfers_still_occupy_the_port() {
+    let platform = Platform::from_vectors(&[1e-20, 1e-20], &[1.0, 1.0]);
+    let tasks = vec![TaskArrival::at(1.0); 3];
+    for algorithm in Algorithm::ALL {
+        let trace = simulate(
+            &platform,
+            &tasks,
+            &SimConfig::with_horizon(tasks.len()),
+            &mut algorithm.build(),
+        )
+        .unwrap_or_else(|e| panic!("{algorithm}: {e}"));
+        assert_eq!(trace.len(), tasks.len(), "{algorithm}");
+        assert!(validate(&trace, &platform).is_empty(), "{algorithm}");
+        let mut sends: Vec<_> = trace
+            .records()
+            .iter()
+            .map(|r| (r.send_start, r.send_end))
+            .collect();
+        sends.sort();
+        for &(start, end) in &sends {
+            assert!(
+                end > start,
+                "{algorithm}: send [{start:?}, {end:?}] is empty"
+            );
+        }
+        for w in sends.windows(2) {
+            assert!(w[1].0 >= w[0].1, "{algorithm}: sends overlap: {sends:?}");
+        }
+        if algorithm == Algorithm::Srpt {
+            // The ulps the absorbed sends hold the port for move the
+            // makespan one ulp past 3.
+            assert_eq!(trace.makespan(), 3.0000000000000004);
         }
     }
 }

@@ -3,17 +3,19 @@
 //! A counting global allocator measures heap allocations during a full
 //! simulation on a *warm* [`SimWorkspace`]: the event loop itself must not
 //! allocate at all — the only permitted allocations of a run are the
-//! returned [`Trace`]'s record vector. A 100k-task streamed run must also
-//! keep its live task-slot peak within `16·m + 64` (contract #13). CI runs
-//! this file in release as well.
+//! returned [`Trace`]'s record vector. That holds on a faulty platform
+//! too, where failures void heap entries and abort sends. A 100k-task
+//! streamed run must also keep its live task-slot peak within `16·m + 64`
+//! (contract #13). CI runs this file in release as well.
 //!
 //! This file deliberately contains a single `#[test]` so no sibling test
 //! thread can allocate concurrently and pollute the counter.
 
+use mss_core::{Algorithm, Redispatch};
 use mss_sim::{
-    bag_of_tasks, simulate_streamed_objectives_in, Decision, IncrementalArgmin, NoopProbe,
-    OnlineScheduler, Platform, SchedulerEvent, SimConfig, SimView, SimWorkspace, Simulation,
-    SlaveId, SliceSource, TaskArrival, TaskSource, Timeline, Trace,
+    bag_of_tasks, Decision, IncrementalArgmin, NoopProbe, OnlineScheduler, Platform, PlatformEvent,
+    PlatformEventKind, RunCounters, SchedulerEvent, SimConfig, SimView, SimWorkspace, Simulation,
+    SlaveId, SliceSource, TaskArrival, TaskSource, Time, Timeline, Trace,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -200,26 +202,16 @@ fn steady_state_events_allocate_nothing() {
     };
     let scfg = SimConfig::with_horizon(big);
     // Warm-up sizes the (bounded) streaming window and recycler.
-    let warm_stats = simulate_streamed_objectives_in(
-        &mut ws,
-        &platform,
-        &mut source,
-        &scfg,
-        &Timeline::EMPTY,
-        &mut Greedy,
-    )
-    .unwrap();
+    let warm_stats = Simulation::new(&platform, &scfg)
+        .workspace(&mut ws)
+        .objectives(&mut source, &mut Greedy)
+        .unwrap();
     source.reset();
     let before = ALLOCS.load(Ordering::SeqCst);
-    let stats = simulate_streamed_objectives_in(
-        &mut ws,
-        &platform,
-        &mut source,
-        &scfg,
-        &Timeline::EMPTY,
-        &mut Greedy,
-    )
-    .unwrap();
+    let stats = Simulation::new(&platform, &scfg)
+        .workspace(&mut ws)
+        .objectives(&mut source, &mut Greedy)
+        .unwrap();
     let during = ALLOCS.load(Ordering::SeqCst) - before;
     assert_eq!(stats.tasks, big);
     assert_eq!(
@@ -277,4 +269,75 @@ fn steady_state_events_allocate_nothing() {
          counted {during} allocations over {} events",
         3 * n
     );
+
+    // Faulty steady state: 150 fail/recover pairs and link drift on
+    // m = 8, 2,000 perturbed tasks, Redispatch-wrapped LS. Failures void
+    // computations and abort sends in flight, so the heap carries dead
+    // entries that still pop at their instants; a warm rerun of the
+    // objectives allocates nothing at all.
+    let (platform, tasks, timeline) = faulty_instance();
+    let cfg = SimConfig::with_horizon(tasks.len());
+    let mut sched = Redispatch::wrap(Algorithm::ListScheduling);
+    let mut counters = RunCounters::new();
+    let warm = Simulation::new(&platform, &cfg)
+        .timeline(&timeline)
+        .workspace(&mut ws)
+        .probe(&mut counters)
+        .objectives(SliceSource::new(&tasks), &mut sched)
+        .unwrap();
+    assert!(counters.sends_lost > 0, "no send was lost: {counters:?}");
+    assert!(counters.tasks_lost > 0, "no task was lost: {counters:?}");
+    let mut rerun_counters = RunCounters::new();
+    let before = ALLOCS.load(Ordering::SeqCst);
+    let rerun = Simulation::new(&platform, &cfg)
+        .timeline(&timeline)
+        .workspace(&mut ws)
+        .probe(&mut rerun_counters)
+        .objectives(SliceSource::new(&tasks), &mut sched)
+        .unwrap();
+    let during = ALLOCS.load(Ordering::SeqCst) - before;
+    assert_eq!(rerun, warm, "warm faulty rerun must be bit-identical");
+    assert_eq!(
+        rerun_counters, counters,
+        "warm faulty rerun must count the same"
+    );
+    assert_eq!(
+        during,
+        0,
+        "expected the faulty event loop to allocate nothing, counted {during} \
+         allocations over {} events",
+        counters.events()
+    );
+}
+
+/// Eight slaves, 2,000 tasks with sizes perturbed within ±10 % arriving
+/// every 0.25 s, and a timeline of 150 fail/recover pairs (each slave down
+/// for 2 s at a time) beside link drift.
+fn faulty_instance() -> (Platform, Vec<TaskArrival>, Timeline) {
+    let platform = Platform::from_vectors(
+        &[0.1, 0.15, 0.2, 0.3, 0.12, 0.25, 0.18, 0.4],
+        &[1.0, 2.0, 1.5, 3.0, 2.5, 1.2, 4.0, 2.0],
+    );
+    let wobble = |i: usize, k: usize| 0.9 + 0.2 * ((i * k % 97) as f64 / 96.0);
+    let tasks = (0..2000)
+        .map(|i| TaskArrival {
+            release: Time::new(i as f64 * 0.25),
+            size_c: wobble(i, 31),
+            size_p: wobble(i, 53),
+        })
+        .collect();
+    let event = |time: f64, j: usize, kind| PlatformEvent {
+        time: Time::new(time),
+        slave: SlaveId(j),
+        kind,
+    };
+    let mut events = Vec::new();
+    for k in 0..150 {
+        let (at, j) = (3.0 * k as f64 + 0.5, k * 3 % 8);
+        events.push(event(at, j, PlatformEventKind::Fail));
+        events.push(event(at + 2.0, j, PlatformEventKind::Recover));
+        let factor = PlatformEventKind::SetLinkFactor(wobble(k, 7) + 0.2);
+        events.push(event(at + 1.0, k % 8, factor));
+    }
+    (platform, tasks, Timeline::new(events))
 }
