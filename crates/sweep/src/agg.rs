@@ -89,19 +89,34 @@ pub struct AggregateRow {
 }
 
 /// Interns each cell's group label: the distinct labels in first-seen
-/// order, and each cell's index into them. Every label is formatted once
-/// and only the distinct ones are kept, so no string lives per cell.
+/// order, and each cell's index into them. A label reads only the cell's
+/// instance and information tier, so a cell of the same instance and tier
+/// as the cell before it joins that cell's group unlabeled; expansion
+/// order makes each such run an instance's algorithms. Only the distinct
+/// labels are kept, so no string lives per cell.
 fn group_cells(cells: &[Cell]) -> (Vec<String>, Vec<usize>) {
     let mut labels: Vec<String> = Vec::new();
     let mut index: HashMap<String, usize> = HashMap::new();
+    let mut prev: Option<(&Cell, usize)> = None;
     let groups = cells
         .iter()
         .map(|cell| {
-            let next = labels.len();
-            *index.entry(cell.group_label()).or_insert_with_key(|label| {
-                labels.push(label.clone());
-                next
-            })
+            let group = match prev {
+                Some((last, group))
+                    if last.information == cell.information && last.same_instance(cell) =>
+                {
+                    group
+                }
+                _ => {
+                    let next = labels.len();
+                    *index.entry(cell.group_label()).or_insert_with_key(|label| {
+                        labels.push(label.clone());
+                        next
+                    })
+                }
+            };
+            prev = Some((cell, group));
+            group
         })
         .collect();
     (labels, groups)
@@ -466,5 +481,78 @@ mod tests {
         // Per-point join: (1/2 + 3/4) / 2 — a seed-keyed join would have
         // divided both LS runs by one surviving baseline instead.
         assert!((n.mean - 0.625).abs() < 1e-12, "normalized mean {}", n.mean);
+    }
+
+    /// Every cell's own label, interned in first-seen order: `group_cells`
+    /// without its run memo.
+    fn label_every_cell(cells: &[Cell]) -> (Vec<String>, Vec<usize>) {
+        let mut labels: Vec<String> = Vec::new();
+        let groups = cells
+            .iter()
+            .map(|cell| {
+                let label = cell.group_label();
+                labels.iter().position(|l| *l == label).unwrap_or_else(|| {
+                    labels.push(label);
+                    labels.len() - 1
+                })
+            })
+            .collect();
+        (labels, groups)
+    }
+
+    #[test]
+    fn labeling_runs_once_matches_labeling_every_cell() {
+        let path =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/sweep_grid.toml");
+        let mut spec = crate::spec_from_path(&path).expect("example spec parses");
+        let one_tier = spec.expand().expect("example spec expands");
+        let tiers = [
+            InfoTier::Clairvoyant,
+            InfoTier::SpeedOblivious,
+            InfoTier::NonClairvoyant,
+        ];
+        spec.information = Some(tiers.map(|t| t.to_string()).to_vec());
+        let tiered = spec.expand().expect("tiered spec expands");
+        let reversed: Vec<Cell> = tiered.iter().rev().cloned().collect();
+        // Each instance's tiers back to back, so neighbours share the
+        // instance but not the tier.
+        let interleaved: Vec<Cell> = one_tier
+            .iter()
+            .flat_map(|c| {
+                tiers.map(|information| Cell {
+                    information,
+                    ..c.clone()
+                })
+            })
+            .collect();
+        for cells in [&tiered, &reversed, &interleaved] {
+            assert_eq!(group_cells(cells), label_every_cell(cells));
+            let metrics: Vec<CellMetrics> = (0..cells.len())
+                .map(|i| with_payload(1.0 + i as f64, &[0.5]))
+                .collect();
+            // (label, algorithm) pairs in first-seen order, with cell counts.
+            let mut expected: Vec<(String, String, usize)> = Vec::new();
+            for cell in cells.iter() {
+                let pair = (cell.group_label(), cell.algorithm.name().to_string());
+                match expected
+                    .iter_mut()
+                    .find(|(g, a, _)| (g, a) == (&pair.0, &pair.1))
+                {
+                    Some(row) => row.2 += 1,
+                    None => expected.push((pair.0, pair.1, 1)),
+                }
+            }
+            let rows: Vec<(String, String, usize)> =
+                aggregate(cells, &metrics, Some(Algorithm::Srpt))
+                    .into_iter()
+                    .map(|r| (r.group, r.algorithm, r.makespan.count))
+                    .collect();
+            assert_eq!(rows, expected);
+            let rows: Vec<(String, String, usize)> = aggregate_metrics(cells, &metrics)
+                .into_iter()
+                .map(|r| (r.group, r.algorithm, r.cells))
+                .collect();
+            assert_eq!(rows, expected);
+        }
     }
 }

@@ -498,7 +498,10 @@ impl Cell {
     }
 
     /// Label of the aggregation group this cell belongs to (everything but
-    /// the algorithm and the replication indices).
+    /// the algorithm and the replication indices). It reads only the
+    /// instance (the fields [`Cell::same_instance`] compares) and the
+    /// information tier, so aggregation labels a run of same-instance,
+    /// same-tier cells once.
     pub fn group_label(&self) -> String {
         let pert = match &self.perturbation {
             Some(p) => p.label(),

@@ -216,7 +216,7 @@ const WORKER_FLUSH_FLOOR: usize = 32 << 10;
 /// known-aborting cells instead of re-running them.
 ///
 /// # Panics
-/// Panics if the cache directory cannot be created or written.
+/// Panics if the cache directory cannot be created, read or written.
 pub fn try_run_cells(cells: &[Cell], config: &SweepConfig) -> CheckedOutcome {
     let epoch = std::time::Instant::now();
     let mut store_secs = 0.0f64;
@@ -351,7 +351,7 @@ pub fn try_run_cells(cells: &[Cell], config: &SweepConfig) -> CheckedOutcome {
 /// experiments and `ms-lab sweep`).
 ///
 /// # Panics
-/// Panics if the cache directory cannot be created or written, or if a
+/// Panics if the cache directory cannot be created, read or written, or if a
 /// cell fails (use [`try_run_cells`] to receive failures as values).
 pub fn run_cells(cells: Vec<Cell>, config: &SweepConfig) -> SweepOutcome {
     let checked = try_run_cells(&cells, config);

@@ -2,10 +2,31 @@
 //!
 //! Completed cells are appended as JSON lines to one of 16 shard files
 //! under the cache directory, keyed by a content hash of the cell plus a
-//! code-version salt. Loading tolerates torn writes: any line that fails to
-//! parse (e.g. a shard truncated mid-record by a crash) is dropped, and the
-//! affected cell simply re-runs. Re-running a sweep therefore skips every
-//! intact completed cell and resumes interrupted ones.
+//! code-version salt. Re-running a sweep skips every intact completed cell
+//! and resumes interrupted ones.
+//!
+//! Loading reads each shard as bytes and decides line by line. A line in
+//! the scalar frame, the one [`StoreWriter::push`] writes for a completed
+//! cell without a telemetry payload,
+//!
+//! ```text
+//! {"key":"…","metrics":{"makespan":…,"max_flow":…,"sum_flow":…,"lb_makespan":…,"ratio_makespan":…,"run_metrics":null},"abort":null}
+//! ```
+//!
+//! is read in one streaming pass over the frame pieces the writer writes,
+//! and its numbers go through `serde_json::parse_number`, the vendored
+//! parser's own number rule. Any other line (a telemetry payload, an
+//! abort, reordered keys, added whitespace, damage) goes to the derived
+//! `StoredRecord` reader, which stays the reference for every line.
+//! Either way a line loads the same bits or is dropped the same.
+//!
+//! Loading tolerates torn writes line by line: a line that is not UTF-8
+//! (a crash can tear a write inside a character) or does not parse (e.g. a
+//! shard truncated mid-record) is dropped and counted in
+//! [`LoadedResults::dropped`], and its cell re-runs; every other line of
+//! the shard still loads. A missing shard is an empty one. Any other read
+//! error — a permission error, a directory where a shard should be — is
+//! returned, naming the shard, rather than read as an empty store.
 //!
 //! Writes go through per-worker [`StoreWriter`] handles: each worker
 //! serializes its finished records into its **own** per-shard buffers (no
@@ -22,6 +43,7 @@
 
 use crate::cell::{Cell, CellError, CellMetrics};
 use mss_obs::StoreStats;
+use serde::Deserialize as _;
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -112,7 +134,12 @@ pub fn cell_key(cell: &Cell) -> String {
         hi: SALTED,
     };
     serde_json::to_writer(&mut hasher, cell).expect("serialize cell");
-    format!("{:016x}{:016x}", hasher.hi.0, hasher.lo.0)
+    let bits = (u128::from(hasher.hi.0) << 64) | u128::from(hasher.lo.0);
+    let hex = (0..32)
+        .rev()
+        .map(|digit| b"0123456789abcdef"[(bits >> (4 * digit)) as usize & 0xf])
+        .collect();
+    String::from_utf8(hex).expect("hex digits are ASCII")
 }
 
 /// One stored line: exactly one of `metrics` (a completed cell) and
@@ -122,6 +149,59 @@ struct StoredRecord {
     key: String,
     metrics: Option<CellMetrics>,
     abort: Option<CellError>,
+}
+
+// The frame of a stored line, in the pieces `StoreWriter::push` writes and
+// `read_scalar_line` reads back: `{"key":…,"metrics":…,"abort":…}`, where a
+// metrics object without a telemetry payload is `SCALARS` with a number
+// after each piece, then `NO_PAYLOAD`. The pieces and their order are
+// `StoredRecord`'s and `CellMetrics`' derived serialization (a test pins
+// it).
+const KEY: &str = "{\"key\":";
+const METRICS: &str = ",\"metrics\":";
+const SCALARS: [&str; 5] = [
+    "{\"makespan\":",
+    ",\"max_flow\":",
+    ",\"sum_flow\":",
+    ",\"lb_makespan\":",
+    ",\"ratio_makespan\":",
+];
+const NO_PAYLOAD: &str = ",\"run_metrics\":null}";
+const NO_ABORT: &str = ",\"abort\":null}";
+const ABORT: &str = "null,\"abort\":";
+
+/// Reads a line in the scalar frame: a completed cell without a telemetry
+/// payload, as [`StoreWriter::push`] writes it, with a key that holds no
+/// escape. Numbers are read by `serde_json::parse_number` and converted
+/// as the derived reader converts them. `None` for any other line; the
+/// derived reader decides those.
+fn read_scalar_line(line: &str) -> Option<StoredRecord> {
+    let rest = line.strip_prefix(KEY)?.strip_prefix('"')?;
+    let (key, rest) = rest.split_at(rest.find(['"', '\\'])?);
+    let mut rest = rest.strip_prefix('"')?.strip_prefix(METRICS)?;
+    let mut values = [0.0; 5];
+    for (piece, value) in SCALARS.iter().zip(&mut values) {
+        rest = rest.strip_prefix(piece)?;
+        let (number, len) = serde_json::parse_number(rest.as_bytes()).ok()?;
+        *value = f64::from_value(&number).ok()?;
+        rest = &rest[len..];
+    }
+    if rest.strip_prefix(NO_PAYLOAD)? != NO_ABORT {
+        return None;
+    }
+    let [makespan, max_flow, sum_flow, lb_makespan, ratio_makespan] = values;
+    Some(StoredRecord {
+        key: key.to_string(),
+        metrics: Some(CellMetrics {
+            makespan,
+            max_flow,
+            sum_flow,
+            lb_makespan,
+            ratio_makespan,
+            run_metrics: None,
+        }),
+        abort: None,
+    })
 }
 
 /// One shard's shared state: the lock serializing appends to its file,
@@ -204,29 +284,42 @@ impl ResultStore {
         self.dir.join(format!("shard_{digit:02x}.jsonl"))
     }
 
-    /// Loads every intact record. Corrupt or truncated lines are counted
-    /// and skipped — their cells will re-run.
+    /// Loads every intact record. Corrupt, truncated or non-UTF-8 lines
+    /// are counted and skipped — their cells will re-run. A missing shard
+    /// reads as empty; any other read error is returned, naming the shard.
     pub fn load(&self) -> std::io::Result<LoadedResults> {
         let mut results = HashMap::new();
         let mut dropped = 0usize;
         for shard in 0..SHARDS {
             let path = self.dir.join(format!("shard_{shard:02x}.jsonl"));
-            let Ok(body) = std::fs::read_to_string(&path) else {
-                continue; // missing shard: nothing stored yet
+            let body = match std::fs::read(&path) {
+                Ok(body) => body,
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
+                Err(e) => {
+                    return Err(std::io::Error::new(
+                        e.kind(),
+                        format!("{}: {e}", path.display()),
+                    ))
+                }
             };
-            for line in body.lines() {
+            for line in body.split(|&b| b == b'\n') {
+                let Ok(line) = std::str::from_utf8(line) else {
+                    dropped += 1;
+                    continue;
+                };
                 if line.trim().is_empty() {
                     continue;
                 }
-                match serde_json::from_str::<StoredRecord>(line) {
-                    Ok(StoredRecord {
+                let record = read_scalar_line(line).or_else(|| serde_json::from_str(line).ok());
+                match record {
+                    Some(StoredRecord {
                         key,
                         metrics: Some(m),
                         abort: None,
                     }) if m.makespan.is_finite() => {
                         results.insert(key, Ok(m));
                     }
-                    Ok(StoredRecord {
+                    Some(StoredRecord {
                         key,
                         metrics: None,
                         abort: Some(e),
@@ -275,23 +368,41 @@ impl StoreWriter<'_> {
     /// Serializes one finished cell into this writer's shard buffer.
     /// `{"key":<key>,"metrics":<M|null>,"abort":<null|A>}` — field order
     /// and float formatting exactly as StoredRecord's derived
-    /// serialization (`Option` renders as the value or `null`).
+    /// serialization (`Option` renders as the value or `null`). Metrics
+    /// without a telemetry payload are written piece by piece in the
+    /// scalar frame the loader's streaming reader reads.
     pub fn push(&mut self, key: &str, outcome: &Result<CellMetrics, CellError>) {
         let buf = &mut self.bufs[ResultStore::shard_index(key)];
-        buf.extend_from_slice(b"{\"key\":");
+        buf.extend_from_slice(KEY.as_bytes());
         serde_json::to_writer(&mut *buf, key).expect("serialize record key");
-        buf.extend_from_slice(b",\"metrics\":");
+        buf.extend_from_slice(METRICS.as_bytes());
         match outcome {
+            Ok(m) if m.run_metrics.is_none() => {
+                let values = [
+                    m.makespan,
+                    m.max_flow,
+                    m.sum_flow,
+                    m.lb_makespan,
+                    m.ratio_makespan,
+                ];
+                for (piece, value) in SCALARS.iter().zip(values) {
+                    buf.extend_from_slice(piece.as_bytes());
+                    serde_json::to_writer(&mut *buf, &value).expect("serialize record metrics");
+                }
+                buf.extend_from_slice(NO_PAYLOAD.as_bytes());
+                buf.extend_from_slice(NO_ABORT.as_bytes());
+            }
             Ok(metrics) => {
                 serde_json::to_writer(&mut *buf, metrics).expect("serialize record metrics");
-                buf.extend_from_slice(b",\"abort\":null}\n");
+                buf.extend_from_slice(NO_ABORT.as_bytes());
             }
             Err(abort) => {
-                buf.extend_from_slice(b"null,\"abort\":");
+                buf.extend_from_slice(ABORT.as_bytes());
                 serde_json::to_writer(&mut *buf, abort).expect("serialize record abort");
-                buf.extend_from_slice(b"}\n");
+                buf.push(b'}');
             }
         }
+        buf.push(b'\n');
     }
 
     /// Bytes currently buffered and not yet flushed.
@@ -353,7 +464,7 @@ impl StoreWriter<'_> {
 pub struct LoadedResults {
     /// Intact records by cell key: completed metrics or a tagged abort.
     pub results: HashMap<String, Result<CellMetrics, CellError>>,
-    /// Number of corrupt/truncated lines skipped.
+    /// Number of corrupt, truncated or non-UTF-8 lines skipped.
     pub dropped: usize,
 }
 
@@ -454,7 +565,8 @@ mod tests {
     fn append_bytes_match_derived_record_serialization() {
         // The buffered fast path must emit exactly the bytes of serializing
         // a StoredRecord per line — the JSONL format contract that load()
-        // and torn-line recovery rest on — for both record shapes.
+        // and torn-line recovery rest on — for every record shape: with a
+        // telemetry payload, in the scalar frame, and an abort.
         let dir = temp_dir("format");
         let store = ResultStore::open(&dir).unwrap();
         let mut with_payload = metrics(12.0625);
@@ -479,6 +591,7 @@ mod tests {
             })
         });
         let ok_rec = (cell_key(&cell(3)), Ok(with_payload));
+        let scalar_rec = (cell_key(&cell(4)), Ok(metrics(12.0625)));
         let err_rec = (
             cell_key(&cell(5)),
             Err(CellError {
@@ -486,7 +599,7 @@ mod tests {
                 message: "ls \"stalled\"".into(),
             }),
         );
-        for rec in [&ok_rec, &err_rec] {
+        for rec in [&ok_rec, &scalar_rec, &err_rec] {
             store.append(std::slice::from_ref(rec)).unwrap();
             let body = std::fs::read_to_string(store.shard_path(&rec.0)).unwrap();
             let expected = serde_json::to_string(&StoredRecord {
@@ -552,6 +665,40 @@ mod tests {
         let loaded = store.load().unwrap();
         assert_eq!(loaded.dropped, 1, "exactly the torn record drops");
         assert_eq!(loaded.results.len(), 7);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_non_utf8_line_drops_alone() {
+        let dir = temp_dir("non-utf8");
+        let store = ResultStore::open(&dir).unwrap();
+        let records: Vec<(String, Result<CellMetrics, CellError>)> = (0..8)
+            .map(|i| (format!("0{i:031x}"), Ok(metrics(i as f64 + 1.0))))
+            .collect();
+        store.append(&records).unwrap();
+
+        // A write torn inside a character leaves a byte that is not UTF-8.
+        let shard = store.shard_path(&records[0].0);
+        let mut body = std::fs::read(&shard).unwrap();
+        body.extend_from_slice(b"{\"key\":\"00\xff");
+        std::fs::write(&shard, body).unwrap();
+
+        let loaded = store.load().unwrap();
+        assert_eq!(loaded.dropped, 1, "exactly the torn line drops");
+        assert_eq!(loaded.results.len(), 8, "the rest of its shard loads");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_unreadable_shard_is_an_error_not_an_empty_store() {
+        let dir = temp_dir("unreadable");
+        let store = ResultStore::open(&dir).unwrap();
+        std::fs::create_dir(dir.join("shard_03.jsonl")).unwrap();
+        let err = store
+            .load()
+            .err()
+            .expect("a directory shard fails the load");
+        assert!(err.to_string().contains("shard_03.jsonl"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
