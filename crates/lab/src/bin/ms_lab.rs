@@ -255,14 +255,15 @@ fn run_experiments(cmd: &str, names: &[&str], args: &[String]) {
 
 /// The result-store directory of `cmd`: `--cache-dir DIR`, or the
 /// spec's own directory under `target/sweep-cache` in the working
-/// directory. Opens the store once up front, so a directory that cannot
-/// be created (a regular file, a read-only or missing mount) is a located
+/// directory. Opens and loads the store once up front, so a directory
+/// that cannot be created (a regular file, a read-only or missing mount)
+/// or a shard that cannot be read (a directory in its place) is a located
 /// error (exit 2), not a panic inside the sweep.
 fn open_cache_dir(args: &[String], cmd: &str, spec_name: &str) -> PathBuf {
     let dir = parse_flag(args, "--cache-dir")
         .map(PathBuf::from)
         .unwrap_or_else(|| Path::new("target/sweep-cache").join(spec_name));
-    if let Err(e) = mss_sweep::ResultStore::open(&dir) {
+    if let Err(e) = mss_sweep::ResultStore::open(&dir).and_then(|store| store.load().map(drop)) {
         eprintln!("{cmd}: cannot use cache directory `{}`: {e}", dir.display());
         std::process::exit(2);
     }

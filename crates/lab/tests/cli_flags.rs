@@ -13,14 +13,15 @@ fn ms_lab(args: &[&str]) -> Output {
         .expect("run ms-lab")
 }
 
-/// Asserts exit code 2 with a one-line error naming `arg`.
-fn assert_rejected(args: &[&str], arg: &str) {
+/// Asserts exit code 2 with a one-line error naming `arg`; returns it.
+fn assert_rejected(args: &[&str], arg: &str) -> String {
     let out = ms_lab(args);
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
     assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
     assert!(stderr.contains(&format!("`{arg}`")), "{args:?}: {stderr}");
     assert!(out.stdout.is_empty(), "{args:?} started running");
+    stderr
 }
 
 #[test]
@@ -58,22 +59,32 @@ fn the_removed_streamed_flag_is_rejected() {
 
 #[test]
 fn an_unusable_cache_dir_is_a_located_error() {
-    // A regular file where the store directory should be. Exit 2 with one
-    // line of stderr rules out a panic (exit 101, with a backtrace note).
-    let file = std::env::temp_dir().join(format!("mss-cli-cache-file-{}", std::process::id()));
+    // A regular file where the store directory should be, and a store
+    // directory whose shard cannot be read (a directory in its place).
+    // Exit 2 with one line of stderr rules out a panic (exit 101, with a
+    // backtrace note).
+    let tmp = std::env::temp_dir();
+    let file = tmp.join(format!("mss-cli-cache-file-{}", std::process::id()));
     std::fs::write(&file, "not a directory").expect("create the blocking file");
-    let dir = file.to_str().expect("utf-8 temp path");
+    let store = tmp.join(format!("mss-cli-cache-shard-{}", std::process::id()));
+    let shard = store.join("shard_03.jsonl");
+    std::fs::create_dir_all(&shard).expect("create the blocking shard");
     let examples = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples");
-    for (cmd, spec) in [
-        ("sweep", "sweep_grid.toml"),
-        ("metrics", "trace_smoke.toml"),
-    ] {
-        assert_rejected(
-            &[cmd, &format!("{examples}/{spec}"), "--cache-dir", dir],
-            dir,
-        );
+    for (dir, names) in [(&file, ""), (&store, "shard_03.jsonl")] {
+        let dir = dir.to_str().expect("utf-8 temp path");
+        for (cmd, spec) in [
+            ("sweep", "sweep_grid.toml"),
+            ("metrics", "trace_smoke.toml"),
+        ] {
+            let stderr = assert_rejected(
+                &[cmd, &format!("{examples}/{spec}"), "--cache-dir", dir],
+                dir,
+            );
+            assert!(stderr.contains(names), "{stderr}");
+        }
     }
     let _ = std::fs::remove_file(&file);
+    let _ = std::fs::remove_dir_all(&store);
 }
 
 /// Asserts that `cmd <spec> --cell N <flag> PATH`, with PATH under a

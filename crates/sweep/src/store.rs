@@ -26,7 +26,10 @@
 //! [`LoadedResults::dropped`], and its cell re-runs; every other line of
 //! the shard still loads. A missing shard is an empty one. Any other read
 //! error — a permission error, a directory where a shard should be — is
-//! returned, naming the shard, rather than read as an empty store.
+//! returned, naming the shard, rather than read as an empty store. Before
+//! a store first appends to a shard, it cuts a torn tail (the bytes after
+//! the shard's last `\n`, which `load` drops unless they hold a whole
+//! record) so the appended record starts a line of its own.
 //!
 //! Writes go through per-worker [`StoreWriter`] handles: each worker
 //! serializes its finished records into its **own** per-shard buffers (no
@@ -45,7 +48,8 @@ use crate::cell::{Cell, CellError, CellMetrics};
 use mss_obs::StoreStats;
 use serde::Deserialize as _;
 use std::collections::HashMap;
-use std::io::Write as _;
+use std::fs::File;
+use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -205,10 +209,34 @@ fn read_scalar_line(line: &str) -> Option<StoredRecord> {
 }
 
 /// One shard's shared state: the lock serializing appends to its file,
-/// and how often a flusher found it already held.
+/// and how often a flusher found it already held. The lock guards whether
+/// this store has checked the file's tail yet.
 struct Shard {
-    lock: Mutex<()>,
+    lock: Mutex<bool>,
     contended: AtomicU64,
+}
+
+/// Cuts a torn tail off a shard: the bytes after its last `\n`, which a
+/// crash left mid-record. `load` drops them already; appended to, they
+/// would swallow the next record. (A tail that holds a whole record and
+/// lost only its `\n` loads, and is cut too: its cell runs once more.) A
+/// shard that ends in `\n` is only checked, by reading its last byte.
+fn cut_torn_tail(file: &mut File) -> std::io::Result<()> {
+    let len = file.metadata()?.len();
+    if len == 0 {
+        return Ok(());
+    }
+    let mut last = [0u8];
+    file.seek(SeekFrom::Start(len - 1))?;
+    file.read_exact(&mut last)?;
+    if last == *b"\n" {
+        return Ok(());
+    }
+    let mut body = Vec::new();
+    file.rewind()?;
+    file.read_to_end(&mut body)?;
+    let keep = body.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    file.set_len(keep as u64)
 }
 
 /// Sharded JSONL store rooted at a directory.
@@ -233,7 +261,7 @@ impl ResultStore {
             dir,
             shards: (0..SHARDS)
                 .map(|_| Shard {
-                    lock: Mutex::new(()),
+                    lock: Mutex::new(false),
                     contended: AtomicU64::new(0),
                 })
                 .collect(),
@@ -423,8 +451,9 @@ impl StoreWriter<'_> {
 
     /// Appends every non-empty buffer to its shard file, each under that
     /// shard's independent lock (a busy lock is waited on and counted in
-    /// [`StoreStats::shard_contended`]). Buffers are cleared but keep
-    /// their capacity.
+    /// [`StoreStats::shard_contended`]). The store's first append to a
+    /// shard cuts its torn tail first. Buffers are cleared but keep their
+    /// capacity.
     pub fn flush(&mut self) -> std::io::Result<()> {
         let mut wrote = false;
         for (index, buf) in self.bufs.iter_mut().enumerate() {
@@ -433,7 +462,7 @@ impl StoreWriter<'_> {
             }
             wrote = true;
             let shard = &self.store.shards[index];
-            let guard = match shard.lock.try_lock() {
+            let mut checked = match shard.lock.try_lock() {
                 Ok(guard) => guard,
                 Err(std::sync::TryLockError::WouldBlock) => {
                     shard.contended.fetch_add(1, Ordering::Relaxed);
@@ -444,10 +473,15 @@ impl StoreWriter<'_> {
             let path = self.store.dir.join(format!("shard_{index:02x}.jsonl"));
             let mut file = std::fs::OpenOptions::new()
                 .create(true)
+                .read(true)
                 .append(true)
                 .open(path)?;
+            if !*checked {
+                cut_torn_tail(&mut file)?;
+                *checked = true;
+            }
             file.write_all(buf)?;
-            drop(guard);
+            drop(checked);
             self.store
                 .bytes
                 .fetch_add(buf.len() as u64, Ordering::Relaxed);

@@ -3,7 +3,8 @@
 //! * same spec + same seeds ⇒ byte-identical aggregated results at 1
 //!   thread vs N threads;
 //! * a second run against a warm store executes zero cells;
-//! * a truncated shard file is detected and only the affected cell re-runs.
+//! * a truncated shard file is detected and only the affected cell re-runs,
+//!   once: its re-run record does not join the torn line.
 //!
 //! The thread-count clause runs through the shared identity check,
 //! `thread_identity/mod.rs` (contract #14).
@@ -127,6 +128,13 @@ fn truncated_shard_reruns_only_the_torn_cells() {
         reference,
         "resume must reproduce the original aggregates"
     );
+
+    // The resume cut the torn bytes before appending the re-run record, so
+    // that record is a line of its own and nothing is dropped any more.
+    let again = run_spec(&spec, &config).unwrap();
+    assert_eq!(again.executed, 0, "the re-run record loads");
+    assert_eq!(again.dropped, 0, "the torn bytes are gone");
+    assert_eq!(aggregate_bytes(&again), reference);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

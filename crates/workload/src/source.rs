@@ -11,14 +11,18 @@
 //!   the sequence `process.generate(..)` + `perturbation.apply(..)` would
 //!   materialize (same RNG draws, same arithmetic, same order);
 //! * [`TraceSource`] — replays a CSV or JSONL cluster trace from disk,
-//!   parsing each record once, as it is pulled. Opening checks the CSV
-//!   header and counts the records; each pull checks its record: a strict
-//!   schema (an unknown or repeated column or key is a `file:line` error;
-//!   a JSONL line is read as a derived `#[serde(deny_unknown_fields)]`
-//!   record, as spec files are), valid values and sortedness. A pull that
-//!   fails ends the stream with a located [`TaskSource::error`], which the
-//!   engine reports as the run's error. A torn final line is dropped at
-//!   open (like the sweep result store).
+//!   parsing each record once, as it is pulled. The source owns one
+//!   16 KiB read buffer and one line finder, which searches it for `\n`
+//!   8 bytes at a time; opening and pulling both walk the file with it,
+//!   and each line is read where it lies in the buffer, never copied out.
+//!   Opening checks the CSV header and counts the records; each pull
+//!   checks its record: a strict schema (an unknown or repeated column or
+//!   key is a `file:line` error; a JSONL line is read as a derived
+//!   `#[serde(deny_unknown_fields)]` record, as spec files are), valid
+//!   values and sortedness. A pull that fails ends the stream with a
+//!   located [`TaskSource::error`], which the engine reports as the run's
+//!   error. A torn final line is dropped at open (like the sweep result
+//!   store).
 //!
 //! Both are seed-deterministic and resumable: [`TaskSource::reset`]
 //! rewinds to an identical replay, so replaying one instance under several
@@ -32,7 +36,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
 use std::fs::File;
-use std::io::{BufRead, BufReader, Cursor, Seek, SeekFrom};
+use std::io::{self, Cursor, Read, Seek, SeekFrom};
 use std::path::Path;
 
 /// A trace file failed validation (strict schema, sortedness, or format).
@@ -192,16 +196,23 @@ pub enum TraceFormat {
 /// The fields a trace record carries, in canonical order.
 const TRACE_FIELDS: [&str; 3] = ["release", "size_c", "size_p"];
 
-/// Read-buffer size for a trace file: with one line, all a trace source
-/// holds of its file.
+/// Read-buffer size for a trace file: all a trace source holds of its
+/// file, unless one line is longer.
 const READ_BUF: usize = 16 * 1024;
 
 /// A [`TaskSource`] replaying a cluster trace from a CSV or JSONL file.
 ///
-/// Each record line is parsed once per pass, as it is pulled, and the
-/// source holds only a bounded read buffer and one line of the file:
+/// Each record line is parsed once per pass, as it is pulled. The source
+/// holds one read buffer of its file (16 KiB; it grows only for a line
+/// longer than that) and refills it with one read call at a time. One
+/// line finder serves opening and pulling: it searches the buffer for the
+/// next `\n` 8 bytes at a time and lends the line out where it lies,
+/// without its terminator and trailing `\r`s. A line that runs past the
+/// buffer's end moves to the front before the refill, so every line is
+/// one slice of the buffer and no line is copied out. A line of ASCII
+/// whitespace only is blank and skipped.
 ///
-/// * **opening** streams the file without parsing its records. It checks
+/// * **opening** walks the file without parsing its records. It checks
 ///   the format and the CSV header (an unknown, repeated or missing column
 ///   is a `file:line` error, the same convention as the spec parser) and
 ///   counts the record lines, so [`len`](Self::len) is exact before the
@@ -209,12 +220,14 @@ const READ_BUF: usize = 16 * 1024;
 ///   **torn-line rule**: a final line that fails to *parse* (a write torn
 ///   by a crash) is dropped and counted in [`dropped`](Self::dropped),
 ///   exactly like the sweep's JSONL result store;
-/// * **pulling** parses each record into a buffer the source owns and
-///   checks it: a strict schema (a JSONL line is read as a derived
+/// * **pulling** reads lines up to the next record line and parses it in
+///   the buffer. A CSV record's two commas are found with the same word
+///   search, the line is checked as UTF-8 once, and each trimmed cell goes
+///   to `f64::from_str`; a JSONL line is read as a derived
 ///   `#[serde(deny_unknown_fields)]` record, so an unknown or repeated key
-///   is a located error), a finite, non-negative release and finite,
-///   positive sizes, and **sortedness** (releases must be non-decreasing:
-///   the trace *is* the release order).
+///   is a located error. Either way the record is checked: a finite,
+///   non-negative release and finite, positive sizes, and **sortedness**
+///   (releases must be non-decreasing: the trace *is* the release order).
 ///
 /// A pull that fails ends the stream: a line that breaks a check, a
 /// malformed line before the last (corruption, not a torn write), or a
@@ -222,12 +235,11 @@ const READ_BUF: usize = 16 * 1024;
 /// changed after `open`). `next_task` then returns `None` and
 /// [`TaskSource::error`] gives the reason, located at `file:line`; the
 /// engine ends the run with a `SimError::InvalidTask` naming the task it
-/// was pulling. A line of ASCII whitespace only is blank and skipped.
-/// The file stays open: [`TaskSource::reset`] rewinds it and clears the
-/// error.
+/// was pulling. An I/O error is located at the line it was reading. The
+/// file stays open: [`TaskSource::reset`] rewinds it and clears the error.
 #[derive(Debug)]
 pub struct TraceSource {
-    reader: Box<dyn Lines>,
+    lines: LineReader,
     parser: TraceParser,
     /// Records a pass yields: the record lines counted at open, less a
     /// dropped torn line.
@@ -235,18 +247,131 @@ pub struct TraceSource {
     /// Torn trailing lines dropped at open (0 or 1).
     dropped: usize,
     pass: Pass,
-    /// The current line, without its terminator; reused by every pull.
-    line: Vec<u8>,
     line_no: usize,
     emitted: usize,
     /// Why the pass ended early, if it did.
     error: Option<String>,
 }
 
-/// A buffered, seekable reader over a trace: its file, or in-memory text.
-trait Lines: BufRead + Seek + fmt::Debug {}
+/// A seekable trace input: its file, or in-memory text.
+trait Input: Read + Seek + fmt::Debug {}
 
-impl<T: BufRead + Seek + fmt::Debug> Lines for T {}
+impl<T: Read + Seek + fmt::Debug> Input for T {}
+
+/// The lines of a trace input, each found in the one read buffer the
+/// reader owns and lent out where it lies.
+#[derive(Debug)]
+struct LineReader {
+    input: Box<dyn Input>,
+    /// `buf[pos..end]` is read from the input and not yet consumed.
+    buf: Vec<u8>,
+    pos: usize,
+    end: usize,
+    /// The input offset of `buf[0]`.
+    base: u64,
+}
+
+impl LineReader {
+    fn new(input: Box<dyn Input>) -> Self {
+        LineReader {
+            input,
+            buf: vec![0; READ_BUF],
+            pos: 0,
+            end: 0,
+            base: 0,
+        }
+    }
+
+    /// The input offset of the next line.
+    fn offset(&self) -> u64 {
+        self.base + self.pos as u64
+    }
+
+    /// Moves to input offset `at`; the next line is read from there.
+    fn seek(&mut self, at: u64) -> io::Result<()> {
+        self.input.seek(SeekFrom::Start(at))?;
+        (self.pos, self.end, self.base) = (0, 0, at);
+        Ok(())
+    }
+
+    /// The next line, without its `\n` and trailing `\r`s; `None` at the
+    /// end of input. A line that runs past the buffer's end moves to the
+    /// front before the refill, and the buffer grows only when the line
+    /// fills it.
+    fn next_line(&mut self) -> io::Result<Option<&[u8]>> {
+        let mut searched = self.pos;
+        let (start, stop, next) = loop {
+            if let Some(i) = find_byte(&self.buf[searched..self.end], b'\n') {
+                let newline = searched + i;
+                break (self.pos, newline, newline + 1);
+            }
+            self.buf.copy_within(self.pos..self.end, 0);
+            self.base += self.pos as u64;
+            (self.pos, self.end) = (0, self.end - self.pos);
+            searched = self.end;
+            if self.end == self.buf.len() {
+                self.buf.resize(2 * self.buf.len(), 0);
+            }
+            let n = loop {
+                match self.input.read(&mut self.buf[self.end..]) {
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    read => break read?,
+                }
+            };
+            if n == 0 {
+                if self.end == 0 {
+                    return Ok(None);
+                }
+                break (0, self.end, self.end);
+            }
+            self.end += n;
+        };
+        self.pos = next;
+        let mut line = &self.buf[start..stop];
+        while let [rest @ .., b'\r'] = line {
+            line = rest;
+        }
+        Ok(Some(line))
+    }
+}
+
+/// The index of the first `byte` in `hay`, searched 8 bytes at a time.
+/// XOR with `byte` in every lane zeroes the lanes that hold it, and
+/// `(w - 0x01…01) & !w & 0x80…80` sets the high bit of the lowest zero
+/// lane (a borrow can flag only lanes above it), read in memory order from
+/// a little-endian word.
+fn find_byte(hay: &[u8], byte: u8) -> Option<usize> {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
+    let lanes = ONES * u64::from(byte);
+    let mut words = hay.chunks_exact(8);
+    for (i, word) in words.by_ref().enumerate() {
+        let w = u64::from_le_bytes(word.try_into().expect("an 8-byte chunk")) ^ lanes;
+        let zeros = w.wrapping_sub(ONES) & !w & HIGHS;
+        if zeros != 0 {
+            return Some(8 * i + zeros.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = words.remainder();
+    let at = hay.len() - tail.len();
+    tail.iter().position(|&b| b == byte).map(|i| at + i)
+}
+
+/// The three cells of a CSV record line, split at its two commas (found
+/// by [`find_byte`]); `None` unless it holds exactly two.
+fn csv_cells(line: &str) -> Option<[&str; 3]> {
+    let bytes = line.as_bytes();
+    let first = find_byte(bytes, b',')?;
+    let second = first + 1 + find_byte(&bytes[first + 1..], b',')?;
+    if find_byte(&bytes[second + 1..], b',').is_some() {
+        return None;
+    }
+    Some([
+        &line[..first],
+        &line[first + 1..second],
+        &line[second + 1..],
+    ])
+}
 
 /// Where a replay pass stands.
 #[derive(Debug)]
@@ -262,49 +387,6 @@ enum Pass {
 /// this one rule, so both see the same record lines.
 fn is_blank(line: &[u8]) -> bool {
     line.iter().all(u8::is_ascii_whitespace)
-}
-
-/// Reads the next line into `buf`, without its terminator. Returns the
-/// bytes consumed: 0 at end of input.
-fn read_line(r: &mut dyn Lines, buf: &mut Vec<u8>) -> std::io::Result<usize> {
-    buf.clear();
-    let n = r.read_until(b'\n', buf)?;
-    while matches!(buf.last(), Some(b'\n' | b'\r')) {
-        buf.pop();
-    }
-    Ok(n)
-}
-
-/// The non-blank lines from the reader's position, at byte `offset` after
-/// line `line_no`, to the end of input: how many, and the offset and
-/// number of the last. A line is skipped in the read buffer, not copied,
-/// once its first byte that is not whitespace shows it is not blank.
-fn count_lines(
-    r: &mut dyn Lines,
-    mut offset: u64,
-    mut line_no: usize,
-) -> std::io::Result<(usize, Option<(u64, usize)>)> {
-    let mut count = 0;
-    let mut last = None;
-    loop {
-        let start = offset;
-        line_no += 1;
-        let first = loop {
-            let Some(&b) = r.fill_buf()?.first() else {
-                return Ok((count, last));
-            };
-            r.consume(1);
-            offset += 1;
-            if b == b'\n' || !b.is_ascii_whitespace() {
-                break b;
-            }
-        };
-        if first != b'\n' {
-            count += 1;
-            last = Some((start, line_no));
-            offset += r.skip_until(b'\n')? as u64;
-        }
-    }
 }
 
 /// One JSONL trace line: exactly the keys of `TRACE_FIELDS`. Invalid JSON
@@ -360,7 +442,7 @@ impl TraceParser {
         TraceError(format!("{msg} in {}:{line_no}", self.location))
     }
 
-    fn io_error(&self, e: std::io::Error) -> TraceError {
+    fn io_error(&self, e: io::Error) -> TraceError {
         TraceError(format!("I/O error reading {}: {e}", self.location))
     }
 
@@ -412,15 +494,15 @@ impl TraceParser {
         };
         let [release, size_c, size_p] = match self.format {
             TraceFormat::Csv => {
-                let cells = line.bytes().filter(|&b| b == b',').count() + 1;
-                if cells != TRACE_FIELDS.len() {
+                let Some(cells) = csv_cells(line) else {
+                    let cells = line.bytes().filter(|&b| b == b',').count() + 1;
                     return Ok(Parsed::Malformed(format!(
                         "expected {} comma-separated values, got {cells}",
                         TRACE_FIELDS.len()
                     )));
-                }
+                };
                 let mut fields = [0.0f64; 3];
-                for (cell, &field) in line.split(',').map(str::trim).zip(&self.columns) {
+                for (cell, &field) in cells.into_iter().map(str::trim).zip(&self.columns) {
                     match cell.parse::<f64>() {
                         Ok(v) => fields[field] = v,
                         Err(_) => {
@@ -494,17 +576,13 @@ impl TraceSource {
         let location = path.display().to_string();
         let file = File::open(path)
             .map_err(|e| TraceError(format!("cannot open trace {location}: {e}")))?;
-        Self::scan(
-            Box::new(BufReader::with_capacity(READ_BUF, file)),
-            format,
-            location,
-        )
+        Self::scan(Box::new(file), format, location)
     }
 
     /// An in-memory trace (`name` appears in error locations).
     pub fn from_str(text: &str, format: TraceFormat, name: &str) -> Result<Self, TraceError> {
-        let reader = Box::new(Cursor::new(text.as_bytes().to_vec()));
-        Self::scan(reader, format, name.into())
+        let input = Box::new(Cursor::new(text.as_bytes().to_vec()));
+        Self::scan(input, format, name.into())
     }
 
     /// Torn trailing lines dropped at open (0 or 1).
@@ -527,50 +605,56 @@ impl TraceSource {
     /// Checks the CSV header, counts the record lines and parses the last
     /// one, for the torn-final-line rule.
     fn scan(
-        mut reader: Box<dyn Lines>,
+        input: Box<dyn Input>,
         format: TraceFormat,
         location: String,
     ) -> Result<Self, TraceError> {
         let mut parser = TraceParser::new(format, location);
-        let r = &mut *reader;
-        let mut line = Vec::new();
-        let (mut offset, mut line_no) = (0u64, 0usize);
+        let mut lines = LineReader::new(input);
+        let mut line_no = 0usize;
         if format == TraceFormat::Csv {
             // The header is the first non-blank line.
-            loop {
-                let n = read_line(r, &mut line).map_err(|e| parser.io_error(e))?;
-                if n == 0 {
+            let header = loop {
+                let Some(line) = lines.next_line().map_err(|e| parser.io_error(e))? else {
                     return Err(TraceError(format!(
                         "empty trace {}: a CSV trace needs a `{}` header",
                         parser.location,
                         TRACE_FIELDS.join(",")
                     )));
-                }
-                offset += n as u64;
+                };
                 line_no += 1;
-                if !is_blank(&line) {
-                    break;
+                if !is_blank(line) {
+                    break line;
                 }
-            }
-            parser.parse_header(&line, line_no)?;
+            };
+            parser.parse_header(header, line_no)?;
         }
-        let (records, last) = count_lines(r, offset, line_no).map_err(|e| parser.io_error(e))?;
+        let (mut records, mut last) = (0usize, None);
+        loop {
+            let at = lines.offset();
+            let Some(line) = lines.next_line().map_err(|e| parser.io_error(e))? else {
+                break;
+            };
+            line_no += 1;
+            if !is_blank(line) {
+                records += 1;
+                last = Some((at, line_no));
+            }
+        }
         let mut dropped = 0;
         if let Some((at, last_no)) = last {
-            r.seek(SeekFrom::Start(at))
-                .map_err(|e| parser.io_error(e))?;
-            read_line(r, &mut line).map_err(|e| parser.io_error(e))?;
-            if let Parsed::Malformed(_) = parser.parse_record(&line, last_no)? {
+            lines.seek(at).map_err(|e| parser.io_error(e))?;
+            let line = lines.next_line().map_err(|e| parser.io_error(e))?;
+            if let Parsed::Malformed(_) = parser.parse_record(line.unwrap_or_default(), last_no)? {
                 dropped = 1;
             }
         }
         Ok(TraceSource {
-            reader,
+            lines,
             parser,
             tasks: records - dropped,
             dropped,
             pass: Pass::Start,
-            line,
             line_no: 0,
             emitted: 0,
             error: None,
@@ -581,11 +665,10 @@ impl TraceSource {
     /// counted records are out and only the dropped torn line, if any, and
     /// blank lines follow them.
     fn pull(&mut self) -> Result<Option<TaskArrival>, TraceError> {
-        let r = &mut *self.reader;
         let parser = &mut self.parser;
         match self.pass {
             Pass::Start => {
-                r.rewind().map_err(|e| parser.io_error(e))?;
+                self.lines.seek(0).map_err(|e| parser.io_error(e))?;
                 parser.start_pass();
                 self.line_no = 0;
                 self.pass = Pass::Reading;
@@ -595,19 +678,19 @@ impl TraceSource {
         }
         let mut torn = self.dropped;
         loop {
-            let n = read_line(r, &mut self.line)
-                .map_err(|e| parser.err(self.line_no + 1, format!("I/O error ({e})")))?;
-            if n == 0 {
-                break;
-            }
+            let line = match self.lines.next_line() {
+                Ok(Some(line)) => line,
+                Ok(None) => break,
+                Err(e) => return Err(parser.err(self.line_no + 1, format!("I/O error ({e})"))),
+            };
             self.line_no += 1;
-            if is_blank(&self.line) {
+            if is_blank(line) {
                 continue;
             }
             if parser.header_pending {
-                parser.parse_header(&self.line, self.line_no)?;
+                parser.parse_header(line, self.line_no)?;
             } else if self.emitted < self.tasks {
-                return match parser.parse_record(&self.line, self.line_no)? {
+                return match parser.parse_record(line, self.line_no)? {
                     Parsed::Record(task) => {
                         self.emitted += 1;
                         Ok(Some(task))
