@@ -175,7 +175,8 @@ pub fn execute(
     let refresh_estimates = |state: &mut ViewState,
                              outstanding: &[Vec<(TaskId, f64)>],
                              last_anchor: &[f64],
-                             now: f64| {
+                             now: f64,
+                             link_free: f64| {
         for j in 0..m {
             let p = state.platform.p(SlaveId(j));
             let mut t = now.max(last_anchor[j]);
@@ -186,10 +187,13 @@ pub fn execute(
             state.slaves.ready_estimate[j] = t;
         }
         state.now = Time::new(now);
-        state.link_busy_until = Time::new(0.0f64.max(now.min(now))); // set below
+        state.link_busy_until = Time::new(link_free);
     };
 
     let mut completed_dets = vec![0.0f64; n];
+    // A completion the blocking wait of step 4 caught, handed to the next
+    // pass's step 2 so that it is handled, and answered, like any other.
+    let mut caught: Option<FromWorker> = None;
 
     while state.completed_count < n {
         let now = now_model(&t0);
@@ -210,7 +214,7 @@ pub fn execute(
         }
 
         // 2. Worker completions.
-        while let Ok(done) = done_rx.try_recv() {
+        while let Some(done) = caught.take().or_else(|| done_rx.try_recv().ok()) {
             let j = done.slave;
             outstanding[j].retain(|&(id, _)| id != done.task);
             last_anchor[j] = done.compute_end_wall / scale;
@@ -228,8 +232,7 @@ pub fn execute(
 
         // 3. Let the scheduler react, then poll while it keeps sending.
         let now = now_model(&t0);
-        refresh_estimates(&mut state, &outstanding, &last_anchor, now);
-        state.link_busy_until = Time::new(link_free_model);
+        refresh_estimates(&mut state, &outstanding, &last_anchor, now, link_free_model);
 
         let mut queue: Vec<SchedulerEvent> = notifications;
         queue.push(SchedulerEvent::PortIdle);
@@ -274,8 +277,7 @@ pub fn execute(
                         size_p: tasks[task.0].size_p,
                     });
                     let now = now_model(&t0);
-                    refresh_estimates(&mut state, &outstanding, &last_anchor, now);
-                    state.link_busy_until = Time::new(link_free_model);
+                    refresh_estimates(&mut state, &outstanding, &last_anchor, now, link_free_model);
                     queue.push(SchedulerEvent::PortIdle);
                     sent_something = true;
                     last_progress = Instant::now();
@@ -293,31 +295,8 @@ pub fn execute(
                     timeout = timeout.min(Duration::from_secs_f64(wait.max(0.0005)));
                 }
             }
-            if let Ok(done) = done_rx.recv_timeout(timeout) {
-                // Re-inject by handling on the next loop turn: emulate by
-                // pushing back through the same handling path.
-                let j = done.slave;
-                outstanding[j].retain(|&(id, _)| id != done.task);
-                last_anchor[j] = done.compute_end_wall / scale;
-                state.completed_count += 1;
-                state.slaves.completed[j] += 1;
-                let rec = records[done.task.0]
-                    .as_mut()
-                    .expect("completion for unsent task");
-                rec.compute_start = Time::new(done.compute_start_wall / scale);
-                rec.compute_end = Time::new(done.compute_end_wall / scale);
-                completed_dets[done.task.0] = done.determinant;
-                let now = now_model(&t0);
-                refresh_estimates(&mut state, &outstanding, &last_anchor, now);
-                state.link_busy_until = Time::new(link_free_model);
-                let _ = scheduler.on_event(
-                    &state.view(),
-                    SchedulerEvent::ComputeCompleted(done.task, SlaveId(j)),
-                );
-                last_progress = Instant::now();
-                // Any Send decision will be handled on the next loop pass.
-            }
-            if last_progress.elapsed() > Duration::from_secs(30) {
+            caught = done_rx.recv_timeout(timeout).ok();
+            if caught.is_none() && last_progress.elapsed() > Duration::from_secs(30) {
                 return Err(ClusterError::Stalled {
                     at: now_model(&t0),
                     completed: state.completed_count,
@@ -444,6 +423,45 @@ mod tests {
             des.makespan(),
             cluster.makespan()
         );
+    }
+
+    /// Keeps one task outstanding on slave 0: it sends only when a task is
+    /// released or completes, and answers `Idle` to `PortIdle`.
+    struct OneOutstanding;
+
+    impl OnlineScheduler for OneOutstanding {
+        fn name(&self) -> String {
+            "one-outstanding".into()
+        }
+
+        fn on_event(&mut self, view: &mss_sim::SimView<'_>, event: SchedulerEvent) -> Decision {
+            let slave = SlaveId(0);
+            if event == SchedulerEvent::PortIdle || view.outstanding(slave) > 0 {
+                return Decision::Idle;
+            }
+            match view.pending_tasks().first() {
+                Some(&task) => Decision::Send { task, slave },
+                None => Decision::Idle,
+            }
+        }
+    }
+
+    #[test]
+    fn a_completion_caught_while_waiting_is_answered() {
+        // The master spends its idle time in the blocking wait, so that is
+        // where completions land; each one must still reach the scheduler
+        // through the path that acts on its answer, or the bag stalls.
+        let pf = Platform::from_vectors(&[0.25], &[2.0]);
+        let tasks = bag_of_tasks(3);
+        let cfg = ClusterConfig {
+            time_scale: 0.01,
+            matrix_dim: 16,
+            horizon_hint: Some(3),
+        };
+        let run = execute(&pf, &tasks, &cfg, &mut OneOutstanding).expect("no stall");
+        assert_eq!(run.trace.len(), 3);
+        let problems = validate_loose(&run.trace, &pf, 0.2);
+        assert!(problems.is_empty(), "{problems:?}");
     }
 
     #[test]

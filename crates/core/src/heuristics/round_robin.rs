@@ -126,16 +126,9 @@ impl RoundRobin {
         }
     }
 
-    /// Same scheduler on the linear-scan reference kernel — the
-    /// historical decision path, kept executable for equivalence tests
-    /// and the `kernel-vs-scan` benchmarks.
-    pub fn with_scan_kernel(mut self) -> Self {
-        self.kernel = IncrementalArgmin::scan_reference();
-        self
-    }
-
     /// Overrides the kernel's small-`m` scan threshold (tests force the
-    /// tree on tiny platforms with a threshold of 0).
+    /// tree on tiny platforms with a threshold of 0, and the linear scan
+    /// at any size with `usize::MAX`).
     pub fn with_tree_threshold(mut self, threshold: usize) -> Self {
         self.kernel = IncrementalArgmin::new().with_threshold(threshold);
         self

@@ -39,17 +39,9 @@ impl Srpt {
         Srpt::default()
     }
 
-    /// SRPT on the linear-scan reference kernel — the historical
-    /// decision path, kept executable for equivalence tests and the
-    /// `kernel-vs-scan` benchmarks.
-    pub fn scan_reference() -> Self {
-        Srpt {
-            kernel: IncrementalArgmin::scan_reference(),
-        }
-    }
-
     /// Overrides the kernel's small-`m` scan threshold (tests force the
-    /// tree on tiny platforms with a threshold of 0).
+    /// tree on tiny platforms with a threshold of 0, and the linear scan
+    /// at any size with `usize::MAX`).
     pub fn with_tree_threshold(mut self, threshold: usize) -> Self {
         self.kernel = IncrementalArgmin::new().with_threshold(threshold);
         self

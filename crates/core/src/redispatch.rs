@@ -27,9 +27,7 @@
 //! and redirects without allocating, so wrapping adds only an O(m) argmin
 //! to the per-decision cost.
 
-use mss_sim::{
-    chunked_argmin, Decision, InfoTier, OnlineScheduler, SchedulerEvent, SimView, SlaveId,
-};
+use mss_sim::{scan_argmin, Decision, InfoTier, OnlineScheduler, SchedulerEvent, SimView, SlaveId};
 
 /// Fault-aware redispatch wrapper (see the module docs).
 #[derive(Clone, Debug)]
@@ -58,13 +56,13 @@ impl Redispatch<Box<dyn OnlineScheduler>> {
 
 /// The available slave finishing a new nominal task the earliest, if any.
 ///
-/// Answers through the decision kernel's exact chunked scan: the
+/// Answers through the decision kernel's [`scan_argmin`]: the
 /// completion estimate depends on the current time and link occupation
 /// (not journal-stable per-slave state), so it takes the closure-key
 /// path rather than the tournament tree. Down slaves key to `+∞`; an
 /// unavailable winner means *every* slave keyed to `+∞`, i.e. blackout.
 fn best_available(view: &SimView<'_>) -> Option<SlaveId> {
-    let winner = SlaveId(chunked_argmin(view.num_slaves(), |j| {
+    let winner = SlaveId(scan_argmin(view.num_slaves(), |j| {
         let j = SlaveId(j);
         if view.slave_available(j) {
             view.completion_estimate(j).as_f64()

@@ -7,7 +7,9 @@
 //!   scheduler reuse across runs (the sweep regime). The tree is forced
 //!   on with `with_tree_threshold(0)` so even tiny random platforms
 //!   exercise the incremental path rather than the small-`m` scan
-//!   fallback.
+//!   fallback; `with_tree_threshold(usize::MAX)` forces the scan. A NaN
+//!   key panics through the scan, through a tree rebuild and through a
+//!   tree replay.
 //! * **Callback elision.** Every paper heuristic is poll-driven and keeps
 //!   the promise that lets the engine skip callbacks: a run that elides
 //!   them equals, as a whole `Result`, a run that delivers every one
@@ -24,7 +26,7 @@ use mss_core::{
     Algorithm, Decision, Platform, Redispatch, RoundRobin, SchedulerEvent, SimConfig, SimView,
     Simulation, SliceSource, Srpt, TaskArrival, Time, Timeline, Trace,
 };
-use mss_sim::{chunked_argmin, scan_argmin, InfoTier, OnlineScheduler, SlaveId, ViewState};
+use mss_sim::{scan_argmin, IncrementalArgmin, InfoTier, OnlineScheduler, SlaveId, ViewState};
 use proptest::prelude::*;
 use support::{arb_fault_plan, arb_platform, arb_tasks, build_timeline};
 
@@ -37,26 +39,28 @@ fn arb_tier() -> impl Strategy<Value = InfoTier> {
 }
 
 /// The kernel-backed / scan-reference scheduler pairs under test. The
-/// tree-indexable heuristics are forced onto the tree. LS, SLJF and
-/// SLJFWC decide by `SimView::earliest_completion`, whose scan
-/// equivalence is proven separately below.
+/// tree-indexable heuristics are forced onto the tree, their references
+/// onto `scan_argmin`. LS, SLJF and SLJFWC decide by
+/// `SimView::earliest_completion`, whose scan equivalence is proven
+/// separately below.
 fn kernel_scan_pairs() -> Vec<(Box<dyn OnlineScheduler>, Box<dyn OnlineScheduler>)> {
+    const SCAN: usize = usize::MAX;
     vec![
         (
             Box::new(Srpt::new().with_tree_threshold(0)),
-            Box::new(Srpt::scan_reference()),
+            Box::new(Srpt::new().with_tree_threshold(SCAN)),
         ),
         (
             Box::new(RoundRobin::rr().with_tree_threshold(0)),
-            Box::new(RoundRobin::rr().with_scan_kernel()),
+            Box::new(RoundRobin::rr().with_tree_threshold(SCAN)),
         ),
         (
             Box::new(RoundRobin::rrc().with_tree_threshold(0)),
-            Box::new(RoundRobin::rrc().with_scan_kernel()),
+            Box::new(RoundRobin::rrc().with_tree_threshold(SCAN)),
         ),
         (
             Box::new(RoundRobin::rrp().with_tree_threshold(0)),
-            Box::new(RoundRobin::rrp().with_scan_kernel()),
+            Box::new(RoundRobin::rrp().with_tree_threshold(SCAN)),
         ),
     ]
 }
@@ -204,28 +208,80 @@ fn a_nan_learned_rate_panics() {
     state.view().earliest_completion();
 }
 
+/// A NaN key panics through `scan_argmin` in every build, wherever it
+/// sits in the pass; it never silently loses every compare.
+#[test]
+#[should_panic(expected = "scan_argmin: NaN")]
+fn a_nan_key_panics_in_the_scan() {
+    scan_argmin(3, |j| if j == 1 { f64::NAN } else { 1.0 });
+}
+
+/// SRPT's fastest-slave dispatch on a tree-forced kernel whose key turns
+/// NaN from decision `poisoned_from` on: from the first, the NaN reaches
+/// the tree through its rebuild; from the second, through the replay of
+/// the slave the first send touched.
+struct NanKeyFrom {
+    kernel: IncrementalArgmin,
+    decisions: usize,
+    poisoned_from: usize,
+}
+
+impl OnlineScheduler for NanKeyFrom {
+    fn name(&self) -> String {
+        "nan-key".into()
+    }
+
+    fn on_event(&mut self, view: &SimView<'_>, _event: SchedulerEvent) -> Decision {
+        let Some(&task) = view.pending_tasks().first() else {
+            return Decision::Idle;
+        };
+        if !view.link_idle() {
+            return Decision::Idle;
+        }
+        let poisoned = self.decisions >= self.poisoned_from;
+        self.decisions += 1;
+        let slave = self.kernel.argmin(view, |j| {
+            if poisoned {
+                f64::NAN
+            } else {
+                view.believed_p(SlaveId(j))
+            }
+        });
+        Decision::Send { task, slave }
+    }
+}
+
+fn run_nan_keyed(poisoned_from: usize) {
+    let platform = Platform::from_vectors(&[1.0, 1.0, 1.0], &[2.0, 3.0, 4.0]);
+    let tasks = mss_core::bag_of_tasks(4);
+    let mut sched = NanKeyFrom {
+        kernel: IncrementalArgmin::new().with_threshold(0),
+        decisions: 0,
+        poisoned_from,
+    };
+    let _ = run(
+        &mut sched,
+        &platform,
+        &tasks,
+        &Timeline::EMPTY,
+        InfoTier::Clairvoyant,
+    );
+}
+
+#[test]
+#[should_panic(expected = "ArgminTree::rebuild: NaN")]
+fn a_nan_key_panics_in_a_tree_rebuild() {
+    run_nan_keyed(0);
+}
+
+#[test]
+#[should_panic(expected = "ArgminTree::update: NaN")]
+fn a_nan_key_panics_in_a_tree_replay() {
+    run_nan_keyed(1);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The chunked 8-lane argmin is the historical sequential scan, bit
-    /// for bit, on arbitrary key arrays (duplicates, infinities, lane
-    /// boundaries).
-    #[test]
-    fn chunked_argmin_is_scan_argmin(
-        keys in proptest::collection::vec(
-            prop_oneof![
-                (0.0f64..100.0).prop_map(|k| (k * 4.0).floor()), // force duplicates
-                Just(f64::INFINITY),
-            ],
-            0..70,
-        ),
-    ) {
-        prop_assert_eq!(
-            chunked_argmin(keys.len(), |j| keys[j]),
-            scan_argmin(keys.len(), |j| keys[j]),
-            "winner diverges on {keys:?}"
-        );
-    }
 
     /// Static platforms, every information tier: tree-backed decisions
     /// are trace-identical to the linear scan.

@@ -49,14 +49,10 @@ pub struct BufferAblation {
 }
 
 /// Sweeps the RR buffer bound and dispatch mode (order fixed to the RR
-/// key). The ten (mode, buffer) configurations are independent and run in
-/// parallel through `mss-sweep`'s executor; each configuration's inner
-/// fold is unchanged, so the report matches the serial implementation.
-pub fn buffer_sweep(scale: ExperimentScale) -> BufferAblation {
-    buffer_sweep_with(scale, &SweepConfig::default())
-}
-
-/// [`buffer_sweep`] with an explicit runtime (thread count).
+/// key) with the given runtime. The ten (mode, buffer) configurations are
+/// independent and run in parallel through `mss-sweep`'s executor; each
+/// configuration's inner fold is unchanged, so the report matches the
+/// serial implementation.
 pub fn buffer_sweep_with(scale: ExperimentScale, config: &SweepConfig) -> BufferAblation {
     let sampler = PlatformSampler::default();
     let classes = [
@@ -170,11 +166,7 @@ pub struct SljfQuality {
 /// RNG stream (exactly as the serial implementation consumed it), then all
 /// `3 × instances` simulate-vs-exhaustive comparisons run in parallel and
 /// the summary folds in draw order — same numbers, parallel wall-clock.
-pub fn sljf_quality(instances: usize, seed: u64) -> SljfQuality {
-    sljf_quality_with(instances, seed, &SweepConfig::default())
-}
-
-/// [`sljf_quality`] with an explicit runtime (thread count).
+/// `config` sets the runtime (thread count).
 pub fn sljf_quality_with(instances: usize, seed: u64, config: &SweepConfig) -> SljfQuality {
     let mut rng = StdRng::seed_from_u64(seed);
     let cells = [
@@ -278,12 +270,8 @@ pub struct ArrivalAblation {
     pub regimes: Vec<(String, Vec<(String, f64)>)>,
 }
 
-/// Runs Figure 1(d) under several arrival regimes.
-pub fn arrival_sweep(scale: ExperimentScale) -> ArrivalAblation {
-    arrival_sweep_with(scale, &SweepConfig::default())
-}
-
-/// [`arrival_sweep`] with an explicit runtime (thread count).
+/// Runs Figure 1(d) under several arrival regimes with the given runtime
+/// (thread count).
 pub fn arrival_sweep_with(scale: ExperimentScale, config: &SweepConfig) -> ArrivalAblation {
     let regimes = [
         ArrivalProcess::AllAtZero,
@@ -352,12 +340,7 @@ pub struct HeterogeneityImpact {
 /// `examples/heterogeneity_impact.rs`): as heterogeneity grows, the spread
 /// between the best and worst static heuristic widens — the experimental
 /// mirror of the theory section, where heterogeneity raises every lower
-/// bound.
-pub fn heterogeneity_impact(tasks: usize, families: usize, seed: u64) -> HeterogeneityImpact {
-    heterogeneity_impact_with(tasks, families, seed, &SweepConfig::default())
-}
-
-/// [`heterogeneity_impact`] with an explicit runtime (thread count).
+/// bound. `config` sets the runtime (thread count).
 pub fn heterogeneity_impact_with(
     tasks: usize,
     families: usize,
@@ -458,7 +441,7 @@ mod tests {
 
     #[test]
     fn heterogeneity_widens_the_static_spread() {
-        let report = heterogeneity_impact(100, 2, 5);
+        let report = heterogeneity_impact_with(100, 2, 5, &SweepConfig::default());
         // At h = 0 all statics coincide; at h = 1 (both axes) they do not.
         let both = &report.rows.iter().find(|(l, _)| l == "both").unwrap().1;
         let (b0, w0) = both[0];
@@ -482,11 +465,12 @@ mod tests {
         // Scale matters: with very few tasks the end-game stranding of a
         // queued task on a slow slave can dominate; at ≥100 tasks the
         // pipelining gain is reliable.
-        let report = buffer_sweep(ExperimentScale {
+        let scale = ExperimentScale {
             platforms: 4,
             tasks: 120,
             seed: 7,
-        });
+        };
+        let report = buffer_sweep_with(scale, &SweepConfig::default());
         let b0 = report
             .rows
             .iter()
@@ -508,7 +492,7 @@ mod tests {
 
     #[test]
     fn sljf_quality_close_to_optimal_in_its_design_domain() {
-        let q = sljf_quality(40, 3);
+        let q = sljf_quality_with(40, 3, &SweepConfig::default());
         assert!(
             q.sljf_comm.1 < 1.0 + 1e-6,
             "SLJF max ratio {} on comm-homog bags (expected optimal)",
@@ -524,11 +508,12 @@ mod tests {
 
     #[test]
     fn arrival_sweep_has_all_regimes() {
-        let report = arrival_sweep(ExperimentScale {
+        let scale = ExperimentScale {
             platforms: 2,
             tasks: 60,
             seed: 5,
-        });
+        };
+        let report = arrival_sweep_with(scale, &SweepConfig::default());
         assert_eq!(report.regimes.len(), 4);
         assert!(report.render().contains("bag(t=0)"));
     }

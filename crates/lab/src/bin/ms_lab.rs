@@ -59,7 +59,7 @@
 use mss_core::Algorithm;
 use mss_lab::report::{fmt3, fmt4, write_files, Artifact, AsciiTable, ExperimentScale};
 use mss_lab::{resilience, EXPERIMENTS};
-use mss_sweep::{default_threads, SweepConfig};
+use mss_sweep::{default_threads, Observe, SweepConfig};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -181,8 +181,7 @@ fn parse_runtime(args: &[String]) -> SweepConfig {
         // Additionally gated on stderr being a terminal and no CI
         // environment inside `mss_obs::Progress`.
         progress: !args.iter().any(|a| a == "--quiet"),
-        count_events: false,
-        collect_metrics: false,
+        observe: Observe::Off,
     }
 }
 

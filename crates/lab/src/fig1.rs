@@ -129,15 +129,6 @@ pub fn run_panel_with(
     }
 }
 
-/// Runs one Figure 1 panel with the default parallel runtime.
-pub fn run_panel(
-    class: PlatformClass,
-    scale: ExperimentScale,
-    arrival: ArrivalProcess,
-) -> Fig1Panel {
-    run_panel_with(class, scale, arrival, &SweepConfig::default())
-}
-
 impl Fig1Panel {
     /// Renders the panel as an ASCII table mirroring the paper's bars.
     pub fn render(&self) -> String {
@@ -211,7 +202,12 @@ mod tests {
     use super::*;
 
     fn quick(class: PlatformClass) -> Fig1Panel {
-        run_panel(class, ExperimentScale::quick(), ArrivalProcess::AllAtZero)
+        run_panel_with(
+            class,
+            ExperimentScale::quick(),
+            ArrivalProcess::AllAtZero,
+            &SweepConfig::default(),
+        )
     }
 
     #[test]

@@ -123,15 +123,6 @@ pub fn run_with(
     }
 }
 
-/// Runs the robustness experiment with the default parallel runtime.
-pub fn run(
-    scale: ExperimentScale,
-    arrival: ArrivalProcess,
-    perturbation: Perturbation,
-) -> Fig2Report {
-    run_with(scale, arrival, perturbation, &SweepConfig::default())
-}
-
 impl Fig2Report {
     /// Renders the report mirroring the paper's bar groups.
     pub fn render(&self) -> String {
@@ -203,10 +194,11 @@ mod tests {
         // The paper's headline: "our algorithms are quite robust for
         // makespan minimization problems, but not as much for sum-flow or
         // max-flow problems."
-        let report = run(
+        let report = run_with(
             ExperimentScale::quick(),
             ArrivalProcess::UniformStream { load: 0.9 },
             Perturbation::linear(0.1),
+            &SweepConfig::default(),
         );
         for row in &report.rows {
             assert!(
@@ -235,10 +227,11 @@ mod tests {
 
     #[test]
     fn renders_and_writes() {
-        let report = run(
+        let report = run_with(
             ExperimentScale::quick(),
             ArrivalProcess::UniformStream { load: 0.9 },
             Perturbation::linear(0.1),
+            &SweepConfig::default(),
         );
         assert!(report.render().contains("Figure 2"));
         assert_eq!(report.csv_table().1.len(), Algorithm::ALL.len());
@@ -246,10 +239,11 @@ mod tests {
 
     #[test]
     fn zero_perturbation_is_identity() {
-        let report = run(
+        let report = run_with(
             ExperimentScale::quick(),
             ArrivalProcess::AllAtZero,
             Perturbation::linear(0.0),
+            &SweepConfig::default(),
         );
         for row in &report.rows {
             for k in 0..3 {

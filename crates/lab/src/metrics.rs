@@ -1,6 +1,6 @@
 //! `ms-lab metrics` — distributional run telemetry for a sweep grid.
 //!
-//! Runs a user spec with [`SweepConfig::collect_metrics`] so every cell
+//! Runs a user spec with [`Observe::Metrics`] so every cell
 //! carries a telemetry payload, merges the payloads per (group,
 //! algorithm) in expansion order, and reports flow/wait/transfer/compute
 //! quantiles plus per-slave utilization splits and master-queue pressure.
@@ -15,7 +15,7 @@
 //! `metrics.json` are byte-identical for any `--threads` value.
 
 use crate::report::{fmt3, AsciiTable};
-use mss_sweep::{aggregate_metrics, try_run_cells, MetricsRow, SweepConfig, SweepSpec};
+use mss_sweep::{aggregate_metrics, try_run_cells, MetricsRow, Observe, SweepConfig, SweepSpec};
 
 /// A completed telemetry run over a spec's grid.
 pub struct MetricsReport {
@@ -38,7 +38,7 @@ pub struct MetricsReport {
 /// algorithms) are tolerated: their cells simply drop out of the merge.
 pub fn run_spec_metrics(spec: &SweepSpec, config: &SweepConfig) -> Result<MetricsReport, String> {
     let config = SweepConfig {
-        collect_metrics: true,
+        observe: Observe::Metrics,
         ..config.clone()
     };
     let cells = spec.expand().map_err(|e| e.to_string())?;
@@ -201,8 +201,7 @@ mod tests {
             threads,
             cache_dir: None,
             progress: false,
-            count_events: false,
-            collect_metrics: false,
+            observe: Observe::Off,
         }
     }
 

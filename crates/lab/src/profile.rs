@@ -19,7 +19,9 @@
 
 use mss_core::{Algorithm, SimWorkspace};
 use mss_obs::{PhaseProfile, RunCounters, SweepMetrics, TraceRecorder};
-use mss_sweep::{run_cells, spec_from_toml, CellError, CellMetrics, SweepConfig, SweepSpec};
+use mss_sweep::{
+    run_cells, spec_from_toml, CellError, CellMetrics, Observe, SweepConfig, SweepSpec,
+};
 
 /// The representative grid the profiler replays: every algorithm over
 /// heterogeneous platform draws, bag and Poisson arrivals, sized so the
@@ -84,8 +86,7 @@ pub fn run_with(quick: bool, threads: usize) -> ProfileReport {
         threads,
         cache_dir: Some(cache_dir.clone()),
         progress: false,
-        count_events: true,
-        collect_metrics: false,
+        observe: Observe::Counters,
     };
     let outcome = run_cells(cells, &config);
     profile.add("materialize", outcome.stats.materialize_secs);

@@ -44,12 +44,6 @@ pub struct Table1Report {
     pub cells: Vec<Table1Cell>,
 }
 
-/// Plays all nine games against all seven heuristics with the default
-/// parallel runtime.
-pub fn run() -> Table1Report {
-    run_with(&mss_sweep::SweepConfig::default())
-}
-
 /// Plays all nine games against all seven heuristics. The 63 games are
 /// independent, so they run through `mss-sweep`'s deterministic parallel
 /// executor; the fold below consumes them in (theorem, algorithm) order so
@@ -206,7 +200,7 @@ mod tests {
     #[test]
     #[allow(clippy::approx_constant)] // Table 1's printed decimal for √2
     fn regenerates_and_verifies_table1() {
-        let report = run();
+        let report = run_with(&mss_sweep::SweepConfig::default());
         assert_eq!(report.cells.len(), 9);
         assert!(report.all_verified(), "{}", report.render());
         // The paper's decimals.

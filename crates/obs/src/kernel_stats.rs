@@ -28,8 +28,8 @@ pub struct KernelStats {
     /// Journal entries replayed incrementally (one O(log m) leaf update
     /// each).
     pub replayed: u64,
-    /// Decisions answered by the chunked linear-scan fallback (small m,
-    /// scan-reference kernels, or views without a touch journal).
+    /// Decisions answered by the linear-scan fallback, `scan_argmin`
+    /// (below the tree threshold, or on views without a touch journal).
     pub scans: u64,
 }
 
@@ -101,7 +101,7 @@ pub fn record_kernel_replayed(n: u64) {
     });
 }
 
-/// Records one chunked linear-scan fallback decision.
+/// Records one linear-scan fallback decision.
 #[inline]
 pub fn record_kernel_scan() {
     STATS.with(|s| {

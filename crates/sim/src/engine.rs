@@ -365,7 +365,7 @@ enum TaskPhase {
 /// port's one live send is kept by the engine, not here), per-slave
 /// runtime queues, the pending ring buffer, the task slot window, the
 /// incrementally maintained [`SlaveViews`] column cache with the anchors
-/// its busy rows are answered by, and the [`TouchJournal`] ring that is
+/// its busy rows are answered by, and the touch-journal ring that is
 /// both the views' dirty list and the decision kernels' change log. A run
 /// re-initializes it and the loop then runs allocation-free in steady
 /// state; reusing one workspace across runs ([`Simulation::workspace`], as
@@ -1425,22 +1425,10 @@ impl<'a, P: Probe, S: TaskSource> Engine<'a, P, S> {
         Ok(future)
     }
 
-    /// Batched form of [`Engine::step_budget`]: charges `k` steps at once.
+    /// Charges `k` steps against the step budget; past it, the run aborts
+    /// (reported to the probe) with [`SimError::BudgetExhausted`].
     fn charge_steps(&mut self, k: usize) -> Result<(), SimError> {
         self.steps += k;
-        if self.steps > self.config.max_steps {
-            self.probe
-                .budget_abort(self.clock.as_f64(), self.steps as u64);
-            Err(SimError::BudgetExhausted {
-                max_steps: self.config.max_steps,
-            })
-        } else {
-            Ok(())
-        }
-    }
-
-    fn step_budget(&mut self) -> Result<(), SimError> {
-        self.steps += 1;
         if self.steps > self.config.max_steps {
             self.probe
                 .budget_abort(self.clock.as_f64(), self.steps as u64);
@@ -1801,7 +1789,7 @@ fn drive<P: Probe, S: TaskSource>(
     scheduler.init(&engine.view());
 
     while !engine.feed.is_complete(engine.completed_count) {
-        engine.step_budget()?;
+        engine.charge_steps(1)?;
 
         let Some((first_event, first_time)) = engine.pop_next(None)? else {
             // Nothing scheduled: give the scheduler one last chance to act.
@@ -1875,7 +1863,7 @@ fn drive<P: Probe, S: TaskSource>(
 
         // Poll while the port is idle and the scheduler keeps acting.
         loop {
-            engine.step_budget()?;
+            engine.charge_steps(1)?;
             if engine.link_busy_until > engine.clock || engine.ws.pending.is_empty() {
                 break;
             }

@@ -7,38 +7,38 @@
 //! this module makes those decisions sublinear in `m` while staying
 //! **bit-identical** to the linear scan:
 //!
-//! * [`scan_argmin`] — the historical sequential scan (strict `<` keeps
-//!   the lowest index), kept as the executable reference;
-//! * [`chunked_argmin`] — the same winner computed in 8 independent lanes
-//!   and combined by an exact lexicographic `(key, index)` reduction. No
-//!   arithmetic is performed on keys, only comparisons, so the winner is
-//!   *exactly* the sequential scan's winner. Below one lane width it *is*
-//!   the sequential scan (at the paper's m = 5 the lanes would only add a
-//!   tail loop and a reduction);
-//! * [`ArgminTree`] — a tournament tree (segment tree of min, ties broken
-//!   by lowest slave index) over materialized keys: O(log m) per updated
-//!   leaf, O(1) queries from the root;
-//! * [`TouchJournal`] — the engine's one touch log: the ring of
-//!   event-touched slaves that drives the engine's own view refresh and
-//!   tells a kernel *which* leaves can have changed since it last synced;
+//! * [`scan_argmin`] — the sequential scan (strict `<` keeps the lowest
+//!   index): the reference every other argmin is proven against, and the
+//!   answer wherever the tree does not pay (small `m`, views without a
+//!   touch journal, keys that cannot be cached);
+//! * a tournament tree (segment tree of min, ties broken by lowest slave
+//!   index) over materialized keys: O(log m) per updated leaf, O(1)
+//!   queries from the root;
+//! * the engine's one touch log: the ring of event-touched slaves that
+//!   drives the engine's own view refresh and tells a kernel *which*
+//!   leaves can have changed since it last synced;
 //! * [`IncrementalArgmin`] — the scheduler-facing kernel combining all of
 //!   the above: it replays the journal suffix into the tree (or rebuilds
 //!   on a run/platform change or journal overflow) and answers from the
 //!   root. Below [`TREE_THRESHOLD`] slaves, or on views without a journal
-//!   (owned [`ViewState`](crate::ViewState)s), it falls back to the
-//!   chunked scan.
+//!   (owned [`ViewState`](crate::ViewState)s), it answers by
+//!   [`scan_argmin`].
 //!
 //! # The bit-identity argument
 //!
 //! The sequential scan keeps the first strictly smaller key, so its
-//! winner is the minimum of the lexicographic pairs `(key_j, j)`. Lane
-//! minima and tree nodes each hold the lexicographic minimum of a subset
-//! of those pairs, and combining subsets loses nothing — min is
-//! associative — so every strategy yields the same pair, hence the same
-//! `SlaveId`, with **no** rounding anywhere (comparisons only). This is
-//! what lets kernel-backed heuristics claim observational purity
-//! (ARCHITECTURE contract #15): traces, digests and artifacts are
-//! byte-identical to the scan-based heuristics they replace.
+//! winner is the minimum of the lexicographic pairs `(key_j, j)`. Each
+//! tree node holds the lexicographic minimum of a subset of those pairs,
+//! and combining subsets loses nothing — min is associative — so the
+//! root is the scan's pair, hence the same `SlaveId`, with **no**
+//! rounding anywhere (comparisons only). This is what lets kernel-backed
+//! heuristics claim observational purity (ARCHITECTURE contract #15):
+//! traces, digests and artifacts are byte-identical to the scan-based
+//! heuristics they replace.
+//!
+//! A NaN key would lose every compare and silently mis-order dispatch, so
+//! every argmin here panics on one, in every build: the scan checks its
+//! whole pass once, the tree each key it stores.
 //!
 //! # Keys a tree can index
 //!
@@ -50,7 +50,7 @@
 //! pass over the view's columns
 //! ([`SimView::earliest_completion`](crate::SimView::earliest_completion),
 //! the same winner as [`scan_argmin`]), and other such keys (Redispatch's
-//! availability-filtered completion estimate) use the chunked scan.
+//! availability-filtered completion estimate) use [`scan_argmin`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -61,8 +61,9 @@ use mss_obs::kernel_stats::{
 };
 
 /// Below this many slaves the tree bookkeeping costs more than it saves
-/// and [`IncrementalArgmin`] answers by [`chunked_argmin`] instead. Tests
-/// force the tree at small `m` via [`IncrementalArgmin::with_threshold`].
+/// and [`IncrementalArgmin`] answers by [`scan_argmin`] instead. Tests
+/// force the tree at small `m` via [`IncrementalArgmin::with_threshold`],
+/// and the scan at any `m` with a threshold of `usize::MAX`.
 pub const TREE_THRESHOLD: usize = 64;
 
 /// Monotone source of per-run nonces ([`TouchJournal::run`]): process-wide
@@ -71,80 +72,31 @@ pub const TREE_THRESHOLD: usize = 64;
 /// a new run's journal for a continuation of the one it synced against.
 static RUN_NONCE: AtomicU64 = AtomicU64::new(1);
 
-/// The historical argmin: one sequential pass, strict `<`, so the lowest
-/// index wins ties; all-infinite keys yield index 0. Keys must not be NaN
-/// (debug-asserted). This is the executable reference the kernels are
-/// proven against — production paths use [`chunked_argmin`] or the tree.
+/// The sequential argmin: one pass, strict `<`, so the lowest index wins
+/// ties; all-infinite keys yield index 0. This is the reference the tree
+/// is proven against, and the kernel's answer below its threshold.
+///
+/// # Panics
+/// If any key is NaN, in every build (checked once, after the pass).
 pub fn scan_argmin<F: FnMut(usize) -> f64>(m: usize, mut key: F) -> usize {
     let mut best = f64::INFINITY;
     let mut arg = 0usize;
+    let mut nan = false;
     for j in 0..m {
         let k = key(j);
-        debug_assert!(!k.is_nan(), "argmin key for slave {j} is NaN");
+        nan |= k.is_nan();
         if k < best {
             best = k;
             arg = j;
         }
     }
+    assert!(!nan, "scan_argmin: NaN key among {m} slaves");
     arg
 }
 
-/// Exact chunked argmin: 8 independent lanes each keep the lexicographic
-/// `(key, index)` minimum of their stripe, combined by one final exact
-/// reduction. Same winner as [`scan_argmin`], bit for bit (comparisons
-/// only, no arithmetic on keys); the dense stripes keep the hot loop free
-/// of the single serial `best` dependency the sequential scan carries.
-/// With fewer slaves than lanes there is no stripe to run, so it answers
-/// by [`scan_argmin`] directly.
-pub fn chunked_argmin<F: FnMut(usize) -> f64>(m: usize, mut key: F) -> usize {
-    const LANES: usize = 8;
-    if m < LANES {
-        return scan_argmin(m, key);
-    }
-    let mut lane_key = [f64::INFINITY; LANES];
-    let mut lane_idx = [usize::MAX; LANES];
-    let mut base = 0usize;
-    while base + LANES <= m {
-        for l in 0..LANES {
-            let j = base + l;
-            let k = key(j);
-            debug_assert!(!k.is_nan(), "argmin key for slave {j} is NaN");
-            if k < lane_key[l] {
-                lane_key[l] = k;
-                lane_idx[l] = j;
-            }
-        }
-        base += LANES;
-    }
-    for (l, j) in (base..m).enumerate() {
-        let k = key(j);
-        debug_assert!(!k.is_nan(), "argmin key for slave {j} is NaN");
-        if k < lane_key[l] {
-            lane_key[l] = k;
-            lane_idx[l] = j;
-        }
-    }
-    // Lexicographic (key, index) reduction over the lanes. A lane's index
-    // is MAX iff it never saw a finite-beating key; if every lane is MAX
-    // the scan's answer is index 0.
-    let mut bk = f64::INFINITY;
-    let mut bi = usize::MAX;
-    for l in 0..LANES {
-        if lane_key[l] < bk || (lane_key[l] == bk && lane_idx[l] < bi) {
-            bk = lane_key[l];
-            bi = lane_idx[l];
-        }
-    }
-    if bi == usize::MAX {
-        0
-    } else {
-        bi
-    }
-}
-
 /// Ring journal of event-touched slaves: the engine's one touch log,
-/// maintained inside its workspace and exposed to schedulers through
-/// [`SimView::touch_journal`](crate::SimView::touch_journal).
+/// maintained inside its workspace and handed to [`IncrementalArgmin`]
+/// through [`SimView::touch_journal`](crate::SimView::touch_journal).
 ///
 /// Every engine event that can change a slave's observable state (sends,
 /// completions, failures, recoveries, estimate updates) appends the slave
@@ -158,7 +110,7 @@ pub fn chunked_argmin<F: FnMut(usize) -> f64>(m: usize, mut key: F) -> usize {
 /// either way — for a kernel the journal is a performance hint, never a
 /// source of truth).
 #[derive(Debug, Default)]
-pub struct TouchJournal {
+pub(crate) struct TouchJournal {
     run: u64,
     epoch: u64,
     ring: Vec<u32>,
@@ -189,24 +141,24 @@ impl TouchJournal {
     /// Nonce of the run this journal describes — unique process-wide, so
     /// comparing it against a previously synced nonce is a sound "same
     /// run?" test even for schedulers migrating between workspaces.
-    pub fn run(&self) -> u64 {
+    pub(crate) fn run(&self) -> u64 {
         self.run
     }
 
     /// Total touches appended this run.
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         self.epoch
     }
 
     /// Number of most-recent entries the ring retains.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.ring.len()
     }
 
     /// The touch appended at absolute epoch `e`. Meaningful only for
     /// `e` within `capacity` of [`TouchJournal::epoch`].
     #[inline]
-    pub fn entry(&self, e: u64) -> u32 {
+    pub(crate) fn entry(&self, e: u64) -> u32 {
         self.ring[(e as usize) & (self.ring.len() - 1)]
     }
 }
@@ -218,7 +170,7 @@ impl TouchJournal {
 /// O(1). Comparisons never round, so the root is exactly the
 /// [`scan_argmin`] winner over the same keys.
 #[derive(Debug, Default, Clone)]
-pub struct ArgminTree {
+pub(crate) struct ArgminTree {
     /// Node keys, 1-based heap layout (`key[1]` is the root, leaves at
     /// `p2..p2 + m`).
     key: Vec<f64>,
@@ -230,13 +182,8 @@ pub struct ArgminTree {
 
 impl ArgminTree {
     /// Number of leaves (slaves) currently indexed.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.m
-    }
-
-    /// `true` before the first rebuild.
-    pub fn is_empty(&self) -> bool {
-        self.m == 0
     }
 
     #[inline]
@@ -247,7 +194,10 @@ impl ArgminTree {
 
     /// Re-keys every slave from `key` and rebuilds all internal nodes:
     /// O(m). Reuses node storage across runs of the same size.
-    pub fn rebuild<F: FnMut(usize) -> f64>(&mut self, m: usize, key: &mut F) {
+    ///
+    /// # Panics
+    /// If any key is NaN, in every build.
+    pub(crate) fn rebuild<F: FnMut(usize) -> f64>(&mut self, m: usize, key: &mut F) {
         let p2 = m.next_power_of_two().max(1);
         if self.p2 != p2 {
             self.key.clear();
@@ -257,12 +207,14 @@ impl ArgminTree {
             self.p2 = p2;
         }
         self.m = m;
+        let mut nan = false;
         for j in 0..m {
             let k = key(j);
-            debug_assert!(!k.is_nan(), "argmin key for slave {j} is NaN");
+            nan |= k.is_nan();
             self.key[p2 + j] = k;
             self.idx[p2 + j] = j as u32;
         }
+        assert!(!nan, "ArgminTree::rebuild: NaN key among {m} slaves");
         for j in m..p2 {
             self.key[p2 + j] = f64::INFINITY;
             self.idx[p2 + j] = u32::MAX;
@@ -282,8 +234,11 @@ impl ArgminTree {
 
     /// Updates slave `j`'s key and bubbles the change to the root,
     /// stopping as soon as a node is unaffected: O(log m) worst case.
-    pub fn update(&mut self, j: usize, k: f64) {
-        debug_assert!(!k.is_nan(), "argmin key for slave {j} is NaN");
+    ///
+    /// # Panics
+    /// If `k` is NaN, in every build.
+    pub(crate) fn update(&mut self, j: usize, k: f64) {
+        assert!(!k.is_nan(), "ArgminTree::update: NaN key for slave {j}");
         debug_assert!(j < self.m, "update of slave {j} past tree size {}", self.m);
         let mut i = self.p2 + j;
         if self.key[i].to_bits() == k.to_bits() {
@@ -309,7 +264,7 @@ impl ArgminTree {
 
     /// The winning slave index — the [`scan_argmin`] answer over the
     /// current keys (index 0 when every key is `+∞`, like the scan).
-    pub fn winner(&self) -> usize {
+    pub(crate) fn winner(&self) -> usize {
         debug_assert!(self.m > 0, "winner() on an empty tree");
         let i = self.idx[1];
         if i == u32::MAX {
@@ -321,8 +276,10 @@ impl ArgminTree {
 }
 
 /// The scheduler-facing decision kernel: an argmin over per-slave keys
-/// that is sublinear in `m` when the view carries a [`TouchJournal`] and
-/// bit-identical to [`scan_argmin`] always.
+/// that is sublinear in `m` on engine-backed views at or above its
+/// threshold (a tournament tree synced from the engine's touch journal),
+/// answers by [`scan_argmin`] otherwise, and is bit-identical to
+/// [`scan_argmin`] always. A NaN key panics either way, in every build.
 ///
 /// One kernel indexes **one key family**: the keys it caches are only
 /// re-derived for journaled slaves, so calling [`IncrementalArgmin::argmin`]
@@ -335,7 +292,6 @@ pub struct IncrementalArgmin {
     synced_run: u64,
     synced_epoch: u64,
     live: bool,
-    scan_only: bool,
     threshold: usize,
 }
 
@@ -353,23 +309,13 @@ impl IncrementalArgmin {
             synced_run: 0,
             synced_epoch: 0,
             live: false,
-            scan_only: false,
             threshold: TREE_THRESHOLD,
         }
     }
 
-    /// The linear-scan reference kernel: every decision is answered by
-    /// [`chunked_argmin`], never the tree. Equivalence proptests and the
-    /// large-`m` work-count test use it as the historical path.
-    pub fn scan_reference() -> Self {
-        IncrementalArgmin {
-            scan_only: true,
-            ..IncrementalArgmin::new()
-        }
-    }
-
-    /// Overrides [`TREE_THRESHOLD`] (tests force the tree at tiny `m`
-    /// with a threshold of 0).
+    /// Overrides [`TREE_THRESHOLD`]: tests force the tree at tiny `m`
+    /// with a threshold of 0, and the [`scan_argmin`] reference at any
+    /// `m` with `usize::MAX`.
     pub fn with_threshold(mut self, threshold: usize) -> Self {
         self.threshold = threshold;
         self
@@ -383,14 +329,17 @@ impl IncrementalArgmin {
 
     /// The slave minimizing `key`, resolving ties toward the lowest
     /// index — exactly the [`scan_argmin`] winner. Sublinear when the
-    /// tree is engaged; an exact chunked scan otherwise.
+    /// tree is engaged; [`scan_argmin`] itself otherwise.
+    ///
+    /// # Panics
+    /// If a key it evaluates is NaN, in every build.
     pub fn argmin<F: FnMut(usize) -> f64>(&mut self, view: &SimView<'_>, mut key: F) -> SlaveId {
         let m = view.num_slaves();
         let journal = match view.touch_journal() {
-            Some(j) if !self.scan_only && m >= self.threshold => j,
+            Some(j) if m >= self.threshold => j,
             _ => {
                 record_kernel_scan();
-                return SlaveId(chunked_argmin(m, key));
+                return SlaveId(scan_argmin(m, key));
             }
         };
         if !self.live
@@ -418,56 +367,6 @@ impl IncrementalArgmin {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn chunked_matches_scan_on_awkward_shapes() {
-        // Every m across the scan fallback and the first lane boundaries,
-        // with ties and both infinities: key of slave j among m.
-        const INF: f64 = f64::INFINITY;
-        let shapes: [fn(usize, usize) -> f64; 7] = [
-            |_, _| 4.0,
-            |_, _| INF,
-            |_, _| -INF,
-            |_, j| ((j * 7) % 3) as f64,
-            |m, j| if j + 1 == m { -INF } else { INF },
-            |_, j| [INF, -INF, 1.0, -INF][j % 4],
-            |m, j| if j % 5 == 2 { -1.0 } else { (m - j) as f64 },
-        ];
-        for m in 1..=17usize {
-            for (s, key) in shapes.iter().enumerate() {
-                let keys: Vec<f64> = (0..m).map(|j| key(m, j)).collect();
-                assert_eq!(
-                    chunked_argmin(m, |j| keys[j]),
-                    scan_argmin(m, |j| keys[j]),
-                    "m = {m}, shape {s}: keys {keys:?}"
-                );
-            }
-        }
-        // Duplicate minima, infinities, lane boundaries, tiny m.
-        let cases: Vec<Vec<f64>> = vec![
-            vec![],
-            vec![3.0],
-            vec![f64::INFINITY],
-            vec![f64::INFINITY; 17],
-            vec![2.0, 1.0, 1.0, 5.0],
-            (0..64).map(|i| ((i * 7) % 13) as f64).collect(),
-            (0..65).map(|i| ((i * 11) % 5) as f64).collect(),
-            (0..100)
-                .map(|i| if i % 9 == 0 { f64::INFINITY } else { 4.0 })
-                .collect(),
-        ];
-        for keys in cases {
-            let m = keys.len();
-            if m == 0 {
-                continue;
-            }
-            assert_eq!(
-                chunked_argmin(m, |j| keys[j]),
-                scan_argmin(m, |j| keys[j]),
-                "keys {keys:?}"
-            );
-        }
-    }
 
     #[test]
     fn tree_tracks_scan_through_updates() {
@@ -500,7 +399,6 @@ mod tests {
         let mut tree = ArgminTree::default();
         tree.rebuild(m, &mut |_| f64::INFINITY);
         assert_eq!(tree.winner(), 0);
-        assert_eq!(chunked_argmin(m, |_| f64::INFINITY), 0);
         assert_eq!(scan_argmin(m, |_| f64::INFINITY), 0);
     }
 

@@ -93,9 +93,7 @@ pub use events::{PlatformEvent, PlatformEventKind, Timeline};
 pub use gantt::render as render_gantt;
 pub use gantt::render_with_downtime;
 pub use info::{InfoTier, SlaveEstimate, SlaveEstimates};
-pub use kernel::{
-    chunked_argmin, scan_argmin, ArgminTree, IncrementalArgmin, TouchJournal, TREE_THRESHOLD,
-};
+pub use kernel::{scan_argmin, IncrementalArgmin, TREE_THRESHOLD};
 pub use mss_obs::{
     DigestEvent, DigestProbe, Histogram, Marker, MarkerKind, MetricsProbe, NoopProbe, Probe,
     RunCounters, RunHistograms, RunMetrics, Span, SpanKind, TraceRecorder,

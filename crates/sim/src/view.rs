@@ -356,8 +356,8 @@ pub struct SimView<'a> {
     /// The engine's ring of event-touched slaves, when this view is
     /// engine-backed — the raw material of the sublinear decision kernels
     /// ([`crate::kernel::IncrementalArgmin`]). `None` for views borrowed
-    /// from an owned [`ViewState`], where kernels fall back to the exact
-    /// chunked scan.
+    /// from an owned [`ViewState`], where kernels answer by
+    /// [`scan_argmin`](crate::scan_argmin).
     pub(crate) journal: Option<&'a TouchJournal>,
     /// The engine's anchors of the busy rows, when this view is
     /// engine-backed: an overdue row is answered by the fold from `now`
@@ -676,9 +676,9 @@ impl<'a> SimView<'a> {
     /// The engine's journal of event-touched slaves, when this view is
     /// engine-backed — what lets [`crate::kernel::IncrementalArgmin`]
     /// update only the leaves that can have changed. `None` on views
-    /// borrowed from an owned [`ViewState`] (kernels then fall back to
-    /// the exact chunked scan).
-    pub fn touch_journal(&self) -> Option<&'a TouchJournal> {
+    /// borrowed from an owned [`ViewState`] (kernels then answer by
+    /// [`scan_argmin`](crate::scan_argmin)).
+    pub(crate) fn touch_journal(&self) -> Option<&'a TouchJournal> {
         self.journal
     }
 

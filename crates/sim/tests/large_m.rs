@@ -151,7 +151,8 @@ fn ten_thousand_slaves_streamed_within_budget() {
     assert_eq!(tree_evals, 13_795);
 
     // The linear-scan twin: same decisions, same bits, m keys a decision.
-    let (scan_stats, s, scan_evals) = run(&platform, n, IncrementalArgmin::scan_reference());
+    let scan = IncrementalArgmin::new().with_threshold(usize::MAX);
+    let (scan_stats, s, scan_evals) = run(&platform, n, scan);
     assert_eq!(scan_stats.objectives, stats.objectives, "kernel ≢ scan");
     assert_eq!(s.scans, k.queries, "decision counts differ: {s:?} vs {k:?}");
     assert_eq!(scan_evals, s.scans * m as u64, "{s:?}");

@@ -254,7 +254,7 @@ pub struct MetricsRow {
 }
 
 /// Aggregates per-cell telemetry payloads (cells run with
-/// `collect_metrics`) into per-(group, algorithm) rows, in first-seen
+/// [`Observe::Metrics`](crate::Observe::Metrics)) into per-(group, algorithm) rows, in first-seen
 /// order. Cells without a payload are skipped. Merging happens in
 /// expansion order, so — together with the integer-count histograms — the
 /// rows are byte-identical for any executing thread count (contract #12).

@@ -71,6 +71,23 @@ impl SamplerCache {
     }
 }
 
+/// What a sweep observes of each cell's run besides its results. Probes
+/// are observers only, so results are bit-identical in every mode.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Observe {
+    /// Nothing: cells run with [`NoopProbe`], the zero-cost hot path.
+    #[default]
+    Off,
+    /// Cells run with a counting probe and engine events accumulate into
+    /// the worker's `metrics.counters` (the `ms-lab profile` path).
+    Counters,
+    /// Cells run with a [`MetricsProbe`] and each `Ok` result carries a
+    /// [`CellRunMetrics`] payload (the `ms-lab metrics` path); the run's
+    /// histograms also merge into the worker's `metrics.hists`
+    /// (contract #12).
+    Metrics,
+}
+
 /// Per-worker scratch of the batched executor: the reusable simulator
 /// buffers plus the memoized sampler streams. Scratch never influences
 /// results (the workspace re-initializes per run; the cache is
@@ -88,17 +105,9 @@ pub struct BatchWorker {
     /// This worker's thread-local tally: cells, batch timeline, phase
     /// seconds. Purely observational — nothing in the run path reads it.
     pub metrics: WorkerMetrics,
-    /// When `true`, cells run with a counting probe and engine events
-    /// accumulate into `metrics.counters` (the `ms-lab profile` path).
-    /// When `false` (the default), cells run with [`NoopProbe`] — the
-    /// unchanged zero-cost hot path.
-    pub count_events: bool,
-    /// When `true`, cells run with a [`MetricsProbe`] and each `Ok` result
-    /// carries a [`CellRunMetrics`] payload (the `ms-lab metrics` path);
-    /// the run's histograms also merge into `metrics.hists`. Scalar results
-    /// are bit-identical either way (contract #12).
-    pub collect_metrics: bool,
-    /// Reusable telemetry probe (reset per cell when `collect_metrics`).
+    /// What this worker's cells are run with (default [`Observe::Off`]).
+    pub observe: Observe,
+    /// Reusable telemetry probe (reset per cell under [`Observe::Metrics`]).
     metrics_probe: MetricsProbe,
     /// Shared sweep epoch that batch-span offsets are measured from.
     epoch: Instant,
@@ -124,8 +133,7 @@ impl BatchWorker {
             samplers: SamplerCache::default(),
             schedulers: HashMap::new(),
             metrics: WorkerMetrics::new(),
-            count_events: false,
-            collect_metrics: false,
+            observe: Observe::Off,
             metrics_probe: MetricsProbe::new(),
             epoch,
         }
@@ -237,8 +245,7 @@ pub fn run_batch(
         samplers,
         schedulers,
         metrics,
-        count_events,
-        collect_metrics,
+        observe,
         metrics_probe,
         epoch,
     } = worker;
@@ -253,25 +260,20 @@ pub fn run_batch(
     for k in batch {
         let cell = &cells[indices[k]];
         let scheduler = scheduler_for(schedulers, cell);
-        let result = if *collect_metrics {
-            metrics_probe.reset();
-            metrics_probe.preallocate(mat.platform.num_slaves());
-            let mut result = if *count_events {
-                let mut probe = (&mut metrics.counters, &mut *metrics_probe);
-                cell.try_run_probed(&mat, ws, scheduler, &mut probe)
-            } else {
-                cell.try_run_probed(&mat, ws, scheduler, &mut *metrics_probe)
-            };
-            if let Ok(m) = &mut result {
-                let run = metrics_probe.finish(m.makespan);
-                metrics.hists.merge(&run.hists);
-                m.run_metrics = Some(CellRunMetrics::from_run(&run));
+        let result = match observe {
+            Observe::Off => cell.try_run_probed(&mat, ws, scheduler, &mut NoopProbe),
+            Observe::Counters => cell.try_run_probed(&mat, ws, scheduler, &mut metrics.counters),
+            Observe::Metrics => {
+                metrics_probe.reset();
+                metrics_probe.preallocate(mat.platform.num_slaves());
+                let mut result = cell.try_run_probed(&mat, ws, scheduler, &mut *metrics_probe);
+                if let Ok(m) = &mut result {
+                    let run = metrics_probe.finish(m.makespan);
+                    metrics.hists.merge(&run.hists);
+                    m.run_metrics = Some(CellRunMetrics::from_run(&run));
+                }
+                result
             }
-            result
-        } else if *count_events {
-            cell.try_run_probed(&mat, ws, scheduler, &mut metrics.counters)
-        } else {
-            cell.try_run_probed(&mat, ws, scheduler, &mut NoopProbe)
         };
         if result.is_err() {
             metrics.aborted += 1;
@@ -445,7 +447,7 @@ mod tests {
         let batches = group_instances(&cells, &all);
         assert_eq!(batches, vec![0..cells.len()], "one instance, one batch");
         let mut worker = BatchWorker::new();
-        worker.count_events = true;
+        worker.observe = Observe::Counters;
         let mut out = Vec::new();
         for b in batches {
             run_batch(&cells, &all, b, &mut worker, &mut out);
@@ -464,7 +466,7 @@ mod tests {
         let cells: Vec<Cell> = Algorithm::ALL.iter().map(|&a| cell(1, a)).collect();
         let all: Vec<usize> = (0..cells.len()).collect();
         let mut worker = BatchWorker::new();
-        worker.collect_metrics = true;
+        worker.observe = Observe::Metrics;
         let mut out = Vec::new();
         for b in group_instances(&cells, &all) {
             run_batch(&cells, &all, b, &mut worker, &mut out);

@@ -326,7 +326,7 @@ pub struct CellMetrics {
     /// Distributional run telemetry (flow/wait/transfer/compute
     /// histograms, per-slave utilization seconds, queue-depth stats).
     /// `None` unless the sweep ran with
-    /// [`SweepConfig::collect_metrics`](crate::SweepConfig) — the scalar
+    /// [`Observe::Metrics`](crate::Observe::Metrics) — the scalar
     /// objectives above are bit-identical either way (probes are
     /// observers only).
     pub run_metrics: Option<CellRunMetrics>,

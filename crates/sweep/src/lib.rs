@@ -106,7 +106,7 @@ pub use agg::{
 };
 pub use batch::{
     batch_cost, estimated_cell_events, group_instances, run_batch, split_batches, BatchWorker,
-    SamplerCache, DEFAULT_SPLIT_EVENTS,
+    Observe, SamplerCache, DEFAULT_SPLIT_EVENTS,
 };
 pub use cell::{
     AbortKind, Cell, CellError, CellMetrics, MaterializedInstance, PerturbCell, PlatformCell,
@@ -130,17 +130,15 @@ pub struct SweepConfig {
     /// being a terminal and no CI environment — see [`mss_obs::Progress`]).
     /// Purely cosmetic: results are unaffected.
     pub progress: bool,
-    /// Run cells with counting probes and aggregate engine event counters
-    /// into [`SweepMetrics::counters`] (the `ms-lab profile` path). The
-    /// default `false` keeps the zero-cost uninstrumented hot path;
-    /// results are bit-identical either way (probes are observers only).
-    pub count_events: bool,
-    /// Run cells with a [`mss_obs::MetricsProbe`] so every `Ok` result
-    /// carries a [`CellRunMetrics`] telemetry payload (the `ms-lab
-    /// metrics` path) and worker histograms merge into
-    /// [`SweepMetrics::hists`]. Cached records without a payload are
-    /// re-run. Scalar results stay bit-identical either way.
-    pub collect_metrics: bool,
+    /// What cells are run with: nothing (the default, the zero-cost
+    /// uninstrumented hot path), counting probes whose engine event
+    /// counters aggregate into [`SweepMetrics::counters`] (the `ms-lab
+    /// profile` path), or a [`mss_obs::MetricsProbe`] so every `Ok` result
+    /// carries a [`CellRunMetrics`] telemetry payload and worker histograms
+    /// merge into [`SweepMetrics::hists`] (the `ms-lab metrics` path; cached
+    /// records without a payload are re-run). Results are bit-identical in
+    /// every mode (probes are observers only).
+    pub observe: Observe,
 }
 
 impl Default for SweepConfig {
@@ -149,8 +147,7 @@ impl Default for SweepConfig {
             threads: default_threads(64),
             cache_dir: None,
             progress: false,
-            count_events: false,
-            collect_metrics: false,
+            observe: Observe::Off,
         }
     }
 }
@@ -239,7 +236,7 @@ pub fn try_run_cells(cells: &[Cell], config: &SweepConfig) -> CheckedOutcome {
     // the cell re-runs and its payload-carrying line, appended later in
     // the shard, wins on the next load.
     let usable = |r: &Result<CellMetrics, CellError>| {
-        !config.collect_metrics || !matches!(r, Ok(m) if m.run_metrics.is_none())
+        config.observe != Observe::Metrics || !matches!(r, Ok(m) if m.run_metrics.is_none())
     };
     let missing: Vec<usize> = match &keys {
         Some(keys) => (0..cells.len())
@@ -273,8 +270,7 @@ pub fn try_run_cells(cells: &[Cell], config: &SweepConfig) -> CheckedOutcome {
         |_, b| batch_cost(cells, &missing, b),
         || {
             let mut w = BatchWorker::with_epoch(epoch);
-            w.count_events = config.count_events;
-            w.collect_metrics = config.collect_metrics;
+            w.observe = config.observe;
             (w, store.as_ref().map(|s| s.writer()))
         },
         |(w, writer), _, b| {

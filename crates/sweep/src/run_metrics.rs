@@ -53,7 +53,7 @@ impl HistogramData {
 
 /// One cell's run telemetry as stored in the sweep's JSONL result store
 /// (the `run_metrics` field of a stored record, present only when the
-/// sweep ran with `collect_metrics`).
+/// sweep ran with [`Observe::Metrics`](crate::Observe::Metrics)).
 #[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct CellRunMetrics {
     /// Completed tasks (= flow histogram samples).

@@ -1,9 +1,9 @@
 //! Contract #12, end to end: telemetry payloads survive the result store
 //! exactly, worker histograms merge to the per-cell sums, and payload-less
-//! cache entries re-run under `collect_metrics`. Their thread-count
+//! cache entries re-run under `Observe::Metrics`. Their thread-count
 //! identity is checked by `batch_equivalence.rs`.
 
-use mss_sweep::{spec_from_toml, try_run_cells, SweepConfig, SweepSpec};
+use mss_sweep::{spec_from_toml, try_run_cells, Observe, SweepConfig, SweepSpec};
 use std::path::PathBuf;
 
 fn spec(seed: u64) -> SweepSpec {
@@ -18,8 +18,7 @@ fn config(threads: usize) -> SweepConfig {
         threads,
         cache_dir: None,
         progress: false,
-        count_events: false,
-        collect_metrics: true,
+        observe: Observe::Metrics,
     }
 }
 
@@ -56,7 +55,7 @@ fn payloads_survive_the_store_and_worker_hists_match_cell_sums() {
     let plain = try_run_cells(
         &cells,
         &SweepConfig {
-            collect_metrics: false,
+            observe: Observe::Off,
             ..cfg.clone()
         },
     );
@@ -80,7 +79,7 @@ fn payload_less_cache_entries_rerun_under_collect_metrics() {
         ..config(2)
     };
     let plain_cfg = SweepConfig {
-        collect_metrics: false,
+        observe: Observe::Off,
         ..plain_cfg
     };
 
@@ -91,7 +90,7 @@ fn payload_less_cache_entries_rerun_under_collect_metrics() {
     let upgraded = try_run_cells(
         &cells,
         &SweepConfig {
-            collect_metrics: true,
+            observe: Observe::Metrics,
             ..plain_cfg.clone()
         },
     );
@@ -109,7 +108,7 @@ fn payload_less_cache_entries_rerun_under_collect_metrics() {
     let warm = try_run_cells(
         &cells,
         &SweepConfig {
-            collect_metrics: true,
+            observe: Observe::Metrics,
             ..plain_cfg
         },
     );

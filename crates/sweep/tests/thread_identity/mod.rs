@@ -7,7 +7,7 @@
 use mss_core::Algorithm;
 use mss_sweep::{
     aggregate, group_instances, split_batches, try_run_cells, Cell, CellError, CellMetrics,
-    SweepConfig, DEFAULT_SPLIT_EVENTS,
+    Observe, SweepConfig, DEFAULT_SPLIT_EVENTS,
 };
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -155,7 +155,11 @@ pub fn assert_thread_count_identity(
                 &SweepConfig {
                     threads,
                     cache_dir: dir.clone(),
-                    collect_metrics,
+                    observe: if collect_metrics {
+                        Observe::Metrics
+                    } else {
+                        Observe::Off
+                    },
                     ..SweepConfig::default()
                 },
             );

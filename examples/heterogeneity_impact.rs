@@ -19,7 +19,12 @@ use master_slave_sched::sim::{render_gantt, trace_stats};
 use master_slave_sched::workload::{HeterogeneityAxis, HeterogeneityFamily};
 
 fn main() {
-    let report = master_slave_sched::lab::ablations::heterogeneity_impact(300, 3, 42);
+    let report = master_slave_sched::lab::ablations::heterogeneity_impact_with(
+        300,
+        3,
+        42,
+        &mss_sweep::SweepConfig::default(),
+    );
     println!("{}", report.render());
     println!("cells are best/worst normalized makespan over the six static heuristics;");
     println!("a widening gap means choosing the right algorithm matters more.\n");

@@ -11,10 +11,11 @@ use master_slave_sched::lab::{table1, ExperimentScale};
 use master_slave_sched::opt::schedule::{Goal, Instance};
 use master_slave_sched::workload::{ArrivalProcess, PlatformSampler};
 use mss_core::PlatformClass;
+use mss_sweep::SweepConfig;
 
 #[test]
 fn table1_report_is_fully_verified() {
-    let report = table1::run();
+    let report = table1::run_with(&SweepConfig::default());
     assert_eq!(report.cells.len(), 9);
     assert!(report.all_verified());
     // The minimum measured ratio never undercuts the certified threshold.
@@ -132,10 +133,11 @@ fn lab_artifacts_round_trip_through_json() {
         tasks: 60,
         seed: 1,
     };
-    let panel = master_slave_sched::lab::fig1::run_panel(
+    let panel = master_slave_sched::lab::fig1::run_panel_with(
         PlatformClass::Heterogeneous,
         scale,
         ArrivalProcess::AllAtZero,
+        &SweepConfig::default(),
     );
     let body = master_slave_sched::lab::Artifact::json("fig1d", &panel).body;
     let parsed: master_slave_sched::lab::fig1::Fig1Panel = serde_json::from_str(&body).unwrap();

@@ -4,6 +4,7 @@
 use master_slave_sched::core::{Algorithm, PlatformClass};
 use master_slave_sched::lab::{fig1, fig2, ExperimentScale};
 use master_slave_sched::workload::{ArrivalProcess, Perturbation};
+use mss_sweep::SweepConfig;
 
 fn scale() -> ExperimentScale {
     // 6 platforms rather than the paper's 10: enough to stabilize the
@@ -15,15 +16,21 @@ fn scale() -> ExperimentScale {
     }
 }
 
+/// One Figure 1 panel at this file's scale, every task released at 0.
+fn fig1_panel(class: PlatformClass) -> fig1::Fig1Panel {
+    fig1::run_panel_with(
+        class,
+        scale(),
+        ArrivalProcess::AllAtZero,
+        &SweepConfig::default(),
+    )
+}
+
 #[test]
 fn fig1a_statics_equal_and_beat_srpt() {
     // "all static algorithms perform equally well on such platforms, and
     // exhibit better performance than the dynamic heuristic SRPT."
-    let panel = fig1::run_panel(
-        PlatformClass::Homogeneous,
-        scale(),
-        ArrivalProcess::AllAtZero,
-    );
+    let panel = fig1_panel(PlatformClass::Homogeneous);
     let statics = [
         Algorithm::ListScheduling,
         Algorithm::RoundRobin,
@@ -54,11 +61,7 @@ fn fig1a_statics_equal_and_beat_srpt() {
 fn fig1b_rrc_is_the_outlier() {
     // "RRC, which does not take processor heterogeneity into account,
     // performs significantly worse than the others."
-    let panel = fig1::run_panel(
-        PlatformClass::CommHomogeneous,
-        scale(),
-        ArrivalProcess::AllAtZero,
-    );
+    let panel = fig1_panel(PlatformClass::CommHomogeneous);
     let rrc = panel.normalized(Algorithm::RoundRobinComm)[0];
     for a in [
         Algorithm::ListScheduling,
@@ -79,11 +82,7 @@ fn fig1b_rrc_is_the_outlier() {
 fn fig1b_sljf_best_for_makespan() {
     // "we also observe that SLJF is the best approach for makespan
     // minimization" (communication-homogeneous platforms).
-    let panel = fig1::run_panel(
-        PlatformClass::CommHomogeneous,
-        scale(),
-        ArrivalProcess::AllAtZero,
-    );
+    let panel = fig1_panel(PlatformClass::CommHomogeneous);
     let sljf = panel.normalized(Algorithm::Sljf)[0];
     for a in Algorithm::ALL {
         assert!(
@@ -98,11 +97,7 @@ fn fig1b_sljf_best_for_makespan() {
 fn fig1c_rrp_and_sljf_are_the_outliers() {
     // "RRP and SLJF, which do not take communication heterogeneity into
     // account, perform significantly worse than the others."
-    let panel = fig1::run_panel(
-        PlatformClass::CompHomogeneous,
-        scale(),
-        ArrivalProcess::AllAtZero,
-    );
+    let panel = fig1_panel(PlatformClass::CompHomogeneous);
     let rrp = panel.normalized(Algorithm::RoundRobinProc)[0];
     let comm_aware_best = [
         Algorithm::ListScheduling,
@@ -122,11 +117,7 @@ fn fig1c_rrp_and_sljf_are_the_outliers() {
 fn fig1c_sljfwc_best_for_makespan() {
     // "we also observe that SLJFWC is the best approach for makespan
     // minimization" (computation-homogeneous platforms).
-    let panel = fig1::run_panel(
-        PlatformClass::CompHomogeneous,
-        scale(),
-        ArrivalProcess::AllAtZero,
-    );
+    let panel = fig1_panel(PlatformClass::CompHomogeneous);
     let sljfwc = panel.normalized(Algorithm::Sljfwc)[0];
     for a in Algorithm::ALL {
         assert!(
@@ -142,11 +133,7 @@ fn fig1d_communication_aware_heuristics_lead() {
     // "the best algorithms are LS and SLJFWC. Moreover, we see that
     // algorithms taking communication delays into account actually perform
     // better."
-    let panel = fig1::run_panel(
-        PlatformClass::Heterogeneous,
-        scale(),
-        ArrivalProcess::AllAtZero,
-    );
+    let panel = fig1_panel(PlatformClass::Heterogeneous);
     let ls = panel.normalized(Algorithm::ListScheduling)[0];
     let sljfwc = panel.normalized(Algorithm::Sljfwc)[0];
     let best_pair = ls.min(sljfwc);
@@ -159,10 +146,11 @@ fn fig1d_communication_aware_heuristics_lead() {
 fn fig2_makespan_robust_flows_fragile() {
     // "our algorithms are quite robust for makespan minimization problems,
     // but not as much for sum-flow or max-flow problems."
-    let report = fig2::run(
+    let report = fig2::run_with(
         scale(),
         ArrivalProcess::UniformStream { load: 0.9 },
         Perturbation::linear(0.1),
+        &SweepConfig::default(),
     );
     let mut worst_makespan_dev = 0.0f64;
     let mut worst_flow_dev = 0.0f64;
